@@ -29,6 +29,7 @@ from .games import (
     StrategyProfile,
     UnsupportedCaseError,
     ValuationMatrix,
+    _require_finite,
 )
 
 # floor(X_U / d) is evaluated with this slack so ratios that are integers up
@@ -47,6 +48,7 @@ class BlottoParams:
     def __post_init__(self):
         object.__setattr__(self, "vbar", float(self.vbar))
         object.__setattr__(self, "vlow", float(self.vlow))
+        _require_finite("valuations", self.vbar, self.vlow)
         if not self.vbar > self.vlow > 0.0:
             raise ValueError(f"need vbar > vlow > 0, got {self.vbar}, {self.vlow}")
 
@@ -200,13 +202,18 @@ def build_equilibrium(params: BlottoParams, e: float | None = None) -> StrategyP
         atoms=tuple((e + k * d, c ** abs(k - half) / s_a) for k in range(q))
     )
 
+    # informed atoms sit at k*d, capped at X_I: when X_U/d is an integer up
+    # to rounding (r = 0), (q-1)*d can exceed X_I by an ulp, and its budget
+    # complement would be negative
+    loc = [min(k * d, x_i) for k in range(q)]
+
     # informed type 1 concentrates high, type 2 low, sharing the boundary atom
-    t1_atoms = [(half * d, boundary_w / s_b)]
-    t1_atoms += [(k * d, c ** (q - 1 - k) / s_b) for k in range(half + 1, q)]
+    t1_atoms = [(loc[half], boundary_w / s_b)]
+    t1_atoms += [(loc[k], c ** (q - 1 - k) / s_b) for k in range(half + 1, q)]
     f_i1 = PiecewiseCdf(atoms=tuple(t1_atoms))
 
-    t2_atoms = [(k * d, c**k / s_b) for k in range(half)]
-    t2_atoms += [(half * d, boundary_w / s_b)]
+    t2_atoms = [(loc[k], c**k / s_b) for k in range(half)]
+    t2_atoms += [(loc[half], boundary_w / s_b)]
     f_i2 = PiecewiseCdf(atoms=tuple(t2_atoms))
 
     return StrategyProfile(

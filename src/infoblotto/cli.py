@@ -331,13 +331,7 @@ def _resolve_profile(args):
 
 def cmd_verify(args):
     params, profile = _resolve_profile(args)
-    cert = oracle.certify(
-        profile,
-        params,
-        grid_points=args.grid,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    cert = oracle.certify(profile, params, samples=args.samples, seed=args.seed)
     print(f"game = {cert.game}")
     print(f"claimed_value = {_fmt(cert.claimed_value)}")
     print(f"deviation_gap_uninformed = {_fmt(cert.deviation_gap_uninformed)}")
@@ -421,7 +415,6 @@ def _build_parser():
     _add_game_options(p, require_game=False)
     p.add_argument("--e", type=float, default=None)
     p.add_argument("--strategy", default=None, help="strategy JSON to verify")
-    p.add_argument("--grid", type=int, default=oracle.DEFAULT_GRID_POINTS)
     p.add_argument("--samples", type=int, default=oracle.DEFAULT_MC_SAMPLES)
     p.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
     p.add_argument("--out", default=None, help="write certificate JSON here")

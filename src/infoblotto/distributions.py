@@ -128,32 +128,16 @@ class PiecewiseCdf:
 
     # -- CDF evaluation (vectorized over numpy arrays) ---------------------
 
-    def cdf(self, x):
-        """Right-continuous CDF: P(X <= x)."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for loc, mass in self.atoms:
-            out += mass * (x >= loc)
-        for l, r, rho in self.segments:
-            out += rho * np.clip(x - l, 0.0, r - l)
-        return out if out.shape else float(out)
+    def cdf(self, x, tie=1.0):
+        """P(X < x) + tie * P(X = x).
 
-    def cdf_left(self, x):
-        """Left limit of the CDF: P(X < x)."""
+        ``tie=1`` is the right-continuous CDF P(X <= x), ``tie=0`` its left
+        limit P(X < x), and ``tie=0.5`` the tie-neutral win measure at atoms.
+        """
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
         for loc, mass in self.atoms:
-            out += mass * (x > loc)
-        for l, r, rho in self.segments:
-            out += rho * np.clip(x - l, 0.0, r - l)
-        return out if out.shape else float(out)
-
-    def cdf_mid(self, x):
-        """(cdf + cdf_left)/2; gives the tie-neutral win measure at atoms."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for loc, mass in self.atoms:
-            out += mass * 0.5 * ((x >= loc).astype(float) + (x > loc))
+            out += mass * ((x > loc) + tie * (x == loc))
         for l, r, rho in self.segments:
             out += rho * np.clip(x - l, 0.0, r - l)
         return out if out.shape else float(out)

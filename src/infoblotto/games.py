@@ -10,13 +10,12 @@ integrals over atom/segment mixtures are done in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import InvalidDistributionError, PiecewiseCdf
-
-MASS_TOL = 1e-12
+from .distributions import MASS_TOL, InvalidDistributionError, PiecewiseCdf
 
 
 class OutOfRegimeError(ValueError):
@@ -25,6 +24,11 @@ class OutOfRegimeError(ValueError):
 
 class UnsupportedCaseError(ValueError):
     """A case the closed-form constructions deliberately do not cover."""
+
+
+def _require_finite(what, *values):
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite, got {values}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,7 @@ class ValuationMatrix:
         if not rows or not rows[0]:
             raise ValueError("valuation matrix must be nonempty")
         width = len(rows[0])
+        _require_finite("valuations", *(v for row in rows for v in row))
         for row in rows:
             if len(row) != width:
                 raise ValueError("valuation matrix rows have unequal lengths")
@@ -89,6 +94,7 @@ class Prior:
     def __post_init__(self):
         w = tuple(float(v) for v in self.weights)
         object.__setattr__(self, "weights", w)
+        _require_finite("prior weights", *w)
         if not w or any(v <= 0.0 for v in w):
             raise ValueError("prior weights must be strictly positive")
         if abs(sum(w) - 1.0) > MASS_TOL:
@@ -117,6 +123,7 @@ class Budgets:
     def __post_init__(self):
         object.__setattr__(self, "informed", float(self.informed))
         object.__setattr__(self, "uninformed", float(self.uninformed))
+        _require_finite("budgets", self.informed, self.uninformed)
         if not 0.0 < self.informed <= self.uninformed:
             raise ValueError(
                 f"budgets must satisfy 0 < X_I <= X_U, got {self.informed}, {self.uninformed}"

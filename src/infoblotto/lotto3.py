@@ -30,6 +30,7 @@ from .games import (
     Prior,
     StrategyProfile,
     ValuationMatrix,
+    _require_finite,
     interim_payoff,
 )
 
@@ -63,6 +64,9 @@ class LottoParams:
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "budget_uninformed", float(self.budget_uninformed))
+        _require_finite(
+            "parameters", self.alpha, self.beta, self.gamma, self.budget_uninformed
+        )
         _validate_shape(self.alpha, self.beta)
         _validate_gamma(self.gamma)
         if self.budget_uninformed <= 0.0:

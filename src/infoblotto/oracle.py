@@ -1,25 +1,25 @@
 """Independent verification of constructed equilibria.
 
 Nothing here reuses the closed-form constructions' internals: deviations are
-scanned as pure allocations against the opponent's marginals, budget
+checked as pure allocations against the opponent's marginals, budget
 feasibility is recomputed from the marginals, and the game value is
-re-estimated by seeded Monte Carlo.  Deviation payoffs are piecewise linear
-in the allocation (opponent CDFs are steps plus ramps), so a dense grid
-augmented with every opponent breakpoint evaluates their maxima exactly up
-to rounding.
+re-estimated by seeded Monte Carlo.  Opponent CDFs are steps plus ramps, so
+every deviation payoff is piecewise constant (Blotto) or piecewise linear
+(Lotto) between the opponent's breakpoints, and its supremum is found
+exactly by evaluating a finite list of points: no grid, no tuning.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import blotto2, lotto3
+from .distributions import MASS_TOL
 from .games import StrategyProfile, ex_ante_payoff, expected_budget, interim_payoff
 
-DEFAULT_GRID_POINTS = 10_000
 DEFAULT_MC_SAMPLES = 200_000
 DEFAULT_SEED = 20240801
 EPS_DEVIATION = 1e-6
@@ -29,16 +29,19 @@ EPS_BUDGET = 1e-9
 def pure_deviation_payoff(x, marginal):
     """E[sgn(x - Y)] for a pure allocation x against marginal Y; ties at
     atoms of Y count zero."""
-    return 2.0 * marginal.cdf_mid(x) - 1.0
+    return 2.0 * marginal.cdf(x, tie=0.5) - 1.0
 
 
-def _scan_points(lo, hi, grid_points, extra):
-    # half-step offset keeps the bulk grid off atom locations; breakpoints
-    # and endpoints are then added exactly
-    step = (hi - lo) / grid_points
-    xs = lo + (np.arange(grid_points) + 0.5) * step
-    pts = [p for p in extra if lo <= p <= hi]
-    return np.unique(np.concatenate([xs, np.asarray(pts + [lo, hi])]))
+@dataclass(frozen=True)
+class DeviationGaps:
+    """Best deviation improvement (Blotto) or support slack (Lotto) of the
+    uninformed player and of each informed type; ~0 at equilibrium."""
+
+    uninformed: float
+    informed: tuple[float, ...]
+
+    def worst(self):
+        return max(self.uninformed, *self.informed)
 
 
 # ---------------------------------------------------------------------------
@@ -47,17 +50,21 @@ def _scan_points(lo, hi, grid_points, extra):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeviationGaps:
-    uninformed: float
-    informed: tuple[float, ...]
-
-    def worst(self):
-        return max(self.uninformed, *self.informed)
+def _step_candidates(breakpoints, budget):
+    """Allocations in [0, budget] that meet every value of a step function
+    jumping only at ``breakpoints``: both ends and the midpoint between each
+    pair of consecutive breakpoints.  The value at a breakpoint is the mean
+    of its one-sided limits, so it never exceeds the best midpoint.
+    Breakpoints within ``MASS_TOL * budget`` of each other are one location
+    computed two ways, such as (k+1)*d and X_U - (X_I - k*d), and are merged
+    so that rounding cannot open a spurious interval between them."""
+    pts = np.unique(np.clip([0.0, budget, *breakpoints], 0.0, budget))
+    pts = pts[np.concatenate(([True], np.diff(pts) > MASS_TOL * budget))]
+    return np.concatenate(([0.0, budget], (pts[:-1] + pts[1:]) / 2.0))
 
 
 def blotto_deviation_gaps(
-    profile: StrategyProfile, params: blotto2.BlottoParams, grid_points=DEFAULT_GRID_POINTS
+    profile: StrategyProfile, params: blotto2.BlottoParams
 ) -> DeviationGaps:
     """Best pure-deviation improvement for each player/type against the
     other side of ``profile``; nonnegative up to rounding, ~0 at equilibrium."""
@@ -79,7 +86,7 @@ def blotto_deviation_gaps(
     for i in range(profile.m):
         bps.update(loc for loc, _ in profile.informed[i][0].atoms)
         bps.update(x_u - loc for loc, _ in profile.informed[i][1].atoms)
-    xs = _scan_points(0.0, x_u, grid_points, sorted(bps))
+    xs = _step_candidates(bps, x_u)
     pay_u = np.zeros(xs.shape)
     for i in range(profile.m):
         pay_u += prior.weights[i] * (
@@ -91,7 +98,7 @@ def blotto_deviation_gaps(
     gaps_i = []
     bps = {loc for loc, _ in profile.uninformed[0].atoms}
     bps.update(x_i - loc for loc, _ in profile.uninformed[1].atoms)
-    xs = _scan_points(0.0, x_i, grid_points, sorted(bps))
+    xs = _step_candidates(bps, x_i)
     for i in range(profile.m):
         pay_i = vals[i, 0] * pure_deviation_payoff(xs, profile.uninformed[0]) + vals[
             i, 1
@@ -107,62 +114,40 @@ def blotto_deviation_gaps(
 # ---------------------------------------------------------------------------
 
 
-def _priced_payoff(x, terms):
+def _priced_payoff(x, terms, tie):
+    # tie=1 (right limit) is the value seen from inside a support segment
+    # starting at x; tie=0 (left limit) from inside one ending at x
     out = -np.asarray(x, dtype=float)
     for weight, f in terms:
-        out = out + weight * f.cdf_mid(x)
+        out = out + weight * f.cdf(x, tie)
     return out
 
 
-def _priced_payoff_right(x, terms):
-    # right limit: an opponent atom exactly at x counts as fully beaten,
-    # which is the value seen from inside a support segment starting at x
-    out = -np.asarray(x, dtype=float)
-    for weight, f in terms:
-        out = out + weight * f.cdf(x)
-    return out
-
-
-def _priced_payoff_left(x, terms):
-    out = -np.asarray(x, dtype=float)
-    for weight, f in terms:
-        out = out + weight * f.cdf_left(x)
-    return out
-
-
-def _support_slack(own, terms, grid_points):
+def _support_slack(own, terms):
     """max(off-support excess over the support value, on-support spread) of
-    the priced all-pay payoff for one marginal."""
+    the priced all-pay payoff for one marginal.
+
+    The payoff is linear between breakpoints and has slope -1 past the last
+    one, so its supremum is a one-sided limit at 0 or at a breakpoint."""
     opp_bps = sorted({p for _, f in terms for p in f.breakpoints()})
-    on_vals = [float(_priced_payoff(loc, terms)) for loc, _ in own.atoms]
+    on_vals = [float(_priced_payoff(loc, terms, 0.5)) for loc, _ in own.atoms]
     for left, right, _ in own.segments:
-        on_vals.append(float(_priced_payoff_right(left, terms)))
-        on_vals.append(float(_priced_payoff_left(right, terms)))
+        on_vals.append(float(_priced_payoff(left, terms, 1.0)))
+        on_vals.append(float(_priced_payoff(right, terms, 0.0)))
         for p in opp_bps:
             if left < p < right:
-                on_vals.append(float(_priced_payoff_left(p, terms)))
-                on_vals.append(float(_priced_payoff_right(p, terms)))
-    hi = 1.05 * max([own.support_max()] + [f.support_max() for _, f in terms])
-    xs = _scan_points(0.0, hi + 1e-12, grid_points, opp_bps + own.breakpoints())
-    off_max = float(_priced_payoff(xs, terms).max())
+                on_vals.append(float(_priced_payoff(p, terms, 0.0)))
+                on_vals.append(float(_priced_payoff(p, terms, 1.0)))
+    xs = np.unique([0.0, *opp_bps, *own.breakpoints()])
+    off_max = max(float(_priced_payoff(xs, terms, tie).max()) for tie in (0.0, 1.0))
     return max(off_max - max(on_vals), max(on_vals) - min(on_vals))
-
-
-@dataclass(frozen=True)
-class SupportSlacks:
-    uninformed: float
-    informed: tuple[float, ...]
-
-    def worst(self):
-        return max(self.uninformed, *self.informed)
 
 
 def lotto_support_optimality(
     profile: StrategyProfile,
     params: lotto3.LottoParams,
     lambdas: tuple[float, float] | None = None,
-    grid_points=DEFAULT_GRID_POINTS,
-) -> SupportSlacks:
+) -> DeviationGaps:
     """All-pay-auction support optimality of every marginal in ``profile``.
 
     For informed type i on battlefield j the priced payoff is
@@ -185,14 +170,14 @@ def lotto_support_optimality(
     for j in range(profile.n):
         for i in range(profile.m):
             terms = [(2.0 * vals[i, j] * prior.weights[i] / lam_i, profile.uninformed[j])]
-            slack = _support_slack(profile.informed[i][j], terms, grid_points)
+            slack = _support_slack(profile.informed[i][j], terms)
             slacks_i[i] = max(slacks_i[i], slack)
         terms = [
             (2.0 * vals[i, j] * prior.weights[i] / lam_u, profile.informed[i][j])
             for i in range(profile.m)
         ]
-        slack_u = max(slack_u, _support_slack(profile.uninformed[j], terms, grid_points))
-    return SupportSlacks(uninformed=slack_u, informed=tuple(slacks_i))
+        slack_u = max(slack_u, _support_slack(profile.uninformed[j], terms))
+    return DeviationGaps(uninformed=slack_u, informed=tuple(slacks_i))
 
 
 # ---------------------------------------------------------------------------
@@ -290,43 +275,18 @@ class Certificate:
     passed: bool
 
     def to_dict(self):
-        return {
-            "game": self.game,
-            "claimed_value": self.claimed_value,
-            "deviation_gap_uninformed": self.deviation_gap_uninformed,
-            "deviation_gaps_informed": list(self.deviation_gaps_informed),
-            "budget_residual_uninformed": self.budget_residual_uninformed,
-            "budget_residuals_informed": list(self.budget_residuals_informed),
-            "mc_mean": self.mc_mean,
-            "mc_std_error": self.mc_std_error,
-            "mc_samples": self.mc_samples,
-            "eps_deviation": self.eps_deviation,
-            "eps_budget": self.eps_budget,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(data):
         return Certificate(
-            game=data["game"],
-            claimed_value=data["claimed_value"],
-            deviation_gap_uninformed=data["deviation_gap_uninformed"],
-            deviation_gaps_informed=tuple(data["deviation_gaps_informed"]),
-            budget_residual_uninformed=data["budget_residual_uninformed"],
-            budget_residuals_informed=tuple(data["budget_residuals_informed"]),
-            mc_mean=data["mc_mean"],
-            mc_std_error=data["mc_std_error"],
-            mc_samples=data["mc_samples"],
-            eps_deviation=data["eps_deviation"],
-            eps_budget=data["eps_budget"],
-            passed=data["passed"],
+            **{key: tuple(v) if isinstance(v, list) else v for key, v in data.items()}
         )
 
 
 def certify(
     profile: StrategyProfile,
     params,
-    grid_points=DEFAULT_GRID_POINTS,
     samples=DEFAULT_MC_SAMPLES,
     seed=DEFAULT_SEED,
     eps_deviation=EPS_DEVIATION,
@@ -337,13 +297,12 @@ def certify(
     if isinstance(params, blotto2.BlottoParams):
         game = "blotto2"
         claimed = blotto2.informed_payoff(params)
-        gaps = blotto_deviation_gaps(profile, params, grid_points)
+        gaps = blotto_deviation_gaps(profile, params)
         res_u, res_i = blotto_budget_residuals(profile, params)
     elif isinstance(params, lotto3.LottoParams):
         game = "lotto3"
         claimed = lotto3.informed_payoff(params.alpha, params.beta, params.gamma)
-        slacks = lotto_support_optimality(profile, params, grid_points=grid_points)
-        gaps = DeviationGaps(uninformed=slacks.uninformed, informed=slacks.informed)
+        gaps = lotto_support_optimality(profile, params)
         res_u, res_i = lotto_budget_residuals(profile, params)
     else:
         raise TypeError(f"unsupported params type: {type(params).__name__}")

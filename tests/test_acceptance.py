@@ -120,7 +120,7 @@ def test_criterion_4_lotto_budgets_and_certification():
         profile = build_lotto(params)
         res_u, res_i = lotto_budget_residuals(profile, params)
         worst_budget = max(worst_budget, res_u, *res_i)
-        slacks = lotto_support_optimality(profile, params, grid_points=4000)
+        slacks = lotto_support_optimality(profile, params)
         worst_slack = max(worst_slack, slacks.worst())
         value = ex_ante_payoff(profile, params.valuation_matrix, params.prior)
         worst_value = max(worst_value, abs(value - lotto_payoff(a, b, g)))
@@ -337,17 +337,13 @@ def test_certification_grid():
     for gamma in (0.15, 0.3, 0.4, 0.6, 0.75, 0.95):
         for a, b in [(0.3, 0.2), (0.6, 0.6), (0.85, 0.25), (0.5, 0.1)]:
             params = LottoParams(a, b, gamma)
-            cert = certify(
-                build_lotto(params), params, grid_points=2000, samples=30_000
-            )
+            cert = certify(build_lotto(params), params, samples=30_000)
             if not cert.passed:
                 failures.append(("lotto3", a, b, gamma))
     for gamma in (0.67, 0.71, 0.74, 0.8, 0.82, 0.86, 0.87):
         for vlow in (0.15, 0.45, 0.75):
             params = BlottoParams.from_ratio(1.0, vlow, gamma, 1.0)
-            cert = certify(
-                build_blotto(params), params, grid_points=2000, samples=30_000
-            )
+            cert = certify(build_blotto(params), params, samples=30_000)
             if not cert.passed:
                 failures.append(("blotto2", vlow, gamma))
     assert not failures, f"certification failed at {failures}"

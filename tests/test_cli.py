@@ -3,7 +3,9 @@ import json
 import pytest
 
 from infoblotto import StrategyProfile
+from infoblotto.blotto2 import BlottoParams, build_equilibrium
 from infoblotto.cli import main
+from infoblotto.oracle import blotto_deviation_gaps
 
 
 def run(capsys, *argv):
@@ -186,6 +188,62 @@ class TestStrategyAndVerify:
     def test_verify_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--strategy", str(tmp_path / "none.json"))
         assert code == 2
+
+    def test_verify_float_tie_lattice_exits_zero(self, capsys):
+        # battlefield-2 breakpoints X_U - (X_I - k*d) miss the battlefield-1
+        # ones (k+1)*d by an ulp; no spurious deviation may open between them
+        code, out, _ = run(
+            capsys, "verify", "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
+            "--gamma", "0.67", "--xu", "10",
+        )
+        assert code == 0
+        assert "passed = true" in out
+        params = BlottoParams.from_ratio(1.0, 0.5, 0.67, 10.0)
+        assert blotto_deviation_gaps(build_equilibrium(params), params).worst() <= 1e-12
+
+    def test_zero_remainder_builds_and_verifies(self, capsys, tmp_path):
+        # gamma = 0.96 gives X_U / d = 25 up to rounding, so r = 0
+        path = tmp_path / "strat.json"
+        code, _, err = run(
+            capsys, "strategy", "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
+            "--gamma", "0.96", "--out", str(path),
+        )
+        assert code == 0, err
+        code, out, _ = run(capsys, "verify", "--strategy", str(path))
+        assert code == 0
+        assert "passed = true" in out
+
+    def test_grid_option_removed(self, capsys):
+        argv = [
+            "verify", "--grid", "10", "--game", "lotto3", "--alpha", "0.5",
+            "--gamma", "0.5",
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+_POINT_FLAGS = {
+    "blotto2": {"vbar": "1", "vlow": "0.5", "gamma": "0.7", "xu": "10"},
+    "lotto3": {"alpha": "0.5", "beta": "0.5", "gamma": "0.5", "xu": "1"},
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "game,flag", [(game, flag) for game, flags in _POINT_FLAGS.items() for flag in flags]
+)
+@pytest.mark.parametrize("command", ["payoff", "strategy"])
+def test_non_finite_parameter_exits_two(capsys, tmp_path, command, game, flag, value):
+    flags = dict(_POINT_FLAGS[game], **{flag: value})
+    # "--flag=value": argparse reads a separate "-inf" as an option name
+    argv = [command, "--game", game] + [f"--{name}={text}" for name, text in flags.items()]
+    if command == "strategy":
+        argv += ["--out", str(tmp_path / "s.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
 
 
 class TestSimulate:

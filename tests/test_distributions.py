@@ -57,11 +57,11 @@ class TestEvaluation:
         f = mixed_example()
         assert f.cdf(-1.0) == 0.0
         assert f.cdf(0.0) == pytest.approx(0.3)
-        assert f.cdf_left(0.0) == 0.0
-        assert f.cdf_mid(0.0) == pytest.approx(0.15)
+        assert f.cdf(0.0, tie=0.0) == 0.0
+        assert f.cdf(0.0, tie=0.5) == pytest.approx(0.15)
         assert f.cdf(1.0) == pytest.approx(0.3 + 0.25)
         assert f.cdf(2.5) == pytest.approx(0.8)
-        assert f.cdf_left(3.0) == pytest.approx(0.8)
+        assert f.cdf(3.0, tie=0.0) == pytest.approx(0.8)
         assert f.cdf(3.0) == pytest.approx(1.0)
         assert f.cdf(f.support_max()) == pytest.approx(1.0, abs=1e-12)
 

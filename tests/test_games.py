@@ -54,6 +54,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             Budgets(0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ValuationMatrix(((1.0, bad),))
+        with pytest.raises(ValueError, match="finite"):
+            Prior((bad, 0.5))
+        with pytest.raises(ValueError, match="finite"):
+            Budgets(0.5, bad)
+
     def test_profile_shape_checked(self):
         f = PiecewiseCdf.point(1.0)
         with pytest.raises(ValueError):

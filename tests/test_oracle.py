@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from infoblotto import PiecewiseCdf, StrategyProfile
+from infoblotto import PiecewiseCdf, StrategyProfile, ex_ante_payoff, interim_payoff
 from infoblotto.blotto2 import BlottoParams, build_equilibrium as build_blotto
 from infoblotto.lotto3 import LottoParams, build_equilibrium as build_lotto, multipliers, solve
 from infoblotto.oracle import (
@@ -187,9 +189,136 @@ class TestCertify:
         cert = certify(build_blotto(BLOTTO), BLOTTO, samples=10_000)
         again = Certificate.from_dict(cert.to_dict())
         assert again == cert
+        # the JSON written by ``verify --out`` lists the fields in order
+        fields = [f.name for f in dataclasses.fields(Certificate)]
+        assert list(cert.to_dict()) == fields
 
     def test_pure_deviation_payoff_matches_sign_expectation(self):
         f = PiecewiseCdf(atoms=((1.0, 0.5), (3.0, 0.5)))
         assert pure_deviation_payoff(2.0, f) == pytest.approx(0.0)
         assert pure_deviation_payoff(1.0, f) == pytest.approx(-0.5)
         assert pure_deviation_payoff(4.0, f) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Dense-grid reference: the exact breakpoint enumeration must find at least
+# the maximum a 10^4-point grid finds, on equilibria and on profiles that
+# are not equilibria.  The reference evaluates payoffs on its own.
+# ---------------------------------------------------------------------------
+
+DENSE_POINTS = 10_000
+
+
+def dense_grid(top):
+    return (np.arange(DENSE_POINTS) + 0.5) * (top / DENSE_POINTS)
+
+
+def ref_cdf(f, x, tie):
+    x = np.asarray(x, dtype=float)
+    out = sum(m * np.heaviside(x - loc, tie) for loc, m in f.atoms)
+    ramps = (rho * np.minimum(np.maximum(x - l, 0.0), r - l) for l, r, rho in f.segments)
+    return out + sum(ramps)
+
+
+def dense_blotto_gaps(profile, params):
+    values, prior = params.valuation_matrix, params.prior
+    vals = values.as_array()
+
+    def pay(xs, budget, row, bf1, bf2):
+        return row[0] * (2.0 * ref_cdf(bf1, xs, 0.5) - 1.0) + row[1] * (
+            2.0 * ref_cdf(bf2, budget - xs, 0.5) - 1.0
+        )
+
+    x_u, x_i = params.budgets.uninformed, params.budgets.informed
+    xs = dense_grid(x_u)
+    pay_u = sum(
+        prior.weights[i] * pay(xs, x_u, vals[i], *profile.informed[i])
+        for i in range(profile.m)
+    )
+    gap_u = pay_u.max() + ex_ante_payoff(profile, values, prior)
+    xs = dense_grid(x_i)
+    gaps_i = [
+        pay(xs, x_i, vals[i], *profile.uninformed).max()
+        - interim_payoff(profile, values, prior, i)
+        for i in range(profile.m)
+    ]
+    return gap_u, gaps_i
+
+
+def dense_support_slack(own, terms):
+    def priced(x, tie):
+        return sum(w * ref_cdf(f, x, tie) for w, f in terms) - np.asarray(x, dtype=float)
+
+    opp = {p for _, f in terms for p in f.breakpoints()}
+    on = [priced(loc, 0.5) for loc, _ in own.atoms]
+    for left, right, _ in own.segments:
+        on += [priced(left, 1.0), priced(right, 0.0)]
+        on += [priced(p, tie) for p in opp if left < p < right for tie in (0.0, 1.0)]
+    top = 1.05 * max([own.support_max()] + [f.support_max() for _, f in terms])
+    off = priced(dense_grid(top), 0.5).max()
+    return max(off - max(on), max(on) - min(on))
+
+
+def dense_lotto_slacks(profile, params, lambdas):
+    lam_i, lam_u = lambdas
+    vals, weights = params.valuation_matrix.as_array(), params.prior.weights
+    slack_u, slacks_i = 0.0, [0.0] * profile.m
+    for j in range(profile.n):
+        for i in range(profile.m):
+            terms = [(2.0 * vals[i, j] * weights[i] / lam_i, profile.uninformed[j])]
+            slack = dense_support_slack(profile.informed[i][j], terms)
+            slacks_i[i] = max(slacks_i[i], slack)
+        terms = [
+            (2.0 * vals[i, j] * weights[i] / lam_u, profile.informed[i][j])
+            for i in range(profile.m)
+        ]
+        slack_u = max(slack_u, dense_support_slack(profile.uninformed[j], terms))
+    return slack_u, slacks_i
+
+
+def centered_blotto_profile():
+    profile = build_blotto(BLOTTO)
+    half = PiecewiseCdf.point(BLOTTO.budgets.uninformed / 2.0)
+    return StrategyProfile(
+        informed=profile.informed,
+        uninformed=(half, half.reflect(BLOTTO.budgets.uninformed)),
+    )
+
+
+def centered_lotto_profile(params):
+    # every player puts a third of its budget on every battlefield for sure;
+    # each priced payoff then peaks at a one-sided limit off the support
+    x_i, x_u = params.budgets.informed, params.budgets.uninformed
+    informed = tuple((PiecewiseCdf.point(x_i / 3.0),) * 3 for _ in range(3))
+    uninformed = (PiecewiseCdf.point(x_u / 3.0),) * 3
+    return StrategyProfile(informed=informed, uninformed=uninformed)
+
+
+class TestExactScanCoversDenseGrid:
+    @pytest.mark.parametrize(
+        "profile",
+        [build_blotto(BLOTTO), perturbed_blotto_profile(), centered_blotto_profile()],
+        ids=["equilibrium", "perturbed", "centered-atom"],
+    )
+    def test_blotto(self, profile):
+        exact = blotto_deviation_gaps(profile, BLOTTO)
+        ref_u, ref_i = dense_blotto_gaps(profile, BLOTTO)
+        assert exact.uninformed >= ref_u - 1e-12
+        for gap, ref in zip(exact.informed, ref_i):
+            assert gap >= ref - 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("case", ["equilibrium", "perturbed", "centered-atom"])
+    def test_lotto(self, case, gamma):
+        params = LottoParams(0.6, 0.3, gamma, 2.0)
+        lambdas = multipliers(0.6, 0.3, gamma, 2.0)
+        profile = build_lotto(params)
+        if case == "perturbed":
+            lambdas = (lambdas[0] * 1.2, lambdas[1])
+        elif case == "centered-atom":
+            profile = centered_lotto_profile(params)
+        exact = lotto_support_optimality(profile, params, lambdas=lambdas)
+        ref_u, ref_i = dense_lotto_slacks(profile, params, lambdas)
+        assert exact.uninformed >= ref_u - 1e-12
+        for slack, ref in zip(exact.informed, ref_i):
+            assert slack >= ref - 1e-12
