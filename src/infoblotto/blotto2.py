@@ -112,16 +112,29 @@ def _require_payoff_regime(gamma):
         )
 
 
+def _series(c, start, stop, scale=1.0, offset=0.0):
+    """offset + scale * sum(c**k for k in range(start, stop)), summed in
+    ascending k; OutOfRegimeError when a power or the total is not finite."""
+    try:
+        total = offset + scale * sum(c**k for k in range(start, stop))
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise OutOfRegimeError(
+            f"the equilibrium series of value-ratio powers {c:.6g}**k, "
+            f"k < {stop}, is not a finite float"
+        )
+    return total
+
+
 def informed_payoff(params: BlottoParams) -> float:
     """Ex-ante equilibrium payoff to the informed player; always in (-1, 0)."""
     _require_payoff_regime(params.gamma)
     idx = BlottoIndex.from_params(params)
     c = params.value_ratio
     if idx.is_odd:
-        series = sum(c**k for k in range((idx.q - 1) // 2 + 1))
-        return -1.0 / (2.0 * series - 1.0)
-    series = sum(c**k for k in range(idx.q // 2))
-    return -(params.vlow / (params.vbar + params.vlow)) / series
+        return -1.0 / _series(c, 0, (idx.q - 1) // 2 + 1, scale=2.0, offset=-1.0)
+    return -(params.vlow / (params.vbar + params.vlow)) / _series(c, 0, idx.q // 2)
 
 
 def gross_wagner_payoff(q: int) -> float:
@@ -161,10 +174,9 @@ def equilibrium_normalizers(params: BlottoParams) -> tuple[float, float]:
         raise UnsupportedCaseError("normalizers are defined by the odd-q construction")
     c = params.value_ratio
     half = (idx.q - 1) // 2
-    s_a = 1.0 + 2.0 * sum(c**k for k in range(1, half + 1))
-    s_b = params.vlow * c**half / (params.vbar + params.vlow) + sum(
-        c**k for k in range(half)
-    )
+    s_a = _series(c, 1, half + 1, scale=2.0, offset=1.0)
+    # c**half is a term of s_a, so it is finite here
+    s_b = _series(c, 0, half, offset=params.vlow * c**half / (params.vbar + params.vlow))
     return s_a, s_b
 
 

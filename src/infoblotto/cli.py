@@ -97,8 +97,9 @@ def cmd_payoff(args):
         print(f"q = {idx.q}")
         print(f"d = {_fmt(idx.d)}")
         print(f"r = {_fmt(idx.r)}")
-        print(f"baseline = {_fmt(blotto2.gross_wagner_payoff(idx.q))}")
-        print(f"voi = {_fmt(blotto2.value_of_information(params))}")
+        baseline = blotto2.gross_wagner_payoff(idx.q)
+        print(f"baseline = {_fmt(baseline)}")
+        print(f"voi = {_fmt(value - baseline)}")
         return 0
     params = _lotto_params(args)
     a, b, g = params.alpha, params.beta, params.gamma

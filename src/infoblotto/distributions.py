@@ -146,28 +146,22 @@ class PiecewiseCdf:
 
     @cached_property
     def _inverse_table(self):
-        # Components sorted by support position; within equal left edges an
-        # atom precedes a segment starting there, matching CDF jump order.
+        # Components (low, high, mass, slope) sorted by support position;
+        # within equal left edges an atom (high == low) precedes a segment
+        # starting there, matching CDF jump order.
         comps = [(loc, loc, mass, 0.0) for loc, mass in self.atoms]
-        comps += [(l, r, rho * (r - l), rho) for l, r, rho in self.segments]
-        comps.sort(key=lambda c: (c[0], c[1]))
-        lows = np.array([c[0] for c in comps])
-        masses = np.array([c[2] for c in comps])
-        densities = np.array([c[3] for c in comps])
+        comps += [(l, r, rho * (r - l), 1.0 / rho) for l, r, rho in self.segments]
+        lows, _, masses, slopes = np.array(sorted(comps)).T
         cum_hi = np.cumsum(masses)
-        cum_lo = cum_hi - masses
-        return lows, densities, cum_lo, cum_hi
+        return lows, slopes, cum_hi - masses, cum_hi
 
     def ppf(self, u):
         """Quantile function; maps uniforms in [0, 1) to allocations."""
-        lows, densities, cum_lo, cum_hi = self._inverse_table
-        scalar = np.ndim(u) == 0
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        idx = np.minimum(np.searchsorted(cum_hi, arr, side="right"), len(lows) - 1)
-        x = lows[idx].copy()
-        seg = densities[idx] > 0.0
-        x[seg] += (arr[seg] - cum_lo[idx[seg]]) / densities[idx[seg]]
-        return float(x[0]) if scalar else x
+        lows, slopes, cum_lo, cum_hi = self._inverse_table
+        u = np.asarray(u, dtype=float)
+        idx = np.minimum(np.searchsorted(cum_hi, u, side="right"), len(lows) - 1)
+        x = lows[idx] + (u - cum_lo[idx]) * slopes[idx]
+        return x if x.shape else float(x)
 
     # -- transforms ---------------------------------------------------------
 

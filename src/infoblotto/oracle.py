@@ -224,24 +224,22 @@ def blotto_budget_residuals(profile: StrategyProfile, params: blotto2.BlottoPara
 
 def monte_carlo_value(profile, values, prior, samples, seed):
     """Unbiased (mean, standard error) estimate of the informed player's
-    ex-ante payoff; counter-based generator, reproducible for a fixed seed."""
+    ex-ante payoff.  Draws are exchangeable, so the state counts are drawn
+    first and each state's allocations are then sampled as one block.  Philox
+    is counter-based: results are bit-identical for a fixed seed, though a
+    seed's numbers differ from the first 0.1.0 release, which drew a state
+    per sample."""
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
     rng = np.random.Generator(np.random.Philox(seed))
-    m, n = values.m, values.n
-    states = rng.choice(m, size=samples, p=prior.weights)
-    u_inf = rng.random((samples, n))
-    u_unin = rng.random((samples, n))
-
-    x_inf = np.empty((samples, n))
-    for i in range(m):
-        mask = states == i
-        for j in range(n):
-            x_inf[mask, j] = profile.informed[i][j].ppf(u_inf[mask, j])
-    x_unin = np.column_stack([profile.uninformed[j].ppf(u_unin[:, j]) for j in range(n)])
-
-    vals = values.as_array()[states]
-    payoff = np.sum(vals * np.sign(x_inf - x_unin), axis=1)
+    vals = values.as_array()
+    payoff = []
+    for i, count in enumerate(rng.multinomial(samples, prior.weights)):
+        u_inf, u_unin = rng.random((2, values.n, count))
+        x_inf = [f.ppf(u) for f, u in zip(profile.informed[i], u_inf)]
+        x_unin = [f.ppf(u) for f, u in zip(profile.uninformed, u_unin)]
+        payoff.append(vals[i] @ np.sign(np.subtract(x_inf, x_unin)))
+    payoff = np.concatenate(payoff)
     mean = float(payoff.mean())
     std_error = float(payoff.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, std_error

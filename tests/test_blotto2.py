@@ -75,6 +75,24 @@ class TestInformedPayoff:
         with pytest.raises(OutOfRegimeError):
             informed_payoff(params(gamma=0.5))
 
+    @pytest.mark.parametrize(
+        "vbar,vlow,gamma",
+        [
+            (1.0, 0.5, 0.9999998),  # q about 5e6: 2.0**1024 overflows
+            (1e6, 1.0, 0.9999),  # even q = 10000, c = 1e6: 1e6**52 overflows
+            (1.0, 0.5, 0.99951159),  # q = 2047: every power finite, the sum not
+            (1.0, 0.5, 0.99951112),  # q = 2045: the sum finite, twice it not
+        ],
+    )
+    def test_series_overflow_refused(self, vbar, vlow, gamma):
+        p = params(vbar=vbar, vlow=vlow, gamma=gamma, x_u=1.0)
+        calls = [informed_payoff]
+        if BlottoIndex.from_params(p).is_odd:
+            calls += [equilibrium_normalizers, build_equilibrium]
+        for call in calls:
+            with pytest.raises(OutOfRegimeError, match="not a finite float"):
+                call(p)
+
 
 class TestGrossWagner:
     @pytest.mark.parametrize("q,expected", [(2, -0.5), (3, -1 / 3), (10, -0.1)])

@@ -246,6 +246,35 @@ def test_non_finite_parameter_exits_two(capsys, tmp_path, command, game, flag, v
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "command,vbar,vlow,gamma",
+    [
+        ("payoff", "1", "0.5", "0.9999998"),
+        ("verify", "1", "0.5", "0.9999998"),
+        ("payoff", "1e6", "1", "0.9999"),
+        ("payoff", "1", "0.5", "0.99951159"),
+    ],
+)
+def test_series_overflow_exits_two(capsys, command, vbar, vlow, gamma):
+    code, out, err = run(
+        capsys, command, "--game", "blotto2", "--vbar", vbar, "--vlow", vlow,
+        "--gamma", gamma,
+    )
+    assert code == 2
+    assert err.startswith("error:") and "not a finite float" in err
+    assert out == ""
+
+
+def test_tiny_finite_payoff_printed(capsys):
+    code, out, _ = run(
+        capsys, "payoff", "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
+        "--gamma", "0.9995",
+    )
+    assert code == 0
+    assert "pi_informed = -3.11087872834e-302" in out
+    assert "voi = 0.0005" in out
+
+
 class TestSimulate:
     def test_simulate_reports_z_score(self, capsys):
         code, out, _ = run(

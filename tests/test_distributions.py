@@ -103,6 +103,12 @@ class TestPpf:
         assert np.all(np.diff(xs) >= 0.0)
         assert np.all(f.cdf(xs) >= us - 1e-12)
 
+    def test_scalar_in_float_out(self):
+        f = mixed_example()
+        assert type(f.ppf(0.425)) is float
+        assert type(f.ppf(np.float64(0.9))) is float
+        assert f.ppf(np.array([0.1, 0.9])).shape == (2,)
+
     def test_uniform_round_trip(self):
         f = PiecewiseCdf.uniform(1.0, 3.0)
         us = np.linspace(0.0, 0.999, 100)

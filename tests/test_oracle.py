@@ -3,7 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from infoblotto import PiecewiseCdf, StrategyProfile, ex_ante_payoff, interim_payoff
+from infoblotto import (
+    PiecewiseCdf,
+    Prior,
+    StrategyProfile,
+    ValuationMatrix,
+    ex_ante_payoff,
+    interim_payoff,
+)
 from infoblotto.blotto2 import BlottoParams, build_equilibrium as build_blotto
 from infoblotto.lotto3 import LottoParams, build_equilibrium as build_lotto, multipliers, solve
 from infoblotto.oracle import (
@@ -126,8 +133,6 @@ class TestMonteCarlo:
             informed=((PiecewiseCdf.point(2.0),),),
             uninformed=(PiecewiseCdf.point(1.0),),
         )
-        from infoblotto import Prior, ValuationMatrix
-
         mean, se = monte_carlo_value(
             profile, ValuationMatrix(((1.0,),)), Prior.uniform(1), 10_000, 5
         )
@@ -158,6 +163,32 @@ class TestMonteCarlo:
             profile, params.valuation_matrix, params.prior, 200_000, 17
         )
         assert abs(mean - (-0.7)) <= 4.0 * se
+
+    def test_non_uniform_prior_within_four_sigma(self):
+        # state 0 (prior 0.8) wins the battlefield, state 1 (0.2) loses it:
+        # the value is 0.8 - 0.2 = 0.6, and uniform state counts would give 0
+        profile = StrategyProfile(
+            informed=((PiecewiseCdf.point(2.0),), (PiecewiseCdf.point(0.0),)),
+            uninformed=(PiecewiseCdf.point(1.0),),
+        )
+        mean, se = monte_carlo_value(
+            profile, ValuationMatrix(((1.0,), (1.0,))), Prior((0.8, 0.2)), 20_000, 7
+        )
+        assert se > 0.0
+        assert abs(mean - 0.6) <= 4.0 * se
+
+    def test_empty_state_block(self):
+        # two samples over three states leave at least one block empty
+        params = LottoParams(0.5, 0.5, 0.2)
+        profile = build_lotto(params)
+        mean, se = monte_carlo_value(profile, params.valuation_matrix, params.prior, 2, 3)
+        assert np.isfinite(mean) and np.isfinite(se)
+
+    def test_single_sample_has_zero_error(self):
+        params = LottoParams(0.5, 0.5, 0.2)
+        profile = build_lotto(params)
+        _, se = monte_carlo_value(profile, params.valuation_matrix, params.prior, 1, 3)
+        assert se == 0.0
 
     def test_sample_count_validated(self):
         params = LottoParams(0.5, 0.5, 0.2)
