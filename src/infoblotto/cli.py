@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import blotto2, lotto3, oracle
 from .games import Budgets, StrategyProfile
@@ -135,6 +134,7 @@ class SweepAxis:
     steps: int
 
     def grid(self):
+        import numpy as np
         return np.linspace(self.lo, self.hi, self.steps)
 
 
@@ -364,7 +364,9 @@ def cmd_simulate(args):
     print(f"mc_mean = {_fmt(mean)}")
     print(f"mc_std_error = {_fmt(std_error)}")
     print(f"closed_form = {_fmt(claimed)}")
-    z = abs(mean - claimed) / std_error if std_error > 0.0 else 0.0
+    # the z that certify judges by: with no spread, any miss is infinite
+    miss = abs(mean - claimed)
+    z = miss / std_error if std_error > 0.0 else (math.inf if miss else 0.0)
     print(f"z_score = {_fmt(z)}")
     return 0
 

@@ -5,14 +5,17 @@ and constant-density pieces, so its CDF is a right-continuous step function
 plus a piecewise-linear ramp.  Keeping that structure explicit lets payoff
 integrals be evaluated in closed form (no quadrature, no binning) and makes
 inverse-transform sampling exact.
+
+Construction, validation, reflection and serialization are pure Python;
+numpy is imported only by the methods that compute arrays, so a process
+that never evaluates a CDF or samples never loads it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 # Structural invariants (total mass, ordering) are enforced at this tolerance.
 MASS_TOL = 1e-12
@@ -53,7 +56,7 @@ class PiecewiseCdf:
     def _validate(self):
         if not self.atoms and not self.segments:
             raise InvalidDistributionError("empty distribution")
-        prev = -np.inf
+        prev = -math.inf
         for loc, mass in self.atoms:
             if loc < 0.0:
                 raise InvalidDistributionError(f"atom location {loc} < 0")
@@ -62,7 +65,7 @@ class PiecewiseCdf:
             if loc <= prev:
                 raise InvalidDistributionError("atom locations must be strictly increasing")
             prev = loc
-        prev_right = -np.inf
+        prev_right = -math.inf
         for left, right, density in self.segments:
             if left < 0.0:
                 raise InvalidDistributionError(f"segment left {left} < 0")
@@ -134,6 +137,7 @@ class PiecewiseCdf:
         ``tie=1`` is the right-continuous CDF P(X <= x), ``tie=0`` its left
         limit P(X < x), and ``tie=0.5`` the tie-neutral win measure at atoms.
         """
+        import numpy as np
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
         for loc, mass in self.atoms:
@@ -146,6 +150,7 @@ class PiecewiseCdf:
 
     @cached_property
     def _inverse_table(self):
+        import numpy as np
         # Components (low, high, mass, slope) sorted by support position;
         # within equal left edges an atom (high == low) precedes a segment
         # starting there, matching CDF jump order.
@@ -157,6 +162,7 @@ class PiecewiseCdf:
 
     def ppf(self, u):
         """Quantile function; maps uniforms in [0, 1) to allocations."""
+        import numpy as np
         lows, slopes, cum_lo, cum_hi = self._inverse_table
         u = np.asarray(u, dtype=float)
         idx = np.minimum(np.searchsorted(cum_hi, u, side="right"), len(lows) - 1)

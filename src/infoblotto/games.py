@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import MASS_TOL, InvalidDistributionError, PiecewiseCdf
 
 
@@ -60,6 +58,7 @@ class ValuationMatrix:
         return len(self.values[0])
 
     def as_array(self):
+        import numpy as np
         return np.asarray(self.values)
 
     @staticmethod

@@ -168,7 +168,13 @@ def multipliers(alpha, beta, gamma, budget_uninformed=1.0) -> tuple[float, float
         lam_i = (c / budget_uninformed) * (
             beta + (1.0 + 3.0 * alpha - 4.0 * beta) / (9.0 * gamma**2)
         )
-    return lam_i, 3.0 * gamma * lam_i
+    lam_u = 3.0 * gamma * lam_i
+    if not math.isfinite(lam_u):  # a positive multiple of lam_i: covers both
+        raise OutOfRegimeError(
+            f"uninformed budget {budget_uninformed!r} is too small: "
+            "the multipliers overflow"
+        )
+    return lam_i, lam_u
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import blotto2, lotto3
 from .distributions import MASS_TOL
 from .games import StrategyProfile, ex_ante_payoff, expected_budget, interim_payoff
@@ -58,6 +56,7 @@ def _step_candidates(breakpoints, budget):
     Breakpoints within ``MASS_TOL * budget`` of each other are one location
     computed two ways, such as (k+1)*d and X_U - (X_I - k*d), and are merged
     so that rounding cannot open a spurious interval between them."""
+    import numpy as np
     pts = np.unique(np.clip([0.0, budget, *breakpoints], 0.0, budget))
     pts = pts[np.concatenate(([True], np.diff(pts) > MASS_TOL * budget))]
     return np.concatenate(([0.0, budget], (pts[:-1] + pts[1:]) / 2.0))
@@ -76,6 +75,7 @@ def blotto_deviation_gaps(
         if f.segments:
             raise ValueError("Blotto deviation scan requires atomic marginals")
 
+    import numpy as np
     values = params.valuation_matrix
     prior = params.prior
     vals = values.as_array()
@@ -117,6 +117,7 @@ def blotto_deviation_gaps(
 def _priced_payoff(x, terms, tie):
     # tie=1 (right limit) is the value seen from inside a support segment
     # starting at x; tie=0 (left limit) from inside one ending at x
+    import numpy as np
     out = -np.asarray(x, dtype=float)
     for weight, f in terms:
         out = out + weight * f.cdf(x, tie)
@@ -129,6 +130,7 @@ def _support_slack(own, terms):
 
     The payoff is linear between breakpoints and has slope -1 past the last
     one, so its supremum is a one-sided limit at 0 or at a breakpoint."""
+    import numpy as np
     opp_bps = sorted({p for _, f in terms for p in f.breakpoints()})
     on_vals = [float(_priced_payoff(loc, terms, 0.5)) for loc, _ in own.atoms]
     for left, right, _ in own.segments:
@@ -231,14 +233,14 @@ def monte_carlo_value(profile, values, prior, samples, seed):
     per sample."""
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
+    import numpy as np
     rng = np.random.Generator(np.random.Philox(seed))
     vals = values.as_array()
     payoff = []
     for i, count in enumerate(rng.multinomial(samples, prior.weights)):
         u_inf, u_unin = rng.random((2, values.n, count))
-        x_inf = [f.ppf(u) for f, u in zip(profile.informed[i], u_inf)]
-        x_unin = [f.ppf(u) for f, u in zip(profile.uninformed, u_unin)]
-        payoff.append(vals[i] @ np.sign(np.subtract(x_inf, x_unin)))
+        block = zip(vals[i], profile.informed[i], profile.uninformed, u_inf, u_unin)
+        payoff.append(sum(v * np.sign(f.ppf(a) - g.ppf(b)) for v, f, g, a, b in block))
     payoff = np.concatenate(payoff)
     mean = float(payoff.mean())
     std_error = float(payoff.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0

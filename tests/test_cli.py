@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import infoblotto
 from infoblotto import StrategyProfile
 from infoblotto.blotto2 import BlottoParams, build_equilibrium
 from infoblotto.cli import main
@@ -275,6 +279,19 @@ def test_tiny_finite_payoff_printed(capsys):
     assert "voi = 0.0005" in out
 
 
+@pytest.mark.parametrize("command", ["payoff", "strategy"])
+def test_non_finite_multiplier_exits_two(capsys, tmp_path, command):
+    argv = [
+        command, "--game", "lotto3", "--alpha", "0.5", "--gamma", "0.5", "--xu", "1e-320",
+    ]
+    if command == "strategy":
+        argv += ["--out", str(tmp_path / "s.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "uninformed budget 1e-320" in err
+    assert out == ""
+
+
 class TestSimulate:
     def test_simulate_reports_z_score(self, capsys):
         code, out, _ = run(
@@ -296,3 +313,70 @@ class TestSimulate:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize(
+        "samples,seed", [("1", "20240801"), ("2", "9" * 41)]
+    )
+    def test_zero_std_error_miss_is_infinite(self, capsys, samples, seed):
+        # certify judges |mean - claimed| <= 4 se: with se = 0 a miss fails
+        code, out, _ = run(
+            capsys, "simulate", "--game", "lotto3", "--alpha", "0.5", "--gamma", "0.2",
+            "--samples", samples, "--seed", seed,
+        )
+        assert code == 0
+        assert "mc_std_error = 0\n" in out
+        assert "closed_form = -0.7\n" in out
+        assert "z_score = inf\n" in out
+
+
+# The payoff closed forms and the strategy constructions are scalar Python;
+# numpy is loaded only for array work (oracle checks, Monte Carlo, sweep
+# grids).  pytest's own process already holds numpy, so each check runs in
+# a fresh interpreter.
+_NUMPY_PROBE = """
+import json, sys
+import infoblotto, infoblotto.cli
+report = [["import", None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    report.append([argv[0], infoblotto.cli.main(argv), "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def _numpy_probe(*commands):
+    src = os.path.dirname(os.path.dirname(infoblotto.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(step) for step in json.loads(proc.stdout.splitlines()[-1])]
+
+
+def test_numpy_loaded_only_for_array_work(tmp_path):
+    lotto = ["--game", "lotto3", "--alpha", "0.5", "--gamma", "0.5"]
+    blotto = ["--game", "blotto2", "--vbar", "1", "--vlow", "0.5", "--gamma", "0.7"]
+    lotto_json, blotto_json = str(tmp_path / "lotto.json"), str(tmp_path / "blotto.json")
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"game": "lotto3", "params": {')
+    scalar = [
+        ["payoff", *lotto],
+        ["payoff", *blotto],
+        ["strategy", *lotto, "--out", lotto_json],
+        ["strategy", *blotto, "--out", blotto_json],
+        ["payoff", "--game", "lotto3", "--alpha", "0.5", "--gamma", "nan"],
+        ["strategy", "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
+         "--gamma", "0.78", "--out", str(tmp_path / "even.json")],
+        ["sweep", "--game", "lotto3", "--axis", "gamma=0.5:0.1:3", "--alpha", "0.5",
+         "--out", str(tmp_path / "bad.csv")],
+        ["verify", "--strategy", str(malformed)],
+    ]
+    verify = ["verify", "--strategy", lotto_json, "--samples", "1000"]
+    report = _numpy_probe(*scalar, verify)
+    assert report == [("import", None, False)] + [
+        (argv[0], code, False) for argv, code in zip(scalar, [0, 0, 0, 0, 2, 2, 2, 2])
+    ] + [("verify", 0, True)]
+    simulate = ["simulate", "--strategy", blotto_json, "--samples", "1000"]
+    assert _numpy_probe(simulate) == [("import", None, False), ("simulate", 0, True)]

@@ -152,6 +152,23 @@ class TestMultipliers:
             spend = expected_budget(profile.informed[0])
             assert spend == pytest.approx(g * 1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "gamma,budget",
+        [(0.2, 1e-320), (0.5, 1e-320), (0.9, 1e-310), (1.0, 3e-309)],
+    )
+    def test_non_finite_refused(self, gamma, budget):
+        # at (1.0, 3e-309) lambda_I is finite and only lambda_U = 3 gamma
+        # lambda_I overflows
+        with pytest.raises(OutOfRegimeError, match="uninformed budget"):
+            multipliers(0.5, 0.5, gamma, budget)
+        with pytest.raises(OutOfRegimeError, match="uninformed budget"):
+            build_equilibrium(LottoParams(0.5, 0.5, gamma, budget))
+
+    def test_tiny_finite_budget_kept(self):
+        lam_i, lam_u = multipliers(0.5, 0.5, 1.0, 1e-300)
+        assert lam_i == pytest.approx(0.25 * 10 / 9 * 1e300, rel=1e-14)
+        assert lam_u == pytest.approx(3.0 * lam_i, rel=1e-14)
+
 
 class TestConstruction:
     def test_regime1_structure(self):
