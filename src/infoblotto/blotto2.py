@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, groupby, islice, repeat
+from operator import itemgetter
 
 from .distributions import PiecewiseCdf
 from .games import (
@@ -29,6 +31,7 @@ from .games import (
     StrategyProfile,
     UnsupportedCaseError,
     ValuationMatrix,
+    _require_all,
     _require_finite,
 )
 
@@ -112,19 +115,34 @@ def _require_payoff_regime(gamma):
         )
 
 
-def _series(c, start, stop, scale=1.0, offset=0.0):
-    """offset + scale * sum(c**k for k in range(start, stop)), summed in
-    ascending k; OutOfRegimeError when a power or the total is not finite."""
-    try:
-        total = offset + scale * sum(c**k for k in range(start, stop))
-    except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
-        raise OutOfRegimeError(
-            f"the equilibrium series of value-ratio powers {c:.6g}**k, "
-            f"k < {stop}, is not a finite float"
-        )
-    return total
+def _series_error(c, stop):
+    return OutOfRegimeError(
+        f"the equilibrium series of value-ratio powers {c:.6g}**k, "
+        f"k < {stop}, is not a finite float"
+    )
+
+
+def _series(c, start, stops, scale=1.0, offset=0.0):
+    """[offset + scale * sum(c**k for k in range(start, stop)) for stop in
+    stops], for distinct ascending ``stops``.
+
+    One running sum over ascending k, added left to right, is read at each
+    stop, in O(1) memory.  It does not use ``sum()``, which compensates its
+    additions from Python 3.12 on, so the totals do not depend on the
+    interpreter.  OutOfRegimeError when a power or a total is not finite.
+    """
+    partial = accumulate(map(pow, repeat(c), range(start, stops[-1])), initial=0.0)
+    totals, at = [], start
+    for stop in stops:
+        try:
+            total = offset + scale * next(islice(partial, stop - at, None))
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise _series_error(c, stop)
+        totals.append(total)
+        at = stop + 1
+    return totals
 
 
 def informed_payoff(params: BlottoParams) -> float:
@@ -133,8 +151,45 @@ def informed_payoff(params: BlottoParams) -> float:
     idx = BlottoIndex.from_params(params)
     c = params.value_ratio
     if idx.is_odd:
-        return -1.0 / _series(c, 0, (idx.q - 1) // 2 + 1, scale=2.0, offset=-1.0)
-    return -(params.vlow / (params.vbar + params.vlow)) / _series(c, 0, idx.q // 2)
+        return -1.0 / _series(c, 0, [(idx.q - 1) // 2 + 1], scale=2.0, offset=-1.0)[0]
+    return -(params.vlow / (params.vbar + params.vlow)) / _series(c, 0, [idx.q // 2])[0]
+
+
+def informed_payoff_grid(vbar, vlow, gamma):
+    """(informed_payoff, q) at every point of broadcast arrays, for budgets
+    (gamma, 1).
+
+    Every point goes through the operations of the scalar path, so every
+    value is bit-identical to ``informed_payoff``.  The series is summed once
+    per distinct value ratio and read at each of its step counts: the cost
+    is O(points + the largest q of each ratio), not O(the sum of all q).
+    """
+    import numpy as np
+
+    vbar, vlow, gamma = np.broadcast_arrays(vbar, vlow, gamma)
+    _require_all(np.isfinite(vbar), "vbar must be finite")
+    _require_all((0.0 < vlow) & (vlow < vbar), "vlow must stay inside (0, vbar)")
+    _require_all(
+        (0.5 < gamma) & (gamma < 1.0), "gamma must stay inside (1/2, 1)", OutOfRegimeError
+    )
+    c = vbar / vlow
+    q = np.floor(1.0 / (1.0 - gamma) + _FLOOR_SLACK).astype(np.int64)
+    odd = q % 2 == 1
+    stops = np.where(odd, (q - 1) // 2 + 1, q // 2)
+    # distinct (c, stop) pairs, sorted by c and then by stop
+    pairs, inverse = np.unique(
+        np.stack([c.ravel(), stops.ravel()]), axis=1, return_inverse=True
+    )
+    sums = []
+    for ratio, group in groupby(pairs.T.tolist(), key=itemgetter(0)):
+        sums += _series(ratio, 0, [int(stop) for _, stop in group])
+    s = np.array(sums)[inverse.reshape(-1)].reshape(c.shape)
+    with np.errstate(over="ignore"):
+        total = np.where(odd, -1.0 + 2.0 * s, s)
+    bad = np.flatnonzero(~np.isfinite(total))
+    if bad.size:
+        raise _series_error(c.flat[bad[0]], stops.flat[bad[0]])
+    return np.where(odd, -1.0 / total, -(vlow / (vbar + vlow)) / total), q
 
 
 def gross_wagner_payoff(q: int) -> float:
@@ -174,9 +229,10 @@ def equilibrium_normalizers(params: BlottoParams) -> tuple[float, float]:
         raise UnsupportedCaseError("normalizers are defined by the odd-q construction")
     c = params.value_ratio
     half = (idx.q - 1) // 2
-    s_a = _series(c, 1, half + 1, scale=2.0, offset=1.0)
+    s_a = _series(c, 1, [half + 1], scale=2.0, offset=1.0)[0]
     # c**half is a term of s_a, so it is finite here
-    s_b = _series(c, 0, half, offset=params.vlow * c**half / (params.vbar + params.vlow))
+    boundary = params.vlow * c**half / (params.vbar + params.vlow)
+    s_b = _series(c, 0, [half], offset=boundary)[0]
     return s_a, s_b
 
 

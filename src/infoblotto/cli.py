@@ -86,7 +86,13 @@ def _load_strategy(path):
 # ---------------------------------------------------------------------------
 
 
+def _refuse_blotto_cost(args):
+    if args.game == "blotto2" and args.cost is not None:
+        raise ValueError("--cost applies only to game lotto3")
+
+
 def cmd_payoff(args):
+    _refuse_blotto_cost(args)
     if args.game == "blotto2":
         params = _blotto_params(args)
         idx = blotto2.BlottoIndex.from_params(params)
@@ -166,54 +172,41 @@ def _parse_axis(text):
     return axis
 
 
-def _check_axis_domain(spec: SweepSpec):
-    for axis in spec.axes:
-        if spec.game == "blotto2":
-            if axis.name in ("vlow", "alpha"):
-                vbar = spec.fixed["vbar"]
-                if not (0.0 < axis.lo and axis.hi < vbar):
-                    raise ValueError(f"axis {axis.name} must stay inside (0, vbar)")
-            elif axis.name == "gamma":
-                if not (0.5 < axis.lo and axis.hi < 1.0):
-                    raise ValueError("axis gamma must stay inside (1/2, 1)")
-        else:
-            if axis.name in ("alpha", "beta"):
-                if not (0.0 < axis.lo and axis.hi < 1.0):
-                    raise ValueError(f"axis {axis.name} must stay inside (0, 1)")
-            elif axis.name == "gamma":
-                if not (0.0 < axis.lo and axis.hi <= 1.0):
-                    raise ValueError("axis gamma must stay inside (0, 1]")
+def _blotto_columns(point, columns):
+    payoff, q = blotto2.informed_payoff_grid(point["vbar"], point["vlow"], point["gamma"])
+    baseline = -1.0 / q
+    return {"payoff": payoff, "baseline": baseline, "voi": payoff - baseline}
 
 
-def _blotto_row_values(point, fixed, columns):
-    params = blotto2.BlottoParams.from_ratio(
-        fixed["vbar"], point["vlow"], point["gamma"]
-    )
-    payoff = blotto2.informed_payoff(params)
-    baseline = blotto2.gross_wagner_payoff(blotto2.BlottoIndex.from_params(params).q)
-    out = {"payoff": payoff, "baseline": baseline, "voi": payoff - baseline}
-    return [out[c] for c in columns]
+def _lotto_columns(point, columns):
+    import numpy as np
 
-
-def _lotto_row_values(point, fixed, columns):
     alpha, gamma = point["alpha"], point["gamma"]
     beta = point.get("beta", alpha)
-    payoff = lotto3.informed_payoff(alpha, beta, gamma)
-    baseline = lotto3.complete_info_baseline(gamma)
+    payoff = lotto3.informed_payoff_grid(alpha, beta, gamma)
+    baseline = gamma - 1.0
     out = {"payoff": payoff, "baseline": baseline, "info_gain": payoff - baseline}
+    for col in ("voi", "max_cost"):
+        if col in columns and np.any(beta != alpha):
+            raise ValueError(f"column {col} requires beta == alpha")
     if "voi" in columns:
-        if beta != alpha:
-            raise ValueError("column voi requires beta == alpha")
-        out["voi"] = lotto3.voi(alpha, gamma, fixed.get("cost", 0.0))
+        out["voi"] = lotto3.voi_grid(alpha, gamma, point.get("cost", 0.0))
     if "max_cost" in columns:
-        if beta != alpha:
-            raise ValueError("column max_cost requires beta == alpha")
-        out["max_cost"] = lotto3.max_cost(alpha, gamma)
-    return [out[c] for c in columns]
+        out["max_cost"] = lotto3.max_cost_grid(alpha, gamma)
+    return out
 
 
 def sweep_table(spec: SweepSpec):
-    """(header, rows) of the grid sweep, row-major over the axes in order."""
+    """(header, rows) of the grid sweep, row-major over the axes in order.
+
+    The grid is built once, and each column is evaluated over all of it by
+    the array kernels of ``blotto2`` and ``lotto3``.  They check the whole
+    grid, fixed values included, and give every cell the value of the scalar
+    closed form at its point, bit for bit.  Each row is one ``%.12g``
+    template, which prints every cell as ``_fmt`` does.
+    """
+    import numpy as np
+
     allowed_axes = _BLOTTO_AXES if spec.game == "blotto2" else _LOTTO_AXES
     allowed_cols = _BLOTTO_COLUMNS if spec.game == "blotto2" else _LOTTO_COLUMNS
     for axis in spec.axes:
@@ -224,33 +217,28 @@ def sweep_table(spec: SweepSpec):
             raise ValueError(f"unknown column {col!r} for game {spec.game}")
     if len(spec.axes) > 2:
         raise ValueError("at most two sweep axes are supported")
-    _check_axis_domain(spec)
 
     names = [ax.name for ax in spec.axes]
     if spec.game == "blotto2":
         names = ["vlow" if n == "alpha" else n for n in names]
     header = ",".join(names + list(spec.columns))
 
-    grids = [ax.grid() for ax in spec.axes]
-    if not grids:
-        points = [()]
-    elif len(grids) == 1:
-        points = [(v,) for v in grids[0]]
-    else:
-        points = [(u, v) for u in grids[0] for v in grids[1]]
-
-    row_values = _blotto_row_values if spec.game == "blotto2" else _lotto_row_values
-    rows = []
-    for coords in points:
-        point = dict(spec.fixed)
-        point.update(zip(names, coords))
-        cells = [point[n] for n in names]
-        cells += row_values(point, spec.fixed, spec.columns)
-        rows.append(",".join(_fmt(v) for v in cells))
-    return header, rows
+    grids = np.meshgrid(*(ax.grid() for ax in spec.axes), indexing="ij")
+    point = dict(spec.fixed, **{n: g.ravel() for n, g in zip(names, grids)})
+    columns = (_blotto_columns if spec.game == "blotto2" else _lotto_columns)(
+        point, spec.columns
+    )
+    cells = [point[n] for n in names] + [columns[c] for c in spec.columns]
+    size = math.prod(ax.steps for ax in spec.axes)
+    template = ",".join(["%.12g"] * len(cells))
+    if not cells:
+        return header, [template] * size
+    values = zip(*(np.broadcast_to(v, size).tolist() for v in cells))
+    return header, [template % row for row in values]
 
 
 def cmd_sweep(args):
+    _refuse_blotto_cost(args)
     axes = tuple(_parse_axis(a) for a in args.axis or ())
     fixed = {}
     if args.game == "blotto2":

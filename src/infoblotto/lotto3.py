@@ -30,14 +30,20 @@ from .games import (
     Prior,
     StrategyProfile,
     ValuationMatrix,
+    _require_all,
     _require_finite,
-    interim_payoff,
 )
 
 # atoms whose closed-form mass vanishes at a regime boundary are dropped
 _ATOM_DROP_TOL = 5e-13
 
 REGIMES = ("low", "mid", "high")
+
+
+def _square(x):
+    # x * x, not x**2: the C pow() behind ** rounds differently on some
+    # inputs, and numpy squares arrays as x * x
+    return x * x
 
 
 def _validate_shape(alpha, beta):
@@ -123,7 +129,7 @@ def payoff_high_branch(alpha, beta, gamma):
         2.0
         - 1.0 / (3.0 * gamma)
         + alpha * (2.0 - 1.0 / gamma)
-        + 3.0 * beta * gamma * (1.0 - 2.0 / (3.0 * gamma)) ** 2
+        + 3.0 * beta * gamma * _square(1.0 - 2.0 / (3.0 * gamma))
     )
     return c * bracket - 1.0
 
@@ -139,6 +145,28 @@ def informed_payoff(alpha, beta, gamma) -> float:
     """Equilibrium ex-ante payoff to the informed player."""
     _validate_shape(alpha, beta)
     return _BRANCHES[regime_of(gamma)](alpha, beta, gamma)
+
+
+def _require_gamma_grid(gamma):
+    _require_all(
+        (0.0 < gamma) & (gamma <= 1.0), "gamma must stay inside (0, 1]", OutOfRegimeError
+    )
+
+
+def informed_payoff_grid(alpha, beta, gamma):
+    """``informed_payoff`` at every point of broadcast arrays: the same
+    branch functions on the same operands, so every value is bit-identical."""
+    import numpy as np
+
+    alpha, beta, gamma = np.broadcast_arrays(alpha, beta, gamma)
+    _require_all((0.0 < alpha) & (alpha < 1.0), "alpha must stay inside (0, 1)")
+    _require_all((0.0 < beta) & (beta <= alpha), "beta must stay inside (0, alpha]")
+    _require_gamma_grid(gamma)
+    # every branch is evaluated at every point; a branch that does not apply
+    # may overflow at a tiny gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        low, mid, high = (branch(alpha, beta, gamma) for branch in _BRANCHES.values())
+    return np.select([gamma <= 1.0 / 3.0, gamma <= 2.0 / 3.0], [low, mid], high)
 
 
 def complete_info_baseline(gamma) -> float:
@@ -218,44 +246,42 @@ def solve(params: LottoParams) -> RegimeSolution:
     lam_i, lam_u = multipliers(a, b, g, params.budget_uninformed)
     regime = regime_of(g)
 
+    # segments of the uninformed, diagonal, alpha and beta marginals, and
+    # the mass of each one's atom at zero
     if regime == "low":
         top = 2.0 * c / (3.0 * lam_i)
-        f_u = PiecewiseCdf(segments=((0.0, top, 3.0 * lam_i / (2.0 * c)),))
-        f_d = _with_zero_atom(
-            1.0 - lam_u / lam_i, ((0.0, top, 3.0 * lam_u / (2.0 * c)),)
-        )
-        f_a = PiecewiseCdf.point(0.0)
-        f_b = PiecewiseCdf.point(0.0)
+        s_u = [(0.0, top, 3.0 * lam_i / (2.0 * c))]
+        s_d = [(0.0, top, 3.0 * lam_u / (2.0 * c))]
+        s_a = s_b = []
+        zero_mass = (0.0, 1.0 - lam_u / lam_i, 1.0, 1.0)
     elif regime == "mid":
         lo = (2.0 * c / 3.0) * (a / lam_i - a / lam_u)
         hi = (2.0 * c / 3.0) * (a / lam_i + (1.0 - a) / lam_u)
-        f_u = PiecewiseCdf(
-            segments=(
-                (0.0, lo, 3.0 * lam_i / (2.0 * a * c)),
-                (lo, hi, 3.0 * lam_i / (2.0 * c)),
-            )
-        )
-        f_d = PiecewiseCdf(segments=((lo, hi, 3.0 * lam_u / (2.0 * c)),))
-        f_a = _with_zero_atom(
-            2.0 - lam_u / lam_i, ((0.0, lo, 3.0 * lam_u / (2.0 * a * c)),)
-        )
-        f_b = PiecewiseCdf.point(0.0)
+        s_u = [(0.0, lo, 3.0 * lam_i / (2.0 * a * c)), (lo, hi, 3.0 * lam_i / (2.0 * c))]
+        s_d = [(lo, hi, 3.0 * lam_u / (2.0 * c))]
+        s_a = [(0.0, lo, 3.0 * lam_u / (2.0 * a * c))]
+        s_b = []
+        zero_mass = (0.0, 0.0, 2.0 - lam_u / lam_i, 1.0)
     else:
         t1 = (2.0 * c / 3.0) * (b / lam_i - 2.0 * b / lam_u)
         t2 = (2.0 * c / 3.0) * (b / lam_i + (a - 2.0 * b) / lam_u)
         t3 = t2 + (2.0 * c / 3.0) / lam_u
-        f_u = PiecewiseCdf(
-            segments=(
-                (0.0, t1, 3.0 * lam_i / (2.0 * b * c)),
-                (t1, t2, 3.0 * lam_i / (2.0 * a * c)),
-                (t2, t3, 3.0 * lam_i / (2.0 * c)),
-            )
+        s_u = [
+            (0.0, t1, 3.0 * lam_i / (2.0 * b * c)),
+            (t1, t2, 3.0 * lam_i / (2.0 * a * c)),
+            (t2, t3, 3.0 * lam_i / (2.0 * c)),
+        ]
+        s_d = [(t2, t3, 3.0 * lam_u / (2.0 * c))]
+        s_a = [(t1, t2, 3.0 * lam_u / (2.0 * a * c))]
+        s_b = [(0.0, t1, 3.0 * lam_u / (2.0 * b * c))]
+        zero_mass = (0.0, 0.0, 0.0, 3.0 - lam_u / lam_i)
+    segments = (s_u, s_d, s_a, s_b)
+    if not all(math.isfinite(v) for segs in segments for seg in segs for v in seg):
+        raise OutOfRegimeError(
+            f"uninformed budget {params.budget_uninformed!r} is out of range: a "
+            "density or a location of the equilibrium marginals is not finite"
         )
-        f_d = PiecewiseCdf(segments=((t2, t3, 3.0 * lam_u / (2.0 * c)),))
-        f_a = PiecewiseCdf(segments=((t1, t2, 3.0 * lam_u / (2.0 * a * c)),))
-        f_b = _with_zero_atom(
-            3.0 - lam_u / lam_i, ((0.0, t1, 3.0 * lam_u / (2.0 * b * c)),)
-        )
+    f_u, f_d, f_a, f_b = map(_with_zero_atom, zero_mass, segments)
 
     return RegimeSolution(
         params=params,
@@ -309,7 +335,7 @@ def gamma_e(alpha, gamma) -> float:
     _validate_gamma(gamma)
     c_a = 1.0 / (1.0 + 2.0 * alpha)
     a_term = 2.0 * (1.0 - alpha) * c_a - gamma
-    disc = math.sqrt(a_term**2 + 4.0 * c_a**2 * alpha * (1.0 - alpha))
+    disc = math.sqrt(_square(a_term) + 4.0 * _square(c_a) * alpha * (1.0 - alpha))
     if a_term > 0.0:
         root = 2.0 * c_a * (1.0 - alpha) / (3.0 * (a_term + disc))
     else:
@@ -330,6 +356,35 @@ def max_cost(alpha, gamma) -> float:
     return 1.0 - (1.0 + 2.0 * alpha) / 3.0
 
 
+def gamma_e_grid(alpha, gamma):
+    """``gamma_e`` at every point of broadcast arrays, bit-identical."""
+    import numpy as np
+
+    alpha, gamma = np.broadcast_arrays(alpha, gamma)
+    _require_all((0.0 <= alpha) & (alpha < 1.0), "alpha must stay inside [0, 1)")
+    _require_gamma_grid(gamma)
+    c_a = 1.0 / (1.0 + 2.0 * alpha)
+    a_term = 2.0 * (1.0 - alpha) * c_a - gamma
+    disc = np.sqrt(_square(a_term) + 4.0 * _square(c_a) * alpha * (1.0 - alpha))
+    # both roots are evaluated at every point; the one not taken may divide
+    # by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.where(
+            a_term > 0.0,
+            2.0 * c_a * (1.0 - alpha) / (3.0 * (a_term + disc)),
+            (disc - a_term) / (6.0 * alpha * c_a),
+        )
+    return np.where(root >= 1.0 / 3.0, root, gamma * (1.0 + 2.0 * alpha) / 3.0)
+
+
+def max_cost_grid(alpha, gamma):
+    """``max_cost`` at every point of broadcast arrays, bit-identical."""
+    import numpy as np
+
+    ge = gamma_e_grid(alpha, gamma)
+    return np.where(ge >= 1.0 / 3.0, (gamma - ge) / gamma, 1.0 - (1.0 + 2.0 * alpha) / 3.0)
+
+
 def voi(alpha, gamma, cost) -> float:
     """Net payoff change from buying the state observation with a fraction
     ``cost`` of the budget, relative to the uninformed baseline gamma - 1."""
@@ -341,12 +396,13 @@ def voi(alpha, gamma, cost) -> float:
     return informed_payoff(alpha, alpha, reduced) - complete_info_baseline(gamma)
 
 
-def interim_equivalence_check(alpha, beta, gamma, budget_uninformed=1.0, tol=1e-9) -> bool:
-    """True when all three informed types earn the same interim payoff in
-    the constructed equilibrium (they must, since the valuation rows are
-    permutations of one another)."""
-    params = LottoParams(alpha, beta, gamma, budget_uninformed)
-    profile = build_equilibrium(params)
-    values, prior = params.valuation_matrix, params.prior
-    payoffs = [interim_payoff(profile, values, prior, i) for i in range(3)]
-    return max(payoffs) - min(payoffs) <= tol
+def voi_grid(alpha, gamma, cost):
+    """``voi`` at every point of broadcast arrays, bit-identical."""
+    import numpy as np
+
+    alpha, gamma, cost = np.broadcast_arrays(alpha, gamma, cost)
+    _require_all((0.0 <= cost) & (cost < 1.0), "cost must stay inside [0, 1)")
+    _require_gamma_grid(gamma)
+    reduced = (1.0 - cost) * gamma
+    _require_all(reduced > 0.0, "reduced budget ratio must be positive")
+    return informed_payoff_grid(alpha, alpha, reduced) - (gamma - 1.0)

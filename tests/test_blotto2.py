@@ -5,10 +5,12 @@ from infoblotto import Budgets, OutOfRegimeError, UnsupportedCaseError, ex_ante_
 from infoblotto.blotto2 import (
     BlottoIndex,
     BlottoParams,
+    _series,
     build_equilibrium,
     equilibrium_normalizers,
     gross_wagner_payoff,
     informed_payoff,
+    informed_payoff_grid,
     uninformed_guarantee_condition,
     value_of_information,
 )
@@ -92,6 +94,69 @@ class TestInformedPayoff:
         for call in calls:
             with pytest.raises(OutOfRegimeError, match="not a finite float"):
                 call(p)
+
+
+class TestSeries:
+    @pytest.mark.parametrize("c", [1.0000001, 1.3, 2.0, 20 / 13])
+    @pytest.mark.parametrize("start,scale,offset", [(0, 1.0, 0.0), (0, 2.0, -1.0), (1, 2.0, 1.0)])
+    def test_running_sum_read_at_each_stop(self, c, start, scale, offset):
+        stops = [start, start + 1, start + 5, start + 17, start + 400]
+        expected = []
+        for stop in stops:
+            total = 0.0
+            for k in range(start, stop):  # left to right, uncompensated
+                total += c**k
+            expected.append(offset + scale * total)
+        assert _series(c, start, stops, scale, offset) == expected
+        assert [_series(c, start, [stop], scale, offset)[0] for stop in stops] == expected
+
+    def test_overflow_names_the_stop(self):
+        with pytest.raises(OutOfRegimeError, match="k < 1100"):
+            _series(2.0, 0, [10, 1100])
+
+    def test_high_q_payoff_unchanged(self):
+        # q = 5e7: 2.5e7 terms, summed in O(1) memory; the bits the
+        # generator-and-sum() loop gave on Python 3.11
+        p = params(vbar=1.0, vlow=0.99999999, gamma=0.99999998, x_u=1.0)
+        assert BlottoIndex.from_params(p).q == 50_000_000
+        assert informed_payoff(p).hex() == "-0x1.2e6f77984a078p-26"
+
+
+class TestGrid:
+    def test_bit_identical_to_scalar(self):
+        vlow, gamma = np.meshgrid(
+            np.linspace(0.3, 1.9, 17), np.linspace(0.51, 0.99, 40), indexing="ij"
+        )
+        payoff, q = informed_payoff_grid(2.0, vlow, gamma)
+        for v, g, value, steps in zip(vlow.flat, gamma.flat, payoff.flat, q.flat):
+            p = params(vbar=2.0, vlow=float(v), gamma=float(g), x_u=1.0)
+            assert value.hex() == informed_payoff(p).hex()
+            assert steps == BlottoIndex.from_params(p).q
+
+    @pytest.mark.parametrize(
+        "vbar,vlow,gamma",
+        [(1.0, 0.5, 0.9999998), (1e6, 1.0, 0.9999), (1.0, 0.5, 0.99951159),
+         (1.0, 0.5, 0.99951112)],
+    )
+    def test_series_overflow_refused(self, vbar, vlow, gamma):
+        # one point that overflows among points that do not
+        with pytest.raises(OutOfRegimeError, match="not a finite float"):
+            informed_payoff_grid(vbar, vlow, np.array([0.6, gamma, 0.7]))
+
+    @pytest.mark.parametrize(
+        "vbar,vlow,gamma,error",
+        [
+            (1.0, np.array([0.5, 1.0]), 0.7, ValueError),
+            (1.0, np.array([0.0, 0.5]), 0.7, ValueError),
+            (np.inf, 0.5, 0.7, ValueError),
+            (1.0, 0.5, np.array([0.5, 0.7]), OutOfRegimeError),
+            (1.0, 0.5, np.array([0.7, 1.0]), OutOfRegimeError),
+            (1.0, 0.5, np.array([np.nan]), OutOfRegimeError),
+        ],
+    )
+    def test_domain_refused(self, vbar, vlow, gamma, error):
+        with pytest.raises(error):
+            informed_payoff_grid(vbar, vlow, gamma)
 
 
 class TestGrossWagner:

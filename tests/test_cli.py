@@ -1,14 +1,26 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infoblotto
-from infoblotto import StrategyProfile
+from infoblotto import StrategyProfile, blotto2, lotto3
 from infoblotto.blotto2 import BlottoParams, build_equilibrium
-from infoblotto.cli import main
+from infoblotto.cli import (
+    SweepAxis,
+    SweepSpec,
+    _blotto_columns,
+    _fmt,
+    _lotto_columns,
+    main,
+    sweep_table,
+)
 from infoblotto.oracle import blotto_deviation_gaps
 
 
@@ -107,6 +119,34 @@ class TestSweep:
         assert code == 2
         assert "gamma" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a beta axis that rises above alpha
+            ["--game", "lotto3", "--alpha", "0.5", "--axis", "beta=0.3:0.7:5", "--gamma", "0.5"],
+            # a fixed gamma out of regime
+            ["--game", "lotto3", "--axis", "alpha=0.1:0.9:5", "--gamma", "1.5"],
+            ["--game", "blotto2", "--axis", "vlow=0.1:0.9:5", "--gamma", "0.4"],
+            # --vlow >= --vbar
+            ["--game", "blotto2", "--vbar", "1", "--vlow", "1.5", "--axis", "gamma=0.6:0.9:4"],
+            ["--game", "blotto2", "--vbar", "1", "--vlow", "1", "--axis", "gamma=0.6:0.9:4"],
+            # voi and max_cost need beta == alpha at every point
+            ["--game", "lotto3", "--alpha", "0.5", "--axis", "beta=0.1:0.5:5", "--gamma", "0.5",
+             "--columns", "payoff,voi"],
+            ["--game", "lotto3", "--alpha", "0.5", "--beta", "0.4", "--axis", "gamma=0.1:1:5",
+             "--columns", "max_cost"],
+            # the series overflows at the top of the grid
+            ["--game", "blotto2", "--vlow", "0.5", "--axis", "gamma=0.99:0.9999998:3"],
+        ],
+    )
+    def test_grid_refused(self, capsys, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, "sweep", *argv, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_bad_axis_syntax(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sweep", "--game", "lotto3", "--axis", "alpha=nope",
@@ -114,6 +154,100 @@ class TestSweep:
         )
         assert code == 2
         assert "axis" in err
+
+
+@pytest.mark.parametrize("command", ["payoff", "sweep"])
+def test_blotto_cost_refused(capsys, tmp_path, command):
+    argv = [command, "--game", "blotto2", "--vbar", "1", "--vlow", "0.5", "--gamma", "0.7",
+            "--cost", "0.3"]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "--cost" in err
+    assert out == ""
+
+
+def _axis(draw, name, lo, hi):
+    a, b = sorted(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2, unique=True)))
+    return SweepAxis(name, a, b, draw(st.integers(2, 6)))
+
+
+@st.composite
+def sweep_specs(draw):
+    """Valid sweeps of either game with 0, 1 or 2 axes; every other
+    parameter is fixed."""
+    game = draw(st.sampled_from(["blotto2", "lotto3"]))
+    if game == "blotto2":
+        vbar = draw(st.floats(0.1, 10.0))
+        # c = vbar / vlow <= 4 and q <= 1000 keep the series finite
+        ranges = {"vlow": (vbar / 4, vbar * (1 - 1e-9)), "gamma": (0.500001, 0.999)}
+        names = draw(st.permutations(["vlow", "gamma"]))[: draw(st.integers(0, 2))]
+        fixed = {"vbar": vbar}
+        fixed.update({n: draw(st.floats(*r)) for n, r in ranges.items() if n not in names})
+        # "alpha" is the CLI alias of a vlow axis
+        axes = [
+            _axis(draw, draw(st.sampled_from(["vlow", "alpha"])) if n == "vlow" else n, *ranges[n])
+            for n in names
+        ]
+        columns = ["payoff", "baseline", "voi"]
+    else:
+        has_beta = draw(st.booleans())
+        names = draw(st.permutations(["alpha", "gamma"] + ["beta"] * has_beta))
+        names = names[: draw(st.integers(0, 2))]
+        ranges = {"alpha": (0.002, 0.998), "gamma": (1e-6, 1.0)}
+        axes = [_axis(draw, name, *ranges[name]) for name in names if name != "beta"]
+        fixed = {n: draw(st.floats(*r)) for n, r in ranges.items() if n not in names}
+        alpha_lo = min([ax.lo for ax in axes if ax.name == "alpha"] or [fixed.get("alpha")])
+        if "beta" in names:
+            axes.insert(names.index("beta"), _axis(draw, "beta", 1e-6, alpha_lo))
+        elif has_beta:
+            fixed["beta"] = draw(st.floats(1e-6, alpha_lo))
+        fixed["cost"] = draw(st.floats(0.0, 0.99))
+        # voi and max_cost need beta == alpha
+        columns = ["payoff", "baseline", "info_gain"] + ["voi", "max_cost"] * (not has_beta)
+    columns = draw(st.lists(st.sampled_from(columns), min_size=1, max_size=4))
+    return SweepSpec(game, tuple(axes), fixed, tuple(columns))
+
+
+def _scalar_row(spec, point):
+    if spec.game == "blotto2":
+        params = BlottoParams.from_ratio(point["vbar"], point["vlow"], point["gamma"])
+        payoff = blotto2.informed_payoff(params)
+        baseline = blotto2.gross_wagner_payoff(blotto2.BlottoIndex.from_params(params).q)
+        out = {"payoff": payoff, "baseline": baseline, "voi": payoff - baseline}
+    else:
+        alpha, gamma = point["alpha"], point["gamma"]
+        payoff = lotto3.informed_payoff(alpha, point.get("beta", alpha), gamma)
+        baseline = lotto3.complete_info_baseline(gamma)
+        out = {"payoff": payoff, "baseline": baseline, "info_gain": payoff - baseline}
+        if point.get("beta", alpha) == alpha:
+            out["voi"] = lotto3.voi(alpha, gamma, point["cost"])
+            out["max_cost"] = lotto3.max_cost(alpha, gamma)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_specs())
+def test_sweep_cells_equal_scalar_closed_forms(spec):
+    header, rows = sweep_table(spec)
+    names = ["vlow" if ax.name == "alpha" and spec.game == "blotto2" else ax.name
+             for ax in spec.axes]
+    assert header == ",".join(names + list(spec.columns))
+    grids = [np.linspace(ax.lo, ax.hi, ax.steps).tolist() for ax in spec.axes]
+    points = list(itertools.product(*grids))  # row-major
+    assert len(rows) == len(points)
+    # the column values the kernels give, before formatting
+    grid = dict(spec.fixed, **{n: np.array(v) for n, v in zip(names, zip(*points))})
+    kernels = (_blotto_columns if spec.game == "blotto2" else _lotto_columns)(grid, spec.columns)
+    kernels = {c: np.broadcast_to(kernels[c], len(points)).tolist() for c in spec.columns}
+    for i, (row, coords) in enumerate(zip(rows, points)):
+        point = dict(spec.fixed, **dict(zip(names, coords)))
+        values = _scalar_row(spec, point)
+        for c in spec.columns:
+            assert kernels[c][i] == values[c], (c, point)
+        cells = list(coords) + [values[c] for c in spec.columns]
+        assert row == ",".join(_fmt(v) for v in cells)
 
 
 class TestStrategyAndVerify:
@@ -290,6 +424,25 @@ def test_non_finite_multiplier_exits_two(capsys, tmp_path, command):
     assert code == 2
     assert err.startswith("error:") and "uninformed budget 1e-320" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("xu", ["1e-308", "1.7e308"])
+def test_non_finite_marginal_exits_two(capsys, tmp_path, xu):
+    code, out, err = run(
+        capsys, "strategy", "--game", "lotto3", "--alpha", "0.5", "--gamma", "0.5",
+        "--xu", xu, "--out", str(tmp_path / "s.json"),
+    )
+    assert code == 2
+    assert err.startswith("error:") and f"uninformed budget {float(xu)!r}" in err
+    assert out == ""
+
+
+def test_small_finite_budget_builds(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "strategy", "--game", "lotto3", "--alpha", "0.5", "--gamma", "0.5",
+        "--xu", "5e-308", "--out", str(tmp_path / "s.json"),
+    )
+    assert code == 0, err
 
 
 class TestSimulate:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from infoblotto.lotto3 import (
     build_equilibrium,
     complete_info_baseline,
     gamma_e,
+    gamma_e_grid,
     informed_payoff,
-    interim_equivalence_check,
+    informed_payoff_grid,
     max_cost,
+    max_cost_grid,
     multipliers,
     payoff_high_branch,
     payoff_low_branch,
@@ -17,8 +21,20 @@ from infoblotto.lotto3 import (
     regime_of,
     solve,
     voi,
+    voi_grid,
     zero_crossing_alpha,
 )
+
+
+def interim_equivalence_check(alpha, beta, gamma, budget_uninformed=1.0, tol=1e-9):
+    """True when all three informed types earn the same interim payoff in
+    the constructed equilibrium (they must, since the valuation rows are
+    permutations of one another)."""
+    params = LottoParams(alpha, beta, gamma, budget_uninformed)
+    profile = build_equilibrium(params)
+    values, prior = params.valuation_matrix, params.prior
+    payoffs = [interim_payoff(profile, values, prior, i) for i in range(3)]
+    return max(payoffs) - min(payoffs) <= tol
 
 
 def ordered_pairs(count):
@@ -169,6 +185,23 @@ class TestMultipliers:
         assert lam_i == pytest.approx(0.25 * 10 / 9 * 1e300, rel=1e-14)
         assert lam_u == pytest.approx(3.0 * lam_i, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "alpha,beta,gamma,budget",
+        [(0.5, 0.5, 0.5, 1e-308), (0.6, 0.3, 0.9, 1e-308), (0.5, 0.5, 0.5, 1e308),
+         (0.6, 0.3, 0.9, 1.7e308)],
+    )
+    def test_non_finite_marginal_refused(self, alpha, beta, gamma, budget):
+        # the multipliers are finite, but a density (tiny budget) or a
+        # location (huge budget) of the marginals is not
+        multipliers(alpha, beta, gamma, budget)
+        with pytest.raises(OutOfRegimeError, match=re.escape(f"uninformed budget {budget!r}")):
+            solve(LottoParams(alpha, beta, gamma, budget))
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.9])
+    def test_small_budget_still_builds(self, gamma):
+        sol = solve(LottoParams(0.5, 0.5, gamma, 5e-308))
+        assert sol.f_uninformed.total_mass() == pytest.approx(1.0, abs=1e-12)
+
 
 class TestConstruction:
     def test_regime1_structure(self):
@@ -290,6 +323,52 @@ class TestValueOfInformation:
             voi(0.5, 0.5, 1.0)
         with pytest.raises(ValueError):
             voi(0.5, 0.5, -0.1)
+
+
+class TestGridKernels:
+    """The array kernels that ``sweep`` uses, against the scalar closed forms."""
+
+    def test_bit_identical_to_scalar(self):
+        # random points: their bit patterns are more varied than a grid's
+        rng = np.random.default_rng(0)
+        alpha, gamma = rng.uniform(0.001, 0.999, 3000), rng.uniform(0.001, 1.0, 3000)
+        beta = 0.7 * alpha
+        kernels = [
+            (informed_payoff_grid(alpha, beta, gamma), informed_payoff),
+            (gamma_e_grid(alpha, gamma), lambda a, b, g: gamma_e(a, g)),
+            (max_cost_grid(alpha, gamma), lambda a, b, g: max_cost(a, g)),
+            (voi_grid(alpha, gamma, 0.3), lambda a, b, g: voi(a, g, 0.3)),
+        ]
+        for values, scalar in kernels:
+            expected = [
+                scalar(a, b, g) for a, b, g in zip(alpha.tolist(), beta.tolist(), gamma.tolist())
+            ]
+            assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected]
+
+    def test_branch_not_taken_has_no_warning(self):
+        # at gamma = 1e-310 the mid and high branches overflow; the value
+        # comes from the low branch
+        assert informed_payoff_grid(0.5, 0.5, np.array([1e-310, 0.5]))[0] == -1.0
+        # at alpha = 0 the root that is not taken is 0 / 0
+        assert gamma_e_grid(0.0, np.array([1.0]))[0] == gamma_e(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda: informed_payoff_grid(np.array([0.5, 1.0]), 0.4, 0.5), ValueError),
+            (lambda: informed_payoff_grid(0.5, np.array([0.3, 0.6]), 0.5), ValueError),
+            (lambda: informed_payoff_grid(0.5, 0.5, np.array([0.5, 1.2])), OutOfRegimeError),
+            (lambda: informed_payoff_grid(0.5, 0.5, np.array([np.nan])), OutOfRegimeError),
+            (lambda: gamma_e_grid(np.array([-0.1, 0.5]), 0.5), ValueError),
+            (lambda: max_cost_grid(0.5, np.array([0.0, 0.5])), OutOfRegimeError),
+            (lambda: voi_grid(0.5, np.array([0.5]), 1.0), ValueError),
+            (lambda: voi_grid(0.5, np.array([1.5]), 0.5), OutOfRegimeError),
+            (lambda: voi_grid(0.5, np.array([5e-324]), 0.6), ValueError),
+        ],
+    )
+    def test_domain_refused(self, call, error):
+        with pytest.raises(error):
+            call()
 
 
 class TestMaxCost:
