@@ -267,7 +267,7 @@ def build_equilibrium(params: BlottoParams, e: float | None = None) -> StrategyP
 
     # uninformed lattice: q atoms at e, e+d, ..., weights c^|k - half| (0-based)
     f_u1 = PiecewiseCdf(
-        atoms=tuple((e + k * d, c ** abs(k - half) / s_a) for k in range(q))
+        atoms=tuple([(e + k * d, c ** abs(k - half) / s_a) for k in range(q)])
     )
 
     # informed atoms sit at k*d, capped at X_I: when X_U/d is an integer up

@@ -345,10 +345,7 @@ def cmd_simulate(args):
     mean, std_error = oracle.monte_carlo_value(
         profile, params.valuation_matrix, params.prior, args.samples, args.seed
     )
-    if isinstance(params, blotto2.BlottoParams):
-        claimed = blotto2.informed_payoff(params)
-    else:
-        claimed = lotto3.informed_payoff(params.alpha, params.beta, params.gamma)
+    claimed = oracle.claimed_value(params)
     print(f"mc_mean = {_fmt(mean)}")
     print(f"mc_std_error = {_fmt(std_error)}")
     print(f"closed_form = {_fmt(claimed)}")

@@ -6,16 +6,18 @@ plus a piecewise-linear ramp.  Keeping that structure explicit lets payoff
 integrals be evaluated in closed form (no quadrature, no binning) and makes
 inverse-transform sampling exact.
 
-Construction, validation, reflection and serialization are pure Python;
-numpy is imported only by the methods that compute arrays, so a process
-that never evaluates a CDF or samples never loads it.
+Everything but sampling is plain Python floats: numpy is imported only by
+``ppf`` and when ``cdf`` is given an array, so the exact payoff and oracle
+checks never load it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 # Structural invariants (total mass, ordering) are enforced at this tolerance.
 MASS_TOL = 1e-12
@@ -129,22 +131,37 @@ class PiecewiseCdf:
             pts.add(r)
         return sorted(pts)
 
-    # -- CDF evaluation (vectorized over numpy arrays) ---------------------
+    # -- CDF evaluation (plain floats, one bisection per point) -------------
+
+    @cached_property
+    def _cdf_table(self):
+        # atom locations and the mass strictly below each, summed left to right
+        locs = [loc for loc, _ in self.atoms]
+        return locs, list(accumulate((m for _, m in self.atoms), initial=0.0))
 
     def cdf(self, x, tie=1.0):
         """P(X < x) + tie * P(X = x).
 
         ``tie=1`` is the right-continuous CDF P(X <= x), ``tie=0`` its left
         limit P(X < x), and ``tie=0.5`` the tie-neutral win measure at atoms.
+        A scalar gives a float; an array gives an array of the same shape,
+        each point evaluated as a scalar.
         """
-        import numpy as np
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for loc, mass in self.atoms:
-            out += mass * ((x > loc) + tie * (x == loc))
+        if not isinstance(x, (int, float)):
+            import numpy as np
+            x = np.asarray(x, dtype=float)
+            if x.shape:
+                points = [self.cdf(v, tie) for v in x.ravel().tolist()]
+                return np.array(points).reshape(x.shape)
+            x = float(x)
+        locs, below = self._cdf_table
+        k = bisect_left(locs, x)
+        out = below[k]
+        if k < len(locs) and locs[k] == x:
+            out += self.atoms[k][1] * tie
         for l, r, rho in self.segments:
-            out += rho * np.clip(x - l, 0.0, r - l)
-        return out if out.shape else float(out)
+            out += rho * min(max(x - l, 0.0), r - l)
+        return out
 
     # -- inverse transform sampling ----------------------------------------
 
@@ -174,9 +191,11 @@ class PiecewiseCdf:
     def reflect(self, total):
         """Distribution of ``total - X``; used for the two-battlefield
         complement allocation."""
-        atoms = tuple((total - loc, mass) for loc, mass in reversed(self.atoms))
+        # tuple() of a list allocates the exact length; resizing a guess for a
+        # generator fills CPython's tuple free lists over many lattices (~3 MB)
+        atoms = tuple([(total - loc, mass) for loc, mass in reversed(self.atoms)])
         segments = tuple(
-            (total - r, total - l, rho) for l, r, rho in reversed(self.segments)
+            [(total - r, total - l, rho) for l, r, rho in reversed(self.segments)]
         )
         return PiecewiseCdf(atoms=atoms, segments=segments)
 

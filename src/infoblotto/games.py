@@ -193,13 +193,11 @@ class StrategyProfile:
 
 
 def _clamp_integral(la, ra, lb, rb):
-    # integral over [la, ra] of clamp(x - lb, 0, rb - lb) dx
-    def g(x):
-        lo = max(x - lb, 0.0)
-        hi = max(x - rb, 0.0)
-        return 0.5 * (lo * lo - hi * hi)
-
-    return g(ra) - g(la)
+    # integral over [la, ra] of clamp(x - lb, 0, rb - lb) dx as the ramp over
+    # [lo, hi] plus the plateau past rb: a difference of squares would cancel
+    lo, hi = max(la, lb), min(ra, rb)
+    ramp = 0.5 * max(hi - lo, 0.0) * ((lo - lb) + (hi - lb))
+    return ramp + (rb - lb) * max(ra - max(la, rb), 0.0)
 
 
 def battlefield_payoff(f_a: PiecewiseCdf, f_b: PiecewiseCdf) -> float:

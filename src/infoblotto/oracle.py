@@ -6,7 +6,9 @@ feasibility is recomputed from the marginals, and the game value is
 re-estimated by seeded Monte Carlo.  Opponent CDFs are steps plus ramps, so
 every deviation payoff is piecewise constant (Blotto) or piecewise linear
 (Lotto) between the opponent's breakpoints, and its supremum is found
-exactly by evaluating a finite list of points: no grid, no tuning.
+exactly by evaluating a finite list of points: no grid, no tuning.  Those
+points are few (tens to a few hundred), so the scans and the budget checks
+run in plain Python floats; numpy is loaded only for Monte Carlo.
 """
 
 from __future__ import annotations
@@ -56,10 +58,16 @@ def _step_candidates(breakpoints, budget):
     Breakpoints within ``MASS_TOL * budget`` of each other are one location
     computed two ways, such as (k+1)*d and X_U - (X_I - k*d), and are merged
     so that rounding cannot open a spurious interval between them."""
-    import numpy as np
-    pts = np.unique(np.clip([0.0, budget, *breakpoints], 0.0, budget))
-    pts = pts[np.concatenate(([True], np.diff(pts) > MASS_TOL * budget))]
-    return np.concatenate(([0.0, budget], (pts[:-1] + pts[1:]) / 2.0))
+    pts = sorted({min(max(p, 0.0), budget) for p in (0.0, budget, *breakpoints)})
+    pts = pts[:1] + [b for a, b in zip(pts, pts[1:]) if b - a > MASS_TOL * budget]
+    return [0.0, budget] + [(a + b) / 2.0 for a, b in zip(pts, pts[1:])]
+
+
+def _split_payoffs(xs, budget, f1, f2):
+    """Pure-deviation payoffs on (battlefield 1, battlefield 2) of each
+    allocation x in ``xs``, battlefield 2 getting ``budget - x``."""
+    pdp = pure_deviation_payoff
+    return [(pdp(x, f1), pdp(budget - x, f2)) for x in xs]
 
 
 def blotto_deviation_gaps(
@@ -67,44 +75,36 @@ def blotto_deviation_gaps(
 ) -> DeviationGaps:
     """Best pure-deviation improvement for each player/type against the
     other side of ``profile``; nonnegative up to rounding, ~0 at equilibrium."""
-    for row in profile.informed:
-        for f in row:
-            if f.segments:
-                raise ValueError("Blotto deviation scan requires atomic marginals")
-    for f in profile.uninformed:
-        if f.segments:
-            raise ValueError("Blotto deviation scan requires atomic marginals")
+    if any(f.segments for row in (*profile.informed, profile.uninformed) for f in row):
+        raise ValueError("Blotto deviation scan requires atomic marginals")
 
-    import numpy as np
     values = params.valuation_matrix
     prior = params.prior
-    vals = values.as_array()
+    # the uninformed player's payoff in profile; also checks the dimensions
+    value_u = -ex_ante_payoff(profile, values, prior)
     x_i = params.budgets.informed
     x_u = params.budgets.uninformed
 
     bps = set()
-    for i in range(profile.m):
-        bps.update(loc for loc, _ in profile.informed[i][0].atoms)
-        bps.update(x_u - loc for loc, _ in profile.informed[i][1].atoms)
+    for f1, f2 in profile.informed:
+        bps.update(loc for loc, _ in f1.atoms)
+        bps.update(x_u - loc for loc, _ in f2.atoms)
     xs = _step_candidates(bps, x_u)
-    pay_u = np.zeros(xs.shape)
-    for i in range(profile.m):
-        pay_u += prior.weights[i] * (
-            vals[i, 0] * pure_deviation_payoff(xs, profile.informed[i][0])
-            + vals[i, 1] * pure_deviation_payoff(x_u - xs, profile.informed[i][1])
-        )
-    gap_u = float(pay_u.max()) - (-ex_ante_payoff(profile, values, prior))
+    pay_u = [0.0] * len(xs)
+    for weight, (v1, v2), (f1, f2) in zip(prior.weights, values.values, profile.informed):
+        dev = _split_payoffs(xs, x_u, f1, f2)
+        pay_u = [pay + weight * (v1 * d1 + v2 * d2) for pay, (d1, d2) in zip(pay_u, dev)]
+    gap_u = max(pay_u) - value_u
 
-    gaps_i = []
-    bps = {loc for loc, _ in profile.uninformed[0].atoms}
-    bps.update(x_i - loc for loc, _ in profile.uninformed[1].atoms)
-    xs = _step_candidates(bps, x_i)
-    for i in range(profile.m):
-        pay_i = vals[i, 0] * pure_deviation_payoff(xs, profile.uninformed[0]) + vals[
-            i, 1
-        ] * pure_deviation_payoff(x_i - xs, profile.uninformed[1])
-        gaps_i.append(float(pay_i.max()) - interim_payoff(profile, values, prior, i))
-    return DeviationGaps(uninformed=gap_u, informed=tuple(gaps_i))
+    g1, g2 = profile.uninformed
+    bps = {loc for loc, _ in g1.atoms}
+    bps.update(x_i - loc for loc, _ in g2.atoms)
+    dev = _split_payoffs(_step_candidates(bps, x_i), x_i, g1, g2)
+    gaps_i = tuple(
+        max(v1 * d1 + v2 * d2 for d1, d2 in dev) - interim_payoff(profile, values, prior, i)
+        for i, (v1, v2) in enumerate(values.values)
+    )
+    return DeviationGaps(uninformed=gap_u, informed=gaps_i)
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +117,9 @@ def blotto_deviation_gaps(
 def _priced_payoff(x, terms, tie):
     # tie=1 (right limit) is the value seen from inside a support segment
     # starting at x; tie=0 (left limit) from inside one ending at x
-    import numpy as np
-    out = -np.asarray(x, dtype=float)
+    out = -x
     for weight, f in terms:
-        out = out + weight * f.cdf(x, tie)
+        out += weight * f.cdf(x, tie)
     return out
 
 
@@ -130,18 +129,17 @@ def _support_slack(own, terms):
 
     The payoff is linear between breakpoints and has slope -1 past the last
     one, so its supremum is a one-sided limit at 0 or at a breakpoint."""
-    import numpy as np
     opp_bps = sorted({p for _, f in terms for p in f.breakpoints()})
-    on_vals = [float(_priced_payoff(loc, terms, 0.5)) for loc, _ in own.atoms]
+    on_vals = [_priced_payoff(loc, terms, 0.5) for loc, _ in own.atoms]
     for left, right, _ in own.segments:
-        on_vals.append(float(_priced_payoff(left, terms, 1.0)))
-        on_vals.append(float(_priced_payoff(right, terms, 0.0)))
+        on_vals.append(_priced_payoff(left, terms, 1.0))
+        on_vals.append(_priced_payoff(right, terms, 0.0))
         for p in opp_bps:
             if left < p < right:
-                on_vals.append(float(_priced_payoff(p, terms, 0.0)))
-                on_vals.append(float(_priced_payoff(p, terms, 1.0)))
-    xs = np.unique([0.0, *opp_bps, *own.breakpoints()])
-    off_max = max(float(_priced_payoff(xs, terms, tie).max()) for tie in (0.0, 1.0))
+                on_vals.append(_priced_payoff(p, terms, 0.0))
+                on_vals.append(_priced_payoff(p, terms, 1.0))
+    xs = {0.0, *opp_bps, *own.breakpoints()}
+    off_max = max(_priced_payoff(x, terms, tie) for tie in (0.0, 1.0) for x in xs)
     return max(off_max - max(on_vals), max(on_vals) - min(on_vals))
 
 
@@ -163,19 +161,18 @@ def lotto_support_optimality(
     lam_i, lam_u = lambdas
     if lam_i <= 0.0 or lam_u <= 0.0:
         raise ValueError("multipliers must be positive")
-    values = params.valuation_matrix
+    vals = params.valuation_matrix.values
     prior = params.prior
-    vals = values.as_array()
 
     slack_u = 0.0
     slacks_i = [0.0] * profile.m
     for j in range(profile.n):
         for i in range(profile.m):
-            terms = [(2.0 * vals[i, j] * prior.weights[i] / lam_i, profile.uninformed[j])]
+            terms = [(2.0 * vals[i][j] * prior.weights[i] / lam_i, profile.uninformed[j])]
             slack = _support_slack(profile.informed[i][j], terms)
             slacks_i[i] = max(slacks_i[i], slack)
         terms = [
-            (2.0 * vals[i, j] * prior.weights[i] / lam_u, profile.informed[i][j])
+            (2.0 * vals[i][j] * prior.weights[i] / lam_u, profile.informed[i][j])
             for i in range(profile.m)
         ]
         slack_u = max(slack_u, _support_slack(profile.uninformed[j], terms))
@@ -284,6 +281,15 @@ class Certificate:
         )
 
 
+def claimed_value(params):
+    """The informed player's closed-form ex-ante payoff for ``params``."""
+    if isinstance(params, blotto2.BlottoParams):
+        return blotto2.informed_payoff(params)
+    if isinstance(params, lotto3.LottoParams):
+        return lotto3.informed_payoff(params.alpha, params.beta, params.gamma)
+    raise TypeError(f"unsupported params type: {type(params).__name__}")
+
+
 def certify(
     profile: StrategyProfile,
     params,
@@ -294,18 +300,13 @@ def certify(
 ) -> Certificate:
     """Run every applicable check for ``profile`` against the closed-form
     value implied by ``params`` and assemble a Certificate."""
+    claimed = claimed_value(params)
     if isinstance(params, blotto2.BlottoParams):
-        game = "blotto2"
-        claimed = blotto2.informed_payoff(params)
-        gaps = blotto_deviation_gaps(profile, params)
-        res_u, res_i = blotto_budget_residuals(profile, params)
-    elif isinstance(params, lotto3.LottoParams):
-        game = "lotto3"
-        claimed = lotto3.informed_payoff(params.alpha, params.beta, params.gamma)
-        gaps = lotto_support_optimality(profile, params)
-        res_u, res_i = lotto_budget_residuals(profile, params)
+        game, scan, residuals = "blotto2", blotto_deviation_gaps, blotto_budget_residuals
     else:
-        raise TypeError(f"unsupported params type: {type(params).__name__}")
+        game, scan, residuals = "lotto3", lotto_support_optimality, lotto_budget_residuals
+    gaps = scan(profile, params)
+    res_u, res_i = residuals(profile, params)
 
     mc_mean, mc_se = monte_carlo_value(
         profile, params.valuation_matrix, params.prior, samples, seed

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,20 @@ class TestGuaranteeCondition:
 
 
 class TestConstruction:
+    def test_repeated_builds_hold_no_memory(self):
+        # tuple() of a generator resizes a guessed length, moving a block into
+        # CPython's tuple free list of each lattice length: about 11k blocks
+        # over these builds.  Exact-length tuples leave at most the pair free
+        # list filling (under 2000 blocks).
+        points = [params(vlow=0.5, gamma=1.0 - 1.0 / (q + 0.5)) for q in range(3, 20, 2)]
+        for p in points:
+            build_equilibrium(p)
+        before = sys.getallocatedblocks()
+        for _ in range(300):
+            for p in points:
+                build_equilibrium(p)
+        assert sys.getallocatedblocks() - before < 3000
+
     def test_uninformed_lattice_spec_example(self):
         profile = build_equilibrium(params(), e=2.0)
         # atoms {2, 5, 8} with weights {2, 1, 2}/5

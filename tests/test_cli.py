@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infoblotto
-from infoblotto import StrategyProfile, blotto2, lotto3
+from infoblotto import StrategyProfile, blotto2, lotto3, oracle
 from infoblotto.blotto2 import BlottoParams, build_equilibrium
 from infoblotto.cli import (
     SweepAxis,
@@ -482,10 +482,10 @@ class TestSimulate:
         assert "z_score = inf\n" in out
 
 
-# The payoff closed forms and the strategy constructions are scalar Python;
-# numpy is loaded only for array work (oracle checks, Monte Carlo, sweep
-# grids).  pytest's own process already holds numpy, so each check runs in
-# a fresh interpreter.
+# The payoff closed forms, the strategy constructions and the exact oracle
+# checks are scalar Python; numpy is loaded only for array work (Monte Carlo,
+# sweep grids).  pytest's own process already holds numpy, so each check
+# runs in a fresh interpreter.
 _NUMPY_PROBE = """
 import json, sys
 import infoblotto, infoblotto.cli
@@ -496,16 +496,42 @@ print(json.dumps(report))
 """
 
 
-def _numpy_probe(*commands):
+# The exact oracle runs in plain floats: building each game's profile, its
+# ex-ante payoff, the gap scan and the budget residuals load no numpy.
+_EXACT_PROBE = """
+import json, sys
+from infoblotto import blotto2, games, lotto3, oracle
+blotto = blotto2.BlottoParams.from_ratio(1.0, 0.5, 0.7, 10.0)
+cases = [(blotto, blotto2.build_equilibrium, oracle.blotto_deviation_gaps,
+          oracle.blotto_budget_residuals)]
+cases += [(lotto3.LottoParams(0.5, 0.3, gamma, 1.0), lotto3.build_equilibrium,
+           oracle.lotto_support_optimality, oracle.lotto_budget_residuals)
+          for gamma in json.loads(sys.argv[1])]
+report = []
+for params, build, scan, residuals in cases:
+    profile = build(params)
+    games.ex_ante_payoff(profile, params.valuation_matrix, params.prior)
+    worst = scan(profile, params).worst()
+    res_u, res_i = residuals(profile, params)
+    report.append([worst, max(res_u, *res_i), "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def _fresh_interpreter(script, argument):
     src = os.path.dirname(os.path.dirname(infoblotto.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", script, json.dumps(argument)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return [tuple(step) for step in json.loads(proc.stdout.splitlines()[-1])]
+
+
+def _numpy_probe(*commands):
+    return _fresh_interpreter(_NUMPY_PROBE, commands)
 
 
 def test_numpy_loaded_only_for_array_work(tmp_path):
@@ -533,3 +559,14 @@ def test_numpy_loaded_only_for_array_work(tmp_path):
     ] + [("verify", 0, True)]
     simulate = ["simulate", "--strategy", blotto_json, "--samples", "1000"]
     assert _numpy_probe(simulate) == [("import", None, False), ("simulate", 0, True)]
+
+
+def test_exact_oracle_needs_no_numpy():
+    # one blotto2 point, then lotto3 in the low, mid and high regimes
+    report = _fresh_interpreter(_EXACT_PROBE, [0.2, 0.5, 0.9])
+    assert len(report) == 4
+    for worst, residual, numpy_loaded in report:
+        assert worst <= oracle.EPS_DEVIATION
+        assert residual <= oracle.EPS_BUDGET
+        assert not numpy_loaded
+

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoblotto import (
     Budgets,
@@ -13,6 +16,7 @@ from infoblotto import (
     expected_budget,
     interim_payoff,
 )
+from infoblotto.games import _clamp_integral
 from tests.test_distributions import piecewise_cdfs
 
 
@@ -103,6 +107,36 @@ class TestBattlefieldPayoff:
     def test_mixture_against_itself(self):
         f = PiecewiseCdf(atoms=((0.5, 0.5),), segments=((1.0, 2.0, 0.5),))
         assert battlefield_payoff(f, f) == pytest.approx(0.0, abs=1e-15)
+
+    def test_far_apart_segments_win_exactly(self):
+        # a difference of squares of locations lost about 1e-12 here
+        near = PiecewiseCdf(segments=((0.0, 0.01, 100.0),))
+        far = PiecewiseCdf(segments=((3.59, 3.74, 6.666666666666651),))
+        assert battlefield_payoff(far, near) == 1.0
+        assert battlefield_payoff(near, far) == -1.0
+
+
+def exact_clamp_integral(la, ra, lb, rb):
+    la, ra, lb, rb = map(Fraction, (la, ra, lb, rb))
+
+    def g(x):
+        lo, hi = max(x - lb, 0), max(x - rb, 0)
+        return (lo * lo - hi * hi) / 2
+
+    return g(ra) - g(la)
+
+
+intervals = st.tuples(st.floats(0.0, 100.0), st.floats(1e-6, 10.0)).map(
+    lambda t: (t[0], t[0] + t[1])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals, intervals)
+def test_clamp_integral_relative_to_widths(a, b):
+    exact = exact_clamp_integral(*a, *b)
+    widths = (a[1] - a[0]) * (b[1] - b[0])
+    assert abs(Fraction(_clamp_integral(*a, *b)) - exact) <= 1e-15 * widths
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,12 +12,15 @@ from infoblotto import (
     interim_payoff,
 )
 from infoblotto.blotto2 import BlottoParams, build_equilibrium as build_blotto
+from infoblotto.blotto2 import informed_payoff as informed_payoff_blotto
 from infoblotto.lotto3 import LottoParams, build_equilibrium as build_lotto, multipliers, solve
+from infoblotto.lotto3 import informed_payoff as informed_payoff_lotto
 from infoblotto.oracle import (
     Certificate,
     blotto_deviation_gaps,
     blotto_budget_residuals,
     certify,
+    claimed_value,
     lotto_budget_residuals,
     lotto_support_optimality,
     monte_carlo_value,
@@ -223,6 +226,15 @@ class TestCertify:
         # the JSON written by ``verify --out`` lists the fields in order
         fields = [f.name for f in dataclasses.fields(Certificate)]
         assert list(cert.to_dict()) == fields
+
+    def test_claimed_value_is_the_closed_form(self):
+        lotto = LottoParams(0.55, 0.35, 0.5)
+        assert claimed_value(BLOTTO) == informed_payoff_blotto(BLOTTO)
+        assert claimed_value(lotto) == informed_payoff_lotto(0.55, 0.35, 0.5)
+        with pytest.raises(TypeError, match="unsupported params type"):
+            claimed_value(BLOTTO.budgets)
+        with pytest.raises(TypeError, match="unsupported params type"):
+            certify(build_blotto(BLOTTO), BLOTTO.budgets)
 
     def test_pure_deviation_payoff_matches_sign_expectation(self):
         f = PiecewiseCdf(atoms=((1.0, 0.5), (3.0, 0.5)))
