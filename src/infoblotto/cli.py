@@ -27,6 +27,19 @@ def _fmt(x):
 # Parameter assembly
 # ---------------------------------------------------------------------------
 
+# the flags each game reads; the other game's flags are refused
+_GAME_FLAGS = {
+    "blotto2": ("vbar", "vlow", "gamma", "xu", "e"),
+    "lotto3": ("alpha", "beta", "gamma", "xu", "cost"),
+}
+
+
+def _refuse_other_game_flags(args):
+    other = set().union(*_GAME_FLAGS.values()) - set(_GAME_FLAGS[args.game])
+    given = sorted("--" + name for name in other if getattr(args, name, None) is not None)
+    if given:
+        raise ValueError(f"{', '.join(given)} does not apply to game {args.game}")
+
 
 def _require(args, names):
     missing = [n for n in names if getattr(args, n) is None]
@@ -86,13 +99,7 @@ def _load_strategy(path):
 # ---------------------------------------------------------------------------
 
 
-def _refuse_blotto_cost(args):
-    if args.game == "blotto2" and args.cost is not None:
-        raise ValueError("--cost applies only to game lotto3")
-
-
 def cmd_payoff(args):
-    _refuse_blotto_cost(args)
     if args.game == "blotto2":
         params = _blotto_params(args)
         idx = blotto2.BlottoIndex.from_params(params)
@@ -221,6 +228,13 @@ def sweep_table(spec: SweepSpec):
     names = [ax.name for ax in spec.axes]
     if spec.game == "blotto2":
         names = ["vlow" if n == "alpha" else n for n in names]
+    given = names + list(spec.fixed)
+    for name in names:
+        if given.count(name) > 1:
+            raise ValueError(f"parameter {name} is given more than once")
+    for name in ("vlow", "gamma") if spec.game == "blotto2" else ("alpha", "gamma"):
+        if name not in given:
+            raise ValueError(f"parameter {name} needs either an axis or a fixed value")
     header = ",".join(names + list(spec.columns))
 
     grids = np.meshgrid(*(ax.grid() for ax in spec.axes), indexing="ij")
@@ -238,32 +252,14 @@ def sweep_table(spec: SweepSpec):
 
 
 def cmd_sweep(args):
-    _refuse_blotto_cost(args)
     axes = tuple(_parse_axis(a) for a in args.axis or ())
-    fixed = {}
-    if args.game == "blotto2":
-        fixed["vbar"] = args.vbar if args.vbar is not None else 1.0
-        if args.vlow is not None:
-            fixed["vlow"] = args.vlow
-        if args.gamma is not None:
-            fixed["gamma"] = args.gamma
-    else:
-        for name in ("alpha", "beta", "gamma"):
-            value = getattr(args, name)
-            if value is not None:
-                fixed[name] = value
-        if args.cost is not None:
-            fixed["cost"] = args.cost
+    # a sweep reads every flag of its game but the budget scale
+    fixed = {"vbar": 1.0} if args.game == "blotto2" else {}
+    for name in _GAME_FLAGS[args.game]:
+        if name != "xu" and getattr(args, name, None) is not None:
+            fixed[name] = getattr(args, name)
     columns = tuple(c.strip() for c in args.columns.split(",") if c.strip())
     spec = SweepSpec(game=args.game, axes=axes, fixed=fixed, columns=columns)
-
-    axis_names = {ax.name for ax in axes}
-    needed = {"vlow", "gamma"} if args.game == "blotto2" else {"alpha", "gamma"}
-    for name in needed:
-        alias = name == "vlow" and "alpha" in axis_names
-        if name not in axis_names and not alias and name not in fixed:
-            raise ValueError(f"parameter {name} needs either an axis or a fixed value")
-
     header, rows = sweep_table(spec)
     text = "\n".join([header] + rows) + "\n"
     with open(args.out, "w") as handle:
@@ -426,6 +422,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
+        if getattr(args, "game", None) is not None:
+            _refuse_other_game_flags(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -102,16 +102,18 @@ class PiecewiseCdf:
 
     # -- basic functionals -------------------------------------------------
 
+    # math.fsum rounds once on every interpreter; sum() compensates from 3.12
     def total_mass(self):
-        return sum(m for _, m in self.atoms) + sum(
-            rho * (r - l) for l, r, rho in self.segments
+        return math.fsum(
+            [m for _, m in self.atoms] + [rho * (r - l) for l, r, rho in self.segments]
         )
 
     def mean(self):
         """Expected value, exact."""
-        mu = sum(loc * m for loc, m in self.atoms)
-        mu += sum(rho * (r * r - l * l) / 2.0 for l, r, rho in self.segments)
-        return mu
+        return math.fsum(
+            [loc * m for loc, m in self.atoms]
+            + [rho * (r * r - l * l) / 2.0 for l, r, rho in self.segments]
+        )
 
     def support_min(self):
         lo = [self.atoms[0][0]] if self.atoms else []

@@ -4,8 +4,8 @@ informed and one uninformed player.
 The informed player observes which row of the valuation matrix is realized
 (one type per state); the uninformed player knows only the prior.  Payoffs
 are evaluated battlefield by battlefield as ``E[sgn(x_a - x_b)]`` under
-independent draws from the two marginals, with ties worth zero.  All
-integrals over atom/segment mixtures are done in closed form.
+independent draws, ties worth zero, in closed form from the marginals'
+tie-aware CDF.  Sums use ``math.fsum``: one rounding on every interpreter.
 """
 
 from __future__ import annotations
@@ -200,29 +200,28 @@ def _clamp_integral(la, ra, lb, rb):
     return ramp + (rb - lb) * max(ra - max(la, rb), 0.0)
 
 
-def battlefield_payoff(f_a: PiecewiseCdf, f_b: PiecewiseCdf) -> float:
-    """E[sgn(x_a - x_b)] = P(a wins) - P(b wins) under independent draws.
+def pure_deviation_payoff(x, marginal: PiecewiseCdf) -> float:
+    """E[sgn(x - Y)] for a pure allocation x against marginal Y; ties at
+    atoms of Y count zero."""
+    return 2.0 * marginal.cdf(x, tie=0.5) - 1.0
 
-    Coinciding atoms tie and contribute zero.  Exact closed form over all
-    atom/segment component pairs.
-    """
+
+def battlefield_payoff(f_a: PiecewiseCdf, f_b: PiecewiseCdf) -> float:
+    """E[sgn(x_a - x_b)] = P(a wins) - P(b wins) under independent draws,
+    as E[2 F_b(x_a) - 1] with ``cdf`` at tie 1/2, so coinciding atoms count
+    zero: one CDF evaluation per atom of ``f_a``, and a closed-form integral
+    of F_b over each of its segments."""
     total = 0.0
     for xa, ma in f_a.atoms:
-        for xb, mb in f_b.atoms:
-            if xa > xb:
-                total += ma * mb
-            elif xa < xb:
-                total -= ma * mb
-        for lb, rb, rho in f_b.segments:
-            w = min(max(xa, lb), rb)
-            total += ma * rho * (2.0 * w - lb - rb)
+        total += ma * pure_deviation_payoff(xa, f_b)
     for la, ra, rho_a in f_a.segments:
+        # integral of F_b over [la, ra]: each atom is a step, each segment a ramp
+        area = 0.0
         for xb, mb in f_b.atoms:
-            w = min(max(xb, la), ra)
-            total -= mb * rho_a * (2.0 * w - la - ra)
+            area += mb * max(ra - max(xb, la), 0.0)
         for lb, rb, rho_b in f_b.segments:
-            below = _clamp_integral(la, ra, lb, rb)
-            total += rho_a * rho_b * (2.0 * below - (rb - lb) * (ra - la))
+            area += rho_b * _clamp_integral(la, ra, lb, rb)
+        total += rho_a * (2.0 * area - (ra - la))
     return total
 
 
@@ -246,7 +245,7 @@ def interim_payoff(
         raise ValueError(f"state index {state} out of range [0, {values.m})")
     row = values.values[state]
     marginals = profile.informed[state]
-    return sum(
+    return math.fsum(
         row[j] * battlefield_payoff(marginals[j], profile.uninformed[j])
         for j in range(values.n)
     )
@@ -258,7 +257,7 @@ def ex_ante_payoff(
     """Informed player's ex-ante expected payoff (prior-weighted interim
     payoffs).  The game is zero-sum: the uninformed player gets the negative."""
     _check_dimensions(profile, values, prior)
-    return sum(
+    return math.fsum(
         prior.weights[i] * interim_payoff(profile, values, prior, i)
         for i in range(values.m)
     )
@@ -266,4 +265,4 @@ def ex_ante_payoff(
 
 def expected_budget(marginals) -> float:
     """Total expected allocation of a list of per-battlefield marginals."""
-    return sum(f.mean() for f in marginals)
+    return math.fsum(f.mean() for f in marginals)

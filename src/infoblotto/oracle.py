@@ -6,9 +6,10 @@ feasibility is recomputed from the marginals, and the game value is
 re-estimated by seeded Monte Carlo.  Opponent CDFs are steps plus ramps, so
 every deviation payoff is piecewise constant (Blotto) or piecewise linear
 (Lotto) between the opponent's breakpoints, and its supremum is found
-exactly by evaluating a finite list of points: no grid, no tuning.  Those
-points are few (tens to a few hundred), so the scans and the budget checks
-run in plain Python floats; numpy is loaded only for Monte Carlo.
+exactly by evaluating a finite list of points: no grid, no tuning.  Every
+payoff comes from the one tie-aware ``PiecewiseCdf.cdf`` in plain Python
+floats (numpy is loaded only for Monte Carlo); a Blotto scan pays each
+type's interim payoff once, so it takes O(q log q) for O(q) lattice atoms.
 """
 
 from __future__ import annotations
@@ -18,18 +19,12 @@ from dataclasses import asdict, dataclass
 
 from . import blotto2, lotto3
 from .distributions import MASS_TOL
-from .games import StrategyProfile, ex_ante_payoff, expected_budget, interim_payoff
+from .games import StrategyProfile, expected_budget, interim_payoff, pure_deviation_payoff
 
 DEFAULT_MC_SAMPLES = 200_000
 DEFAULT_SEED = 20240801
 EPS_DEVIATION = 1e-6
 EPS_BUDGET = 1e-9
-
-
-def pure_deviation_payoff(x, marginal):
-    """E[sgn(x - Y)] for a pure allocation x against marginal Y; ties at
-    atoms of Y count zero."""
-    return 2.0 * marginal.cdf(x, tie=0.5) - 1.0
 
 
 @dataclass(frozen=True)
@@ -80,8 +75,9 @@ def blotto_deviation_gaps(
 
     values = params.valuation_matrix
     prior = params.prior
-    # the uninformed player's payoff in profile; also checks the dimensions
-    value_u = -ex_ante_payoff(profile, values, prior)
+    # each type's payoff in profile, once; the first call checks the dimensions
+    interim = [interim_payoff(profile, values, prior, i) for i in range(values.m)]
+    value_u = -math.fsum(w * v for w, v in zip(prior.weights, interim))
     x_i = params.budgets.informed
     x_u = params.budgets.uninformed
 
@@ -101,8 +97,8 @@ def blotto_deviation_gaps(
     bps.update(x_i - loc for loc, _ in g2.atoms)
     dev = _split_payoffs(_step_candidates(bps, x_i), x_i, g1, g2)
     gaps_i = tuple(
-        max(v1 * d1 + v2 * d2 for d1, d2 in dev) - interim_payoff(profile, values, prior, i)
-        for i, (v1, v2) in enumerate(values.values)
+        max(v1 * d1 + v2 * d2 for d1, d2 in dev) - value_i
+        for value_i, (v1, v2) in zip(interim, values.values)
     )
     return DeviationGaps(uninformed=gap_u, informed=gaps_i)
 

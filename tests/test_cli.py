@@ -168,6 +168,62 @@ def test_blotto_cost_refused(capsys, tmp_path, command):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "command,game,flag",
+    [
+        ("payoff", "blotto2", "--alpha"),
+        ("payoff", "blotto2", "--beta"),
+        ("sweep", "blotto2", "--alpha"),
+        ("strategy", "blotto2", "--cost"),
+        ("payoff", "lotto3", "--vbar"),
+        ("payoff", "lotto3", "--vlow"),
+        ("sweep", "lotto3", "--vlow"),
+        ("strategy", "lotto3", "--e"),
+        ("verify", "lotto3", "--e"),
+        ("simulate", "lotto3", "--vbar"),
+    ],
+)
+def test_other_game_flag_refused(capsys, tmp_path, command, game, flag):
+    argv = [command, "--game", game, "--gamma", "0.7", flag, "0.3"]
+    argv += ["--vbar", "1", "--vlow", "0.5"] if game == "blotto2" else ["--alpha", "0.5"]
+    if command in ("sweep", "strategy"):
+        argv += ["--out", str(tmp_path / "x.out")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and flag in err and game in err
+    assert out == ""
+    assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--game", "lotto3", "--axis", "gamma=0.1:0.9:3", "--axis", "gamma=0.1:0.9:3",
+         "--alpha", "0.5"],
+        # "alpha" is the CLI alias of a blotto2 vlow axis
+        ["--game", "blotto2", "--axis", "alpha=0.1:0.9:3", "--axis", "vlow=0.1:0.9:3",
+         "--gamma", "0.7"],
+        ["--game", "lotto3", "--axis", "gamma=0.1:0.9:3", "--gamma", "0.5", "--alpha", "0.5"],
+        ["--game", "blotto2", "--axis", "alpha=0.1:0.9:3", "--vlow", "0.5", "--gamma", "0.7"],
+    ],
+)
+def test_sweep_parameter_given_twice_refused(capsys, tmp_path, argv):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, "sweep", *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and "more than once" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_sweep_table_refuses_axis_and_fixed_value():
+    axis = SweepAxis("gamma", 0.1, 0.9, 3)
+    with pytest.raises(ValueError, match="gamma"):
+        sweep_table(SweepSpec("lotto3", (axis, axis), {"alpha": 0.5}, ("payoff",)))
+    with pytest.raises(ValueError, match="gamma"):
+        sweep_table(SweepSpec("lotto3", (axis,), {"alpha": 0.5, "gamma": 0.5}, ("payoff",)))
+
+
 def _axis(draw, name, lo, hi):
     a, b = sorted(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2, unique=True)))
     return SweepAxis(name, a, b, draw(st.integers(2, 6)))

@@ -139,6 +139,36 @@ def test_clamp_integral_relative_to_widths(a, b):
     assert abs(Fraction(_clamp_integral(*a, *b)) - exact) <= 1e-15 * widths
 
 
+def pairwise_battlefield_payoff(f_a, f_b):
+    """Reference: the sign expectation summed over every pair of components,
+    with its own copy of the tie rule (coinciding atoms count zero)."""
+    total = 0.0
+    for xa, ma in f_a.atoms:
+        for xb, mb in f_b.atoms:
+            if xa > xb:
+                total += ma * mb
+            elif xa < xb:
+                total -= ma * mb
+        for lb, rb, rho in f_b.segments:
+            w = min(max(xa, lb), rb)
+            total += ma * rho * (2.0 * w - lb - rb)
+    for la, ra, rho_a in f_a.segments:
+        for xb, mb in f_b.atoms:
+            w = min(max(xb, la), ra)
+            total -= mb * rho_a * (2.0 * w - la - ra)
+        for lb, rb, rho_b in f_b.segments:
+            below = _clamp_integral(la, ra, lb, rb)
+            total += rho_a * rho_b * (2.0 * below - (rb - lb) * (ra - la))
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(piecewise_cdfs(), piecewise_cdfs())
+def test_payoff_equals_pairwise_reference(f, g):
+    assert abs(battlefield_payoff(f, g) - pairwise_battlefield_payoff(f, g)) <= 1e-13
+    assert abs(battlefield_payoff(f, f) - pairwise_battlefield_payoff(f, f)) <= 1e-13
+
+
 @settings(max_examples=40, deadline=None)
 @given(piecewise_cdfs(), piecewise_cdfs())
 def test_payoff_antisymmetry(f, g):
@@ -220,3 +250,41 @@ class TestExpectedBudget:
             for h in (f, g)
         ]
         assert expected_budget(scaled) == pytest.approx(s * base, rel=1e-12)
+
+
+def rounded_once(terms):
+    """The exact sum of the float terms, rounded to a float once."""
+    return float(sum(map(Fraction, terms)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(piecewise_cdfs(), min_size=12, max_size=12),
+    st.floats(0.01, 0.99),
+    st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+)
+def test_sums_round_once(cdfs, alpha, weights):
+    # math.fsum gives these on every interpreter; sum() compensates only
+    # from Python 3.12 on.  Three terms or more: two are rounded once anyway
+    for f in cdfs:
+        assert f.total_mass() == rounded_once(
+            [m for _, m in f.atoms] + [rho * (r - l) for l, r, rho in f.segments]
+        )
+        assert f.mean() == rounded_once(
+            [loc * m for loc, m in f.atoms]
+            + [rho * (r * r - l * l) / 2.0 for l, r, rho in f.segments]
+        )
+    assert expected_budget(cdfs) == rounded_once([f.mean() for f in cdfs])
+
+    informed = (cdfs[0:3], cdfs[3:6], cdfs[6:9])
+    profile = StrategyProfile(informed=informed, uninformed=cdfs[9:12])
+    values = ValuationMatrix.cyclic(alpha, alpha / 2.0)
+    prior = Prior(tuple(w / sum(weights) for w in weights))
+    interim = []
+    for i, row in enumerate(values.values):
+        terms = [v * battlefield_payoff(f, g) for v, f, g in zip(row, informed[i], cdfs[9:])]
+        interim.append(interim_payoff(profile, values, prior, i))
+        assert interim[-1] == rounded_once(terms)
+    assert ex_ante_payoff(profile, values, prior) == rounded_once(
+        [w * v for w, v in zip(prior.weights, interim)]
+    )

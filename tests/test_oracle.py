@@ -11,7 +11,8 @@ from infoblotto import (
     ex_ante_payoff,
     interim_payoff,
 )
-from infoblotto.blotto2 import BlottoParams, build_equilibrium as build_blotto
+from infoblotto import games, oracle
+from infoblotto.blotto2 import BlottoIndex, BlottoParams, build_equilibrium as build_blotto
 from infoblotto.blotto2 import informed_payoff as informed_payoff_blotto
 from infoblotto.lotto3 import LottoParams, build_equilibrium as build_lotto, multipliers, solve
 from infoblotto.lotto3 import informed_payoff as informed_payoff_lotto
@@ -76,6 +77,30 @@ class TestBlottoDeviations:
         params = LottoParams(0.5, 0.5, 0.7)
         with pytest.raises(ValueError):
             blotto_deviation_gaps(build_lotto(params), BLOTTO)
+
+    def test_scan_pays_each_interim_payoff_once(self, monkeypatch):
+        calls = []
+        for module in (games, oracle):
+            for name in ("interim_payoff", "ex_ante_payoff"):
+                if hasattr(module, name):
+                    original = getattr(module, name)
+
+                    def counted(*args, _name=name, _original=original):
+                        calls.append(_name)
+                        return _original(*args)
+
+                    monkeypatch.setattr(module, name, counted)
+        blotto_deviation_gaps(build_blotto(BLOTTO), BLOTTO)
+        assert calls == ["interim_payoff"] * BLOTTO.prior.m
+
+    def test_large_q_profile(self):
+        # q = 1999: the profile payoffs and the scan take O(q log q)
+        params = BlottoParams.from_ratio(1.0, 0.99, 1.0 - 1.0 / 1999.5)
+        assert BlottoIndex.from_params(params).q == 1999
+        profile = build_blotto(params)
+        assert blotto_deviation_gaps(profile, params).worst() <= 1e-12
+        value = ex_ante_payoff(profile, params.valuation_matrix, params.prior)
+        assert abs(value - informed_payoff_blotto(params)) <= 1e-9
 
     def test_budget_residuals(self):
         profile = build_blotto(BLOTTO)
