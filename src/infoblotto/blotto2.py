@@ -218,24 +218,6 @@ def uninformed_guarantee_condition(n: int, gamma: float) -> bool:
     return gamma < threshold
 
 
-def equilibrium_normalizers(params: BlottoParams) -> tuple[float, float]:
-    """Normalizing constants (s_a, s_b) of the odd-q atomic construction.
-
-    s_a weights the uninformed lattice, s_b the informed ones; the game
-    value satisfies vlow*(1+c)/s_a = vlow/s_b in raw (unnormalized) units.
-    """
-    idx = BlottoIndex.from_params(params)
-    if not idx.is_odd:
-        raise UnsupportedCaseError("normalizers are defined by the odd-q construction")
-    c = params.value_ratio
-    half = (idx.q - 1) // 2
-    s_a = _series(c, 1, [half + 1], scale=2.0, offset=1.0)[0]
-    # c**half is a term of s_a, so it is finite here
-    boundary = params.vlow * c**half / (params.vbar + params.vlow)
-    s_b = _series(c, 0, [half], offset=boundary)[0]
-    return s_a, s_b
-
-
 def build_equilibrium(params: BlottoParams, e: float | None = None) -> StrategyProfile:
     """Equilibrium mixed strategies for odd q.
 
@@ -262,8 +244,12 @@ def build_equilibrium(params: BlottoParams, e: float | None = None) -> StrategyP
     half = (q - 1) // 2
     x_i = params.budgets.informed
     x_u = params.budgets.uninformed
-    s_a, s_b = equilibrium_normalizers(params)
+    # s_a normalizes the uninformed lattice and s_b the informed ones: the
+    # game value is -1/s_a, and vlow*(1+c)/s_a = vlow/s_b.  c**half is a term
+    # of s_a, so it is finite here
+    s_a = _series(c, 1, [half + 1], scale=2.0, offset=1.0)[0]
     boundary_w = params.vlow * c**half / (params.vbar + params.vlow)
+    s_b = _series(c, 0, [half], offset=boundary_w)[0]
 
     # uninformed lattice: q atoms at e, e+d, ..., weights c^|k - half| (0-based)
     f_u1 = PiecewiseCdf(

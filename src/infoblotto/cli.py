@@ -50,13 +50,15 @@ def _require(args, names):
 
 def _blotto_params(args):
     _require(args, ["vbar", "vlow", "gamma"])
-    return blotto2.BlottoParams.from_ratio(args.vbar, args.vlow, args.gamma, args.xu)
+    xu = args.xu if args.xu is not None else 1.0
+    return blotto2.BlottoParams.from_ratio(args.vbar, args.vlow, args.gamma, xu)
 
 
 def _lotto_params(args):
     _require(args, ["alpha", "gamma"])
     beta = args.beta if args.beta is not None else args.alpha
-    return lotto3.LottoParams(args.alpha, beta, args.gamma, args.xu)
+    xu = args.xu if args.xu is not None else 1.0
+    return lotto3.LottoParams(args.alpha, beta, args.gamma, xu)
 
 
 def _build_profile(args):
@@ -252,11 +254,12 @@ def sweep_table(spec: SweepSpec):
 
 
 def cmd_sweep(args):
+    if args.xu is not None:
+        raise ValueError("--xu does not apply to sweep: no column depends on it")
     axes = tuple(_parse_axis(a) for a in args.axis or ())
-    # a sweep reads every flag of its game but the budget scale
     fixed = {"vbar": 1.0} if args.game == "blotto2" else {}
     for name in _GAME_FLAGS[args.game]:
-        if name != "xu" and getattr(args, name, None) is not None:
+        if getattr(args, name, None) is not None:
             fixed[name] = getattr(args, name)
     columns = tuple(c.strip() for c in args.columns.split(",") if c.strip())
     spec = SweepSpec(game=args.game, axes=axes, fixed=fixed, columns=columns)
@@ -305,6 +308,11 @@ def cmd_strategy(args):
 
 def _resolve_profile(args):
     if args.strategy is not None:
+        # the file fixes every game parameter; only --game may be repeated
+        names = set().union(*_GAME_FLAGS.values())
+        given = sorted("--" + name for name in names if getattr(args, name) is not None)
+        if given:
+            raise ValueError(f"{', '.join(given)} cannot be given with --strategy")
         game, params, profile = _load_strategy(args.strategy)
         if args.game is not None and args.game != game:
             raise ValueError(f"--game {args.game} conflicts with file game {game}")
@@ -366,7 +374,7 @@ def _add_game_options(sub, require_game=True):
     sub.add_argument("--alpha", type=float, default=None)
     sub.add_argument("--beta", type=float, default=None, help="defaults to alpha")
     sub.add_argument("--gamma", type=float, default=None, help="budget ratio X_I/X_U")
-    sub.add_argument("--xu", type=float, default=1.0, help="uninformed budget scale")
+    sub.add_argument("--xu", type=float, default=None, help="uninformed budget (1)")
     sub.add_argument("--cost", type=float, default=None, help="information cost fraction")
 
 

@@ -9,9 +9,11 @@ The informed player's equilibrium payoff splits into three budget regimes,
     gamma in (1/3, 2/3]: c*[(1 - 1/(3g))*(3g*a + 1 - a) + 1] - 1
     gamma in (2/3, 1]:   c*[2 - 1/(3g) + a*(2 - 1/g) + 3bg*(1 - 2/(3g))^2] - 1
 
-and in each regime the equilibrium marginals are explicit mixtures of an
-atom at zero and uniform pieces, parametrized by Lagrange multipliers on
-the expected-budget constraints (lambda_U = 3*gamma*lambda_I throughout).
+and in regime k = 1, 2, 3 (low, mid, high) the informed player contests its
+k most valued battlefields.  One rule builds the marginals of all three:
+uniform pieces stacked from zero, one per contested value, parametrized by
+Lagrange multipliers on the expected-budget constraints (lambda_U =
+3*gamma*lambda_I throughout; see ``build_equilibrium``).
 The marginals decompose the game into independent per-battlefield all-pay
 auctions, which is what the oracle module certifies; the payoff branches
 above are exactly the values those marginals realize, agree at the regime
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .distributions import PiecewiseCdf
 from .games import (
@@ -36,8 +39,6 @@ from .games import (
 
 # atoms whose closed-form mass vanishes at a regime boundary are dropped
 _ATOM_DROP_TOL = 5e-13
-
-REGIMES = ("low", "mid", "high")
 
 
 def _square(x):
@@ -205,99 +206,49 @@ def multipliers(alpha, beta, gamma, budget_uninformed=1.0) -> tuple[float, float
     return lam_i, lam_u
 
 
-@dataclass(frozen=True)
-class RegimeSolution:
-    """Equilibrium marginals for one regime.
-
-    ``f_diag`` is the informed marginal on the battlefield the realized state
-    values at c, ``f_alpha``/``f_beta`` on the ones valued alpha*c / beta*c;
-    the uninformed marginal is the same on every battlefield.
-    """
-
-    params: LottoParams
-    regime: str
-    lambda_informed: float
-    lambda_uninformed: float
-    f_uninformed: PiecewiseCdf
-    f_diag: PiecewiseCdf
-    f_alpha: PiecewiseCdf
-    f_beta: PiecewiseCdf
-
-    def informed_marginals(self, state: int) -> tuple[PiecewiseCdf, ...]:
-        by_shift = (self.f_diag, self.f_alpha, self.f_beta)
-        return tuple(by_shift[(j - state) % 3] for j in range(3))
-
-    def profile(self) -> StrategyProfile:
-        return StrategyProfile(
-            informed=tuple(self.informed_marginals(i) for i in range(3)),
-            uninformed=(self.f_uninformed,) * 3,
-        )
-
-
 def _with_zero_atom(mass, segments):
     atoms = ((0.0, mass),) if mass > _ATOM_DROP_TOL else ()
     return PiecewiseCdf(atoms=atoms, segments=segments)
 
 
-def solve(params: LottoParams) -> RegimeSolution:
-    """Construct the equilibrium marginals and multipliers for ``params``."""
+def build_equilibrium(params: LottoParams) -> StrategyProfile:
+    """Full 3-state x 3-battlefield equilibrium profile.
+
+    In regime k the contested values are v in (1, alpha, beta)[:k], and
+    L = 2c/3.  The uninformed marginal stacks one uniform piece of density
+    3*lambda_I/(2*v*c) per contested v from zero upwards: the least valued
+    v_k first, of length L*v_k*(1/lambda_I - (k-1)/lambda_U), then the
+    others in increasing value, of length L*v/lambda_U.  The informed
+    marginal of v is uniform on the same piece with density
+    3*lambda_U/(2*v*c); the least valued one keeps mass k - lambda_U/lambda_I
+    at zero, and an uncontested battlefield is an atom at zero.  In state i
+    battlefield j has value index (j - i) mod 3.
+    """
     a, b, g = params.alpha, params.beta, params.gamma
     c = params.scale
     lam_i, lam_u = multipliers(a, b, g, params.budget_uninformed)
-    regime = regime_of(g)
-
-    # segments of the uninformed, diagonal, alpha and beta marginals, and
-    # the mass of each one's atom at zero
-    if regime == "low":
-        top = 2.0 * c / (3.0 * lam_i)
-        s_u = [(0.0, top, 3.0 * lam_i / (2.0 * c))]
-        s_d = [(0.0, top, 3.0 * lam_u / (2.0 * c))]
-        s_a = s_b = []
-        zero_mass = (0.0, 1.0 - lam_u / lam_i, 1.0, 1.0)
-    elif regime == "mid":
-        lo = (2.0 * c / 3.0) * (a / lam_i - a / lam_u)
-        hi = (2.0 * c / 3.0) * (a / lam_i + (1.0 - a) / lam_u)
-        s_u = [(0.0, lo, 3.0 * lam_i / (2.0 * a * c)), (lo, hi, 3.0 * lam_i / (2.0 * c))]
-        s_d = [(lo, hi, 3.0 * lam_u / (2.0 * c))]
-        s_a = [(0.0, lo, 3.0 * lam_u / (2.0 * a * c))]
-        s_b = []
-        zero_mass = (0.0, 0.0, 2.0 - lam_u / lam_i, 1.0)
-    else:
-        t1 = (2.0 * c / 3.0) * (b / lam_i - 2.0 * b / lam_u)
-        t2 = (2.0 * c / 3.0) * (b / lam_i + (a - 2.0 * b) / lam_u)
-        t3 = t2 + (2.0 * c / 3.0) / lam_u
-        s_u = [
-            (0.0, t1, 3.0 * lam_i / (2.0 * b * c)),
-            (t1, t2, 3.0 * lam_i / (2.0 * a * c)),
-            (t2, t3, 3.0 * lam_i / (2.0 * c)),
-        ]
-        s_d = [(t2, t3, 3.0 * lam_u / (2.0 * c))]
-        s_a = [(t1, t2, 3.0 * lam_u / (2.0 * a * c))]
-        s_b = [(0.0, t1, 3.0 * lam_u / (2.0 * b * c))]
-        zero_mass = (0.0, 0.0, 0.0, 3.0 - lam_u / lam_i)
-    segments = (s_u, s_d, s_a, s_b)
-    if not all(math.isfinite(v) for segs in segments for seg in segs for v in seg):
+    k = {"low": 1, "mid": 2, "high": 3}[regime_of(g)]
+    values = (1.0, a, b)[:k]
+    # piece lengths in units of L from zero upwards, the least valued first
+    least = values[-1]
+    lengths = [least / lam_i - (k - 1) * least / lam_u]
+    lengths += [v / lam_u for v in values[-2::-1]]
+    ends = [2.0 * c / 3.0 * end for end in accumulate(lengths)]
+    pieces = list(zip([0.0, *ends], ends))[::-1]  # pieces[j] carries values[j]
+    s_u = [(lo, hi, 3.0 * lam_i / (2.0 * v * c)) for (lo, hi), v in zip(pieces, values)]
+    s_i = [(lo, hi, 3.0 * lam_u / (2.0 * v * c)) for (lo, hi), v in zip(pieces, values)]
+    if not all(math.isfinite(x) for seg in s_u + s_i for x in seg):
         raise OutOfRegimeError(
             f"uninformed budget {params.budget_uninformed!r} is out of range: a "
             "density or a location of the equilibrium marginals is not finite"
         )
-    f_u, f_d, f_a, f_b = map(_with_zero_atom, zero_mass, segments)
-
-    return RegimeSolution(
-        params=params,
-        regime=regime,
-        lambda_informed=lam_i,
-        lambda_uninformed=lam_u,
-        f_uninformed=f_u,
-        f_diag=f_d,
-        f_alpha=f_a,
-        f_beta=f_b,
+    zero_mass = [0.0] * (k - 1) + [k - lam_u / lam_i]
+    by_value = [_with_zero_atom(m, [seg]) for m, seg in zip(zero_mass, s_i)]
+    by_value += [_with_zero_atom(1.0, [])] * (3 - k)
+    return StrategyProfile(
+        informed=tuple(tuple(by_value[(j - i) % 3] for j in range(3)) for i in range(3)),
+        uninformed=(PiecewiseCdf(segments=s_u[::-1]),) * 3,
     )
-
-
-def build_equilibrium(params: LottoParams) -> StrategyProfile:
-    """Full 3-state x 3-battlefield equilibrium profile."""
-    return solve(params).profile()
 
 
 # ---------------------------------------------------------------------------

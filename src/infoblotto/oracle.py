@@ -291,8 +291,6 @@ def certify(
     params,
     samples=DEFAULT_MC_SAMPLES,
     seed=DEFAULT_SEED,
-    eps_deviation=EPS_DEVIATION,
-    eps_budget=EPS_BUDGET,
 ) -> Certificate:
     """Run every applicable check for ``profile`` against the closed-form
     value implied by ``params`` and assemble a Certificate."""
@@ -308,8 +306,8 @@ def certify(
         profile, params.valuation_matrix, params.prior, samples, seed
     )
     passed = (
-        gaps.worst() <= eps_deviation
-        and max(res_u, *res_i) <= eps_budget
+        gaps.worst() <= EPS_DEVIATION
+        and max(res_u, *res_i) <= EPS_BUDGET
         and abs(mc_mean - claimed) <= 4.0 * mc_se
     )
     return Certificate(
@@ -322,7 +320,7 @@ def certify(
         mc_mean=mc_mean,
         mc_std_error=mc_se,
         mc_samples=samples,
-        eps_deviation=eps_deviation,
-        eps_budget=eps_budget,
+        eps_deviation=EPS_DEVIATION,
+        eps_budget=EPS_BUDGET,
         passed=passed,
     )

@@ -9,7 +9,6 @@ from infoblotto.blotto2 import (
     BlottoParams,
     _series,
     build_equilibrium,
-    equilibrium_normalizers,
     gross_wagner_payoff,
     informed_payoff,
     informed_payoff_grid,
@@ -92,7 +91,7 @@ class TestInformedPayoff:
         p = params(vbar=vbar, vlow=vlow, gamma=gamma, x_u=1.0)
         calls = [informed_payoff]
         if BlottoIndex.from_params(p).is_odd:
-            calls += [equilibrium_normalizers, build_equilibrium]
+            calls += [build_equilibrium]
         for call in calls:
             with pytest.raises(OutOfRegimeError, match="not a finite float"):
                 call(p)
@@ -279,6 +278,8 @@ class TestConstruction:
         assert v1 == pytest.approx(v2, abs=1e-12)
 
     def test_normalizer_identity(self):
+        # the central uninformed atom has mass 1/s_a, minus the game value for
+        # odd q, and the type-2 atom at 0 has mass 1/s_b = (1+c)/s_a, since
         # vlow*(1+c)/s_a and vlow/s_b are the same number (the raw game value)
         for vlow in (0.1, 0.3, 0.5, 0.8):
             for gamma in (0.68, 0.7, 0.72, 0.85):
@@ -286,11 +287,12 @@ class TestConstruction:
                 idx = BlottoIndex.from_params(p)
                 if not idx.is_odd:
                     continue
-                s_a, s_b = equilibrium_normalizers(p)
-                c = p.value_ratio
-                assert p.vlow * (1 + c) / s_a == pytest.approx(p.vlow / s_b, abs=1e-12)
-                # normalized game value is -1/s_a for odd q
-                assert informed_payoff(p) == pytest.approx(-1.0 / s_a, abs=1e-12)
+                profile = build_equilibrium(p)
+                _, central = profile.uninformed[0].atoms[(idx.q - 1) // 2]
+                assert central == pytest.approx(-informed_payoff(p), abs=1e-12)
+                loc, mass = profile.informed[1][0].atoms[0]
+                assert loc == 0.0
+                assert mass == pytest.approx((1 + p.value_ratio) * central, abs=1e-12)
 
     def test_zero_remainder_case(self):
         # gamma = 0.8 gives q = 5, r = 0; the construction must still certify

@@ -306,6 +306,19 @@ def test_sweep_cells_equal_scalar_closed_forms(spec):
         assert row == ",".join(_fmt(v) for v in cells)
 
 
+def test_sweep_budget_scale_refused(capsys, tmp_path):
+    # no sweep column depends on the budget scale, so --xu would be ignored
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(
+        capsys, "sweep", "--game", "lotto3", "--axis", "gamma=0.1:0.9:3", "--alpha", "0.5",
+        "--xu", "7", "--out", str(out),
+    )
+    assert code == 2
+    assert err.startswith("error:") and "--xu" in err and "Traceback" not in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 class TestStrategyAndVerify:
     def test_strategy_round_trip(self, capsys, tmp_path):
         path = tmp_path / "strat.json"
@@ -415,6 +428,47 @@ class TestStrategyAndVerify:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.fixture
+def blotto_strategy_file(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    argv = ["strategy", "--game", "blotto2", "--vbar", "1", "--vlow", "0.5", "--gamma", "0.7"]
+    assert main(argv + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_game_flags_beside_strategy_refused(capsys, blotto_strategy_file, command):
+    # the file fixes vlow 0.5 and gamma 0.7: certifying or simulating it
+    # would silently ignore the flags
+    code, out, err = run(
+        capsys, command, "--strategy", blotto_strategy_file, "--game", "blotto2",
+        "--vbar", "1", "--vlow", "0.1", "--gamma", "0.9", "--samples", "2000",
+    )
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert all(flag in err for flag in ("--vbar", "--vlow", "--gamma", "--strategy"))
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "flag", ["--vbar", "--vlow", "--alpha", "--beta", "--gamma", "--xu", "--cost", "--e"]
+)
+def test_each_game_flag_beside_strategy_refused(capsys, blotto_strategy_file, flag):
+    code, out, err = run(capsys, "verify", "--strategy", blotto_strategy_file, flag, "0.3")
+    assert code == 2
+    assert err.startswith("error:") and flag in err
+    assert out == ""
+
+
+def test_game_beside_strategy_checked(capsys, blotto_strategy_file):
+    argv = ["verify", "--strategy", blotto_strategy_file, "--samples", "2000", "--game"]
+    code, out, _ = run(capsys, *argv, "blotto2")
+    assert code == 0 and "passed = true" in out
+    code, _, err = run(capsys, *argv, "lotto3")
+    assert code == 2 and "conflicts" in err
 
 
 _POINT_FLAGS = {

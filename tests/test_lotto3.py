@@ -2,8 +2,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infoblotto import OutOfRegimeError, ex_ante_payoff, expected_budget, interim_payoff
+from infoblotto import (
+    OutOfRegimeError,
+    PiecewiseCdf,
+    ex_ante_payoff,
+    expected_budget,
+    interim_payoff,
+)
 from infoblotto.lotto3 import (
     LottoParams,
     build_equilibrium,
@@ -19,7 +27,6 @@ from infoblotto.lotto3 import (
     payoff_low_branch,
     payoff_mid_branch,
     regime_of,
-    solve,
     voi,
     voi_grid,
     zero_crossing_alpha,
@@ -195,37 +202,40 @@ class TestMultipliers:
         # location (huge budget) of the marginals is not
         multipliers(alpha, beta, gamma, budget)
         with pytest.raises(OutOfRegimeError, match=re.escape(f"uninformed budget {budget!r}")):
-            solve(LottoParams(alpha, beta, gamma, budget))
+            build_equilibrium(LottoParams(alpha, beta, gamma, budget))
 
     @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.9])
     def test_small_budget_still_builds(self, gamma):
-        sol = solve(LottoParams(0.5, 0.5, gamma, 5e-308))
-        assert sol.f_uninformed.total_mass() == pytest.approx(1.0, abs=1e-12)
+        profile = build_equilibrium(LottoParams(0.5, 0.5, gamma, 5e-308))
+        assert profile.uninformed[0].total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConstruction:
     def test_regime1_structure(self):
-        sol = solve(LottoParams(0.5, 0.5, 0.2, 1.0))
-        assert sol.regime == "low"
+        profile = build_equilibrium(LottoParams(0.5, 0.5, 0.2, 1.0))
+        assert regime_of(0.2) == "low"
         # F_U uniform on [0, 2/3] with density 3/2
-        assert sol.f_uninformed.atoms == ()
-        ((left, right, rho),) = sol.f_uninformed.segments
+        f_u = profile.uninformed[0]
+        assert f_u.atoms == ()
+        ((left, right, rho),) = f_u.segments
         assert (left, right, rho) == pytest.approx((0.0, 2 / 3, 1.5))
-        # diagonal marginal: atom of 0.4 at zero plus ramp of mass 0.6
-        ((loc, mass),) = sol.f_diag.atoms
+        # state 0 values battlefield 0 most: atom of 0.4 at zero plus ramp
+        # of mass 0.6
+        f_diag, f_alpha, f_beta = profile.informed[0]
+        ((loc, mass),) = f_diag.atoms
         assert (loc, mass) == pytest.approx((0.0, 0.4))
-        ((dl, dr, drho),) = sol.f_diag.segments
+        ((dl, dr, drho),) = f_diag.segments
         assert (dl, dr) == pytest.approx((0.0, 2 / 3))
         assert drho * (dr - dl) == pytest.approx(0.6)
         # minor battlefields sit at zero
-        assert sol.f_alpha.atoms == ((0.0, 1.0),)
-        assert sol.f_beta.atoms == ((0.0, 1.0),)
+        assert f_alpha.atoms == ((0.0, 1.0),)
+        assert f_beta.atoms == ((0.0, 1.0),)
 
     def test_uninformed_cdf_tops_out_at_one(self):
         for g in (0.2, 0.5, 0.8, 1.0):
-            sol = solve(LottoParams(0.6, 0.3, g, 1.0))
-            top = sol.f_uninformed.support_max()
-            assert sol.f_uninformed.cdf(top) == pytest.approx(1.0, abs=1e-12)
+            f_u = build_equilibrium(LottoParams(0.6, 0.3, g, 1.0)).uninformed[0]
+            top = f_u.support_max()
+            assert f_u.cdf(top) == pytest.approx(1.0, abs=1e-12)
 
     def test_budget_feasibility_all_regimes(self):
         for a, b in ordered_pairs(5):
@@ -253,18 +263,25 @@ class TestConstruction:
         assert value == pytest.approx(-0.7, abs=1e-12)
 
     def test_marginals_follow_cyclic_assignment(self):
+        # mid regime: the battlefields valued c and 0.6c are contested, each
+        # with density 3*lambda_U/(2*value); the one valued 0.3c is not
         params = LottoParams(0.6, 0.3, 0.5)
-        sol = solve(params)
-        profile = sol.profile()
+        profile = build_equilibrium(params)
+        _, lam_u = multipliers(0.6, 0.3, 0.5)
         vals = params.valuation_matrix.values
         c = params.scale
-        marginals = (sol.f_diag, sol.f_alpha, sol.f_beta)
         slot_values = (c, 0.6 * c, 0.3 * c)
         for i in range(3):
             for j in range(3):
                 shift = (j - i) % 3
-                assert profile.informed[i][j] == marginals[shift]
                 assert vals[i][j] == pytest.approx(slot_values[shift])
+                marginal = profile.informed[i][j]
+                assert marginal == profile.informed[0][shift]
+                if shift == 2:
+                    assert marginal == PiecewiseCdf(atoms=((0.0, 1.0),))
+                else:
+                    ((_, _, rho),) = marginal.segments
+                    assert rho * vals[i][j] == pytest.approx(1.5 * lam_u, rel=1e-14)
 
     def test_interim_payoffs_equal_across_types(self):
         assert interim_equivalence_check(0.5, 0.5, 0.5)
@@ -278,6 +295,75 @@ class TestConstruction:
         full = ex_ante_payoff(profile, v, p)
         for i in range(3):
             assert interim_payoff(profile, v, p, i) == pytest.approx(full, abs=1e-12)
+
+
+def per_regime_marginals(params):
+    """(uninformed, diagonal, alpha, beta) marginals from one hand-written
+    segment table per regime, as the package built them before one stacked
+    rule replaced the tables; the reference for ``build_equilibrium``."""
+    a, b, g = params.alpha, params.beta, params.gamma
+    c = params.scale
+    lam_i, lam_u = multipliers(a, b, g, params.budget_uninformed)
+    regime = regime_of(g)
+    if regime == "low":
+        top = 2.0 * c / (3.0 * lam_i)
+        s_u = [(0.0, top, 3.0 * lam_i / (2.0 * c))]
+        s_d = [(0.0, top, 3.0 * lam_u / (2.0 * c))]
+        s_a = s_b = []
+        zero_mass = (0.0, 1.0 - lam_u / lam_i, 1.0, 1.0)
+    elif regime == "mid":
+        lo = (2.0 * c / 3.0) * (a / lam_i - a / lam_u)
+        hi = (2.0 * c / 3.0) * (a / lam_i + (1.0 - a) / lam_u)
+        s_u = [(0.0, lo, 3.0 * lam_i / (2.0 * a * c)), (lo, hi, 3.0 * lam_i / (2.0 * c))]
+        s_d = [(lo, hi, 3.0 * lam_u / (2.0 * c))]
+        s_a = [(0.0, lo, 3.0 * lam_u / (2.0 * a * c))]
+        s_b = []
+        zero_mass = (0.0, 0.0, 2.0 - lam_u / lam_i, 1.0)
+    else:
+        t1 = (2.0 * c / 3.0) * (b / lam_i - 2.0 * b / lam_u)
+        t2 = (2.0 * c / 3.0) * (b / lam_i + (a - 2.0 * b) / lam_u)
+        t3 = t2 + (2.0 * c / 3.0) / lam_u
+        s_u = [
+            (0.0, t1, 3.0 * lam_i / (2.0 * b * c)),
+            (t1, t2, 3.0 * lam_i / (2.0 * a * c)),
+            (t2, t3, 3.0 * lam_i / (2.0 * c)),
+        ]
+        s_d = [(t2, t3, 3.0 * lam_u / (2.0 * c))]
+        s_a = [(t1, t2, 3.0 * lam_u / (2.0 * a * c))]
+        s_b = [(0.0, t1, 3.0 * lam_u / (2.0 * b * c))]
+        zero_mass = (0.0, 0.0, 0.0, 3.0 - lam_u / lam_i)
+    return [
+        PiecewiseCdf(atoms=((0.0, m),) if m > 5e-13 else (), segments=segs)
+        for m, segs in zip(zero_mass, (s_u, s_d, s_a, s_b))
+    ]
+
+
+def assert_same_marginal(got, want, rel=1e-15):
+    assert len(got.atoms) == len(want.atoms)
+    assert len(got.segments) == len(want.segments)
+    for row, ref in zip(got.atoms + got.segments, want.atoms + want.segments):
+        for x, y in zip(row, ref):
+            assert abs(x - y) <= rel * abs(y), (got, want)
+
+
+@st.composite
+def lotto_params(draw):
+    alpha = draw(st.floats(min_value=1e-3, max_value=0.999))
+    beta = alpha * draw(st.sampled_from([1.0]) | st.floats(min_value=1e-3, max_value=1.0))
+    gamma = draw(st.sampled_from([1 / 3, 2 / 3, 1.0]) | st.floats(min_value=1e-3, max_value=1.0))
+    budget = draw(st.sampled_from([1e-3, 1e3]) | st.floats(min_value=1e-3, max_value=1e3))
+    return LottoParams(alpha, beta, gamma, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lotto_params())
+def test_stacked_rule_matches_per_regime_tables(params):
+    f_u, *by_value = per_regime_marginals(params)
+    profile = build_equilibrium(params)
+    for i in range(3):
+        for j in range(3):
+            assert_same_marginal(profile.informed[i][j], by_value[(j - i) % 3])
+        assert_same_marginal(profile.uninformed[i], f_u)
 
 
 class TestZeroCrossing:

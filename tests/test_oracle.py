@@ -14,7 +14,7 @@ from infoblotto import (
 from infoblotto import games, oracle
 from infoblotto.blotto2 import BlottoIndex, BlottoParams, build_equilibrium as build_blotto
 from infoblotto.blotto2 import informed_payoff as informed_payoff_blotto
-from infoblotto.lotto3 import LottoParams, build_equilibrium as build_lotto, multipliers, solve
+from infoblotto.lotto3 import LottoParams, build_equilibrium as build_lotto, multipliers
 from infoblotto.lotto3 import informed_payoff as informed_payoff_lotto
 from infoblotto.oracle import (
     Certificate,
@@ -134,10 +134,11 @@ class TestLottoSupportOptimality:
         # priced payoff of the alpha-valued battlefield in the low regime:
         # nu * F_U(x) - x <= 0 everywhere, so the atom at zero is optimal
         params = LottoParams(0.5, 0.5, 0.2)
-        sol = solve(params)
-        nu = 2.0 * (0.5 * params.scale) * (1.0 / 3.0) / sol.lambda_informed
-        xs = np.linspace(0.0, 1.2 * sol.f_uninformed.support_max(), 2001)
-        priced = nu * sol.f_uninformed.cdf(xs) - xs
+        lam_i, _ = multipliers(0.5, 0.5, 0.2)
+        f_u = build_lotto(params).uninformed[0]
+        nu = 2.0 * (0.5 * params.scale) * (1.0 / 3.0) / lam_i
+        xs = np.linspace(0.0, 1.2 * f_u.support_max(), 2001)
+        priced = nu * f_u.cdf(xs) - xs
         assert priced.max() <= 1e-12
         assert priced[0] == 0.0
 
