@@ -336,6 +336,7 @@ def cmd_verify(args):
     print(f"mc_mean = {_fmt(cert.mc_mean)}")
     print(f"mc_std_error = {_fmt(cert.mc_std_error)}")
     print(f"mc_samples = {cert.mc_samples}")
+    print(f"mc_seed = {cert.mc_seed}")
     print(f"passed = {str(cert.passed).lower()}")
     if args.out is not None:
         with open(args.out, "w") as handle:
@@ -357,6 +358,8 @@ def cmd_simulate(args):
     miss = abs(mean - claimed)
     z = miss / std_error if std_error > 0.0 else (math.inf if miss else 0.0)
     print(f"z_score = {_fmt(z)}")
+    print(f"samples = {args.samples}")
+    print(f"seed = {args.seed}")
     return 0
 
 

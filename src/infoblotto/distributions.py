@@ -177,16 +177,39 @@ class PiecewiseCdf:
         comps += [(l, r, rho * (r - l), 1.0 / rho) for l, r, rho in self.segments]
         lows, _, masses, slopes = np.array(sorted(comps)).T
         cum_hi = np.cumsum(masses)
-        return lows, slopes, cum_hi - masses, cum_hi
+        # the last component once more, for a u at or past the rounded total
+        # mass: the count of cum_hi <= u is then a valid index as it stands
+        padded = (np.append(a, a[-1]) for a in (lows, slopes, cum_hi - masses))
+        return (*padded, cum_hi)
 
     def ppf(self, u):
-        """Quantile function; maps uniforms in [0, 1) to allocations."""
+        """Quantile function; maps uniforms in [0, 1) to allocations.
+
+        The component of u is the count of cumulative masses ``<= u``, as
+        ``searchsorted(side="right")`` gives it.  Up to 255 components (a
+        ``uint8`` count) it is summed one comparison per component over the
+        whole array, with no branch to mispredict; larger tables bisect.
+        The allocation is ``low + (u - mass below) * slope``, in place.
+        """
         import numpy as np
         lows, slopes, cum_lo, cum_hi = self._inverse_table
         u = np.asarray(u, dtype=float)
-        idx = np.minimum(np.searchsorted(cum_hi, u, side="right"), len(lows) - 1)
-        x = lows[idx] + (u - cum_lo[idx]) * slopes[idx]
-        return x if x.shape else float(x)
+        if not u.shape:
+            return float(self.ppf(u.reshape(1))[0])
+        if len(cum_hi) > 255:
+            idx = np.searchsorted(cum_hi, u, side="right")
+        else:
+            idx = np.zeros(u.shape, np.uint8)
+            hit = np.empty(u.shape, bool)
+            for c in cum_hi:
+                np.greater_equal(u, c, out=hit)
+                idx += hit.view(np.uint8)
+            idx = idx.astype(np.intp)
+        x = cum_lo[idx]
+        np.subtract(u, x, out=x)
+        x *= slopes[idx]
+        x += lows[idx]
+        return x
 
     # -- transforms ---------------------------------------------------------
 

@@ -217,24 +217,42 @@ def blotto_budget_residuals(profile: StrategyProfile, params: blotto2.BlottoPara
 # ---------------------------------------------------------------------------
 
 
+def _allocate(make, shape, samples):
+    # numpy refuses a size past its index range with ValueError and one the
+    # system will not give with MemoryError, both before touching memory
+    try:
+        return make(shape)
+    except (MemoryError, ValueError):
+        raise ValueError(f"{samples} Monte Carlo samples do not fit in memory") from None
+
+
 def monte_carlo_value(profile, values, prior, samples, seed):
     """Unbiased (mean, standard error) estimate of the informed player's
     ex-ante payoff.  Draws are exchangeable, so the state counts are drawn
-    first and each state's allocations are then sampled as one block.  Philox
-    is counter-based: results are bit-identical for a fixed seed, though a
-    seed's numbers differ from the first 0.1.0 release, which drew a state
-    per sample."""
+    first and each state's allocations are then sampled as one block, the
+    only block of draws held at a time; each battlefield is scored in place.
+    Philox is counter-based: results are bit-identical for a fixed seed,
+    though a seed's numbers differ from the first 0.1.0 release, which drew
+    a state per sample.  A sample count too large to allocate is refused
+    with ``ValueError``."""
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
     import numpy as np
     rng = np.random.Generator(np.random.Philox(seed))
     vals = values.as_array()
-    payoff = []
+    payoff = _allocate(np.zeros, samples, samples)
+    start = 0
     for i, count in enumerate(rng.multinomial(samples, prior.weights)):
-        u_inf, u_unin = rng.random((2, values.n, count))
-        block = zip(vals[i], profile.informed[i], profile.uninformed, u_inf, u_unin)
-        payoff.append(sum(v * np.sign(f.ppf(a) - g.ppf(b)) for v, f, g, a, b in block))
-    payoff = np.concatenate(payoff)
+        draws = _allocate(rng.random, (2, values.n, count), samples)
+        block = payoff[start : start + count]
+        start += count
+        for v, f, g, a, b in zip(vals[i], profile.informed[i], profile.uninformed, *draws):
+            x = f.ppf(a)
+            x -= g.ppf(b)
+            np.sign(x, out=x)
+            x *= v
+            block += x
+        del draws, a, b, x  # before the next state's block is drawn
     mean = float(payoff.mean())
     std_error = float(payoff.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, std_error
@@ -263,6 +281,7 @@ class Certificate:
     mc_mean: float
     mc_std_error: float
     mc_samples: int
+    mc_seed: int
     eps_deviation: float
     eps_budget: float
     passed: bool
@@ -320,6 +339,7 @@ def certify(
         mc_mean=mc_mean,
         mc_std_error=mc_se,
         mc_samples=samples,
+        mc_seed=seed,
         eps_deviation=EPS_DEVIATION,
         eps_budget=EPS_BUDGET,
         passed=passed,

@@ -566,6 +566,15 @@ class TestSimulate:
         z = float(out.split("z_score = ")[1].split()[0])
         assert z < 4.0
 
+    def test_simulate_reports_samples_and_seed(self, capsys):
+        code, out, _ = run(
+            capsys, "simulate", "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
+            "--gamma", "0.7", "--samples", "2000", "--seed", "11",
+        )
+        assert code == 0
+        assert "samples = 2000\n" in out
+        assert "seed = 11\n" in out
+
     def test_simulate_deterministic(self, capsys):
         argv = [
             "simulate", "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
@@ -590,6 +599,29 @@ class TestSimulate:
         assert "mc_std_error = 0\n" in out
         assert "closed_form = -0.7\n" in out
         assert "z_score = inf\n" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_unallocatable_samples_exit_two(capsys, command):
+    # 10^12 samples ask for terabytes at once, so the request fails before
+    # any memory is touched; a count that could be allocated is never tried
+    code, _, err = run(
+        capsys, command, "--game", "lotto3", "--alpha", "0.5", "--gamma", "0.2",
+        "--samples", "1000000000000",
+    )
+    assert code == 2
+    assert err.startswith("error:") and "1000000000000 Monte Carlo samples" in err
+
+
+def test_verify_reports_seed(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    code, out, _ = run(
+        capsys, "verify", "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
+        "--gamma", "0.7", "--samples", "2000", "--seed", "11", "--out", str(cert_path),
+    )
+    assert code == 0
+    assert "mc_seed = 11\n" in out
+    assert json.loads(cert_path.read_text())["mc_seed"] == 11
 
 
 # The payoff closed forms, the strategy constructions and the exact oracle

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infoblotto.blotto2 import BlottoParams, build_equilibrium
 from infoblotto.distributions import InvalidDistributionError, PiecewiseCdf
 
 
@@ -219,3 +220,63 @@ def test_cdf_equals_component_loop(f, points):
             assert f.cdf(x, tie) == component_loop_cdf(f, x, tie)
         assert np.array_equal(f.cdf(np.array(xs), tie), component_loop_cdf(f, xs, tie))
 
+
+def bisection_ppf(f):
+    # the searchsorted + clamp inversion that PiecewiseCdf.ppf must reproduce
+    # bit for bit, and the cumulative masses it searches
+    comps = [(loc, loc, mass, 0.0) for loc, mass in f.atoms]
+    comps += [(l, r, rho * (r - l), 1.0 / rho) for l, r, rho in f.segments]
+    lows, _, masses, slopes = np.array(sorted(comps)).T
+    cum_hi = np.cumsum(masses)
+    cum_lo = cum_hi - masses
+
+    def ppf(u):
+        u = np.asarray(u, dtype=float)
+        idx = np.minimum(np.searchsorted(cum_hi, u, side="right"), len(lows) - 1)
+        return lows[idx] + (u - cum_lo[idx]) * slopes[idx]
+
+    return ppf, cum_hi
+
+
+def assert_ppf_is_bisection(f):
+    ppf, cum_hi = bisection_ppf(f)
+    # 0, every cumulative mass and the float just below it, and the top
+    # range [total, 1) that rounding of the masses can leave uncovered
+    us = [0.0, *cum_hi, *np.nextafter(cum_hi, 0.0)]
+    if cum_hi[-1] < 1.0:
+        us += np.linspace(cum_hi[-1], np.nextafter(1.0, 0.0), 5).tolist()
+    us = np.array(us + np.random.default_rng(len(us)).random(7).tolist())
+    for u in us.tolist():
+        want = float(ppf(u)).hex()
+        for given_u in (u, np.float64(u), np.array(u)):
+            got = f.ppf(given_u)
+            assert type(got) is float and got.hex() == want
+    for shape in (us.shape, (1, -1), (-1, 1)):
+        got = f.ppf(us.reshape(shape))
+        assert got.shape == us.reshape(shape).shape
+        assert got.tobytes() == ppf(us).tobytes()
+    square = np.resize(us, (len(us), 3))
+    assert f.ppf(square).tobytes() == ppf(square).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(piecewise_cdfs(), st.just(mixed_example())))
+def test_ppf_equals_bisection(f):
+    assert_ppf_is_bisection(f)
+
+
+@pytest.mark.parametrize(
+    "vlow,gamma",
+    # geometric lattice masses: vbar/vlow = 20 leaves masses of 20^-16 at the
+    # ends of a q = 33 lattice; q = 1999 has more components than a uint8
+    # counts, so ppf bisects there
+    [(0.05, 0.7), (0.05, 1.0 - 1.0 / 33.5), (0.5, 1.0 - 1.0 / 33.5), (0.99, 1.0 - 1.0 / 1999.5)],
+)
+def test_ppf_equals_bisection_on_blotto_lattices(vlow, gamma):
+    params = BlottoParams.from_ratio(1.0, vlow, gamma)
+    profile = build_equilibrium(params)
+    marginals = [f for row in (*profile.informed, profile.uninformed) for f in row]
+    if gamma > 0.999:
+        assert max(len(f.atoms) for f in marginals) > 255
+    for f in marginals:
+        assert_ppf_is_bisection(f)

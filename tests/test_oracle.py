@@ -178,6 +178,37 @@ class TestMonteCarlo:
         different = monte_carlo_value(profile, v, p, 50_000, 100)
         assert different != first
 
+    # float.hex of (mean, se) at 50k samples, recorded before PiecewiseCdf.ppf
+    # counted components instead of bisecting: a change that moves the
+    # Monte Carlo stream, or one bit of an estimate, fails here
+    @pytest.mark.parametrize(
+        "params,seed,mean,se",
+        [
+            (  # blotto2 q = 3
+                BlottoParams.from_ratio(1.0, 0.5, 0.7), 11,
+                "-0x1.9f6a93f290abbp-3", "0x1.9f1b2a104766bp-9",
+            ),
+            (  # blotto2 q = 33
+                BlottoParams.from_ratio(1.0, 0.8, 1.0 - 1.0 / 33.5), 12,
+                "-0x1.aff47eaaa1586p-8", "0x1.9eaa20e5766d3p-9",
+            ),
+            (  # lotto3 low regime
+                LottoParams(0.5, 0.5, 0.2), 13,
+                "-0x1.64da9003eea21p-1", "0x1.0d62d2f1ffbf0p-9",
+            ),
+            (  # lotto3 high regime
+                LottoParams(0.6, 0.3, 0.8), 14,
+                "0x1.4f7545486318dp-4", "0x1.33cac88d2c2a0p-9",
+            ),
+        ],
+    )
+    def test_stream_is_pinned(self, params, seed, mean, se):
+        build = build_blotto if isinstance(params, BlottoParams) else build_lotto
+        got = monte_carlo_value(
+            build(params), params.valuation_matrix, params.prior, 50_000, seed
+        )
+        assert (got[0].hex(), got[1].hex()) == (mean, se)
+
     def test_blotto_estimate_within_four_sigma(self):
         profile = build_blotto(BLOTTO)
         mean, se = monte_carlo_value(
