@@ -6,8 +6,8 @@ holds budget X_I, and faces an opponent with budget X_U > X_I.  For budget
 ratios gamma = X_I/X_U in (1/2, 1) the equilibrium payoff has a closed form
 driven by q = floor(X_U / (X_U - X_I)) and the value ratio c = vbar/vlow:
 
-    q odd:   -(2 * sum_{k=0}^{(q-1)/2} c^k - 1)^(-1)
-    q even:  -(vlow/(vbar+vlow)) * (sum_{k=0}^{q/2-1} c^k)^(-1)
+    q odd:   -1 / (2 * S_{(q+1)/2} - 1),  S_h = sum_{k<h} c^k = (c^h - 1)/(c - 1)
+    q even:  -(vlow/(vbar+vlow)) / S_{q/2}
 
 For odd q the equilibrium mixed strategies are explicit lattices of atoms
 spaced d = X_U - X_I apart with geometrically weighted masses; this module
@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, groupby, islice, repeat
-from operator import itemgetter
 
 from .distributions import PiecewiseCdf
 from .games import (
@@ -115,54 +113,54 @@ def _require_payoff_regime(gamma):
         )
 
 
-def _series_error(c, stop):
-    return OutOfRegimeError(
-        f"the equilibrium series of value-ratio powers {c:.6g}**k, "
-        f"k < {stop}, is not a finite float"
-    )
+def _geometric_sum(c, h):
+    """S_h for c > 1, in O(1): (c**h - 1)/(c - 1), with expm1/log1p where
+    c**h < 2 and the subtraction would cancel.  Past the float range of
+    c**h its 1 is below the last bit, and S_h may still be finite for c > 2.
+    Not finite, or OverflowError, where S_h is not a finite float."""
+    if h == 1:
+        return 1.0
+    try:
+        power = c**h
+    except OverflowError:
+        return c ** (h - 1) / (c - 1.0) * c
+    if power < 2.0:
+        return math.expm1(h * math.log1p(c - 1.0)) / (c - 1.0)
+    return (power - 1.0) / (c - 1.0)
 
 
-def _series(c, start, stops, scale=1.0, offset=0.0):
-    """[offset + scale * sum(c**k for k in range(start, stop)) for stop in
-    stops], for distinct ascending ``stops``.
-
-    One running sum over ascending k, added left to right, is read at each
-    stop, in O(1) memory.  It does not use ``sum()``, which compensates its
-    additions from Python 3.12 on, so the totals do not depend on the
-    interpreter.  OutOfRegimeError when a power or a total is not finite.
-    """
-    partial = accumulate(map(pow, repeat(c), range(start, stops[-1])), initial=0.0)
-    totals, at = [], start
-    for stop in stops:
-        try:
-            total = offset + scale * next(islice(partial, stop - at, None))
-        except OverflowError:
-            total = math.inf
-        if not math.isfinite(total):
-            raise _series_error(c, stop)
-        totals.append(total)
-        at = stop + 1
-    return totals
+def _denominator(c, q):
+    """2*S_h - 1 for odd q and S_h for even q, with h = ceil(q/2): the
+    payoff is -1 or -vlow/(vbar+vlow) over it.  OutOfRegimeError where it
+    is not a finite float."""
+    h = (q + 1) // 2
+    try:
+        total = 2.0 * _geometric_sum(c, h) - 1.0 if q % 2 else _geometric_sum(c, h)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise OutOfRegimeError(
+            f"the equilibrium series of value-ratio powers {c!r}**k, k < {h}, "
+            "is not a finite float"
+        )
+    return total
 
 
 def informed_payoff(params: BlottoParams) -> float:
     """Ex-ante equilibrium payoff to the informed player; always in (-1, 0)."""
     _require_payoff_regime(params.gamma)
     idx = BlottoIndex.from_params(params)
-    c = params.value_ratio
-    if idx.is_odd:
-        return -1.0 / _series(c, 0, [(idx.q - 1) // 2 + 1], scale=2.0, offset=-1.0)[0]
-    return -(params.vlow / (params.vbar + params.vlow)) / _series(c, 0, [idx.q // 2])[0]
+    weight = 1.0 if idx.is_odd else params.vlow / (params.vbar + params.vlow)
+    return -weight / _denominator(params.value_ratio, idx.q)
 
 
 def informed_payoff_grid(vbar, vlow, gamma):
     """(informed_payoff, q) at every point of broadcast arrays, for budgets
     (gamma, 1).
 
-    Every point goes through the operations of the scalar path, so every
-    value is bit-identical to ``informed_payoff``.  The series is summed once
-    per distinct value ratio and read at each of its step counts: the cost
-    is O(points + the largest q of each ratio), not O(the sum of all q).
+    The denominator is evaluated once per distinct (value ratio, q) pair by
+    the scalar path's own function, so every value is bit-identical to
+    ``informed_payoff``.
     """
     import numpy as np
 
@@ -174,22 +172,10 @@ def informed_payoff_grid(vbar, vlow, gamma):
     )
     c = vbar / vlow
     q = np.floor(1.0 / (1.0 - gamma) + _FLOOR_SLACK).astype(np.int64)
-    odd = q % 2 == 1
-    stops = np.where(odd, (q - 1) // 2 + 1, q // 2)
-    # distinct (c, stop) pairs, sorted by c and then by stop
-    pairs, inverse = np.unique(
-        np.stack([c.ravel(), stops.ravel()]), axis=1, return_inverse=True
-    )
-    sums = []
-    for ratio, group in groupby(pairs.T.tolist(), key=itemgetter(0)):
-        sums += _series(ratio, 0, [int(stop) for _, stop in group])
-    s = np.array(sums)[inverse.reshape(-1)].reshape(c.shape)
-    with np.errstate(over="ignore"):
-        total = np.where(odd, -1.0 + 2.0 * s, s)
-    bad = np.flatnonzero(~np.isfinite(total))
-    if bad.size:
-        raise _series_error(c.flat[bad[0]], stops.flat[bad[0]])
-    return np.where(odd, -1.0 / total, -(vlow / (vbar + vlow)) / total), q
+    pairs, inverse = np.unique(np.stack([c.ravel(), q.ravel()]), axis=1, return_inverse=True)
+    totals = np.array([_denominator(ratio, int(steps)) for ratio, steps in pairs.T.tolist()])
+    total = totals[inverse.reshape(-1)].reshape(c.shape)
+    return -np.where(q % 2 == 1, 1.0, vlow / (vbar + vlow)) / total, q
 
 
 def gross_wagner_payoff(q: int) -> float:
@@ -246,10 +232,10 @@ def build_equilibrium(params: BlottoParams, e: float | None = None) -> StrategyP
     x_u = params.budgets.uninformed
     # s_a normalizes the uninformed lattice and s_b the informed ones: the
     # game value is -1/s_a, and vlow*(1+c)/s_a = vlow/s_b.  c**half is a term
-    # of s_a, so it is finite here
-    s_a = _series(c, 1, [half + 1], scale=2.0, offset=1.0)[0]
+    # of s_a, and S_half is less than s_a, so both are finite here
+    s_a = _denominator(c, q)
     boundary_w = params.vlow * c**half / (params.vbar + params.vlow)
-    s_b = _series(c, 0, [half], offset=boundary_w)[0]
+    s_b = boundary_w + _geometric_sum(c, half)
 
     # uninformed lattice: q atoms at e, e+d, ..., weights c^|k - half| (0-based)
     f_u1 = PiecewiseCdf(

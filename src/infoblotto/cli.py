@@ -102,37 +102,31 @@ def _load_strategy(path):
 
 
 def cmd_payoff(args):
+    # every value is computed before any is printed, so a refusal prints none
     if args.game == "blotto2":
         params = _blotto_params(args)
         idx = blotto2.BlottoIndex.from_params(params)
         value = blotto2.informed_payoff(params)
-        print("game = blotto2")
-        print(f"pi_informed = {_fmt(value)}")
-        print(f"q = {idx.q}")
-        print(f"d = {_fmt(idx.d)}")
-        print(f"r = {_fmt(idx.r)}")
         baseline = blotto2.gross_wagner_payoff(idx.q)
-        print(f"baseline = {_fmt(baseline)}")
-        print(f"voi = {_fmt(value - baseline)}")
-        return 0
-    params = _lotto_params(args)
-    a, b, g = params.alpha, params.beta, params.gamma
-    value = lotto3.informed_payoff(a, b, g)
-    lam_i, lam_u = lotto3.multipliers(a, b, g, params.budget_uninformed)
-    print("game = lotto3")
-    print(f"pi_informed = {_fmt(value)}")
-    print(f"regime = {lotto3.regime_of(g)}")
-    print(f"lambda_informed = {_fmt(lam_i)}")
-    print(f"lambda_uninformed = {_fmt(lam_u)}")
-    baseline = lotto3.complete_info_baseline(g)
-    print(f"baseline = {_fmt(baseline)}")
-    print(f"info_gain = {_fmt(value - baseline)}")
-    if a == b:
-        print(f"max_cost = {_fmt(lotto3.max_cost(a, g))}")
-        if args.cost is not None:
-            print(f"voi = {_fmt(lotto3.voi(a, g, args.cost))}")
-    elif args.cost is not None:
-        raise ValueError("--cost applies only to the symmetric case beta == alpha")
+        record = {"game": "blotto2", "pi_informed": value, "q": idx.q, "d": idx.d, "r": idx.r,
+                  "baseline": baseline, "voi": value - baseline}
+    else:
+        params = _lotto_params(args)
+        a, b, g = params.alpha, params.beta, params.gamma
+        value = lotto3.informed_payoff(a, b, g)
+        lam_i, lam_u = lotto3.multipliers(a, b, g, params.budget_uninformed)
+        baseline = lotto3.complete_info_baseline(g)
+        record = {"game": "lotto3", "pi_informed": value, "regime": lotto3.regime_of(g),
+                  "lambda_informed": lam_i, "lambda_uninformed": lam_u,
+                  "baseline": baseline, "info_gain": value - baseline}
+        if a == b:
+            record["max_cost"] = lotto3.max_cost(a, g)
+            if args.cost is not None:
+                record["voi"] = lotto3.voi(a, g, args.cost)
+        elif args.cost is not None:
+            raise ValueError("--cost applies only to the symmetric case beta == alpha")
+    for key, item in record.items():
+        print(f"{key} = {_fmt(item) if isinstance(item, float) else item}")
     return 0
 
 
@@ -239,13 +233,17 @@ def sweep_table(spec: SweepSpec):
             raise ValueError(f"parameter {name} needs either an axis or a fixed value")
     header = ",".join(names + list(spec.columns))
 
-    grids = np.meshgrid(*(ax.grid() for ax in spec.axes), indexing="ij")
+    size = math.prod(ax.steps for ax in spec.axes)
+    try:  # numpy refuses a grid too large to allocate before touching memory
+        grids = np.meshgrid(*(ax.grid() for ax in spec.axes), indexing="ij")
+    except (MemoryError, ValueError):
+        axes = " x ".join(f"{ax.name} ({ax.steps} steps)" for ax in spec.axes)
+        raise ValueError(f"sweep axes {axes}: {size} points do not fit in memory") from None
     point = dict(spec.fixed, **{n: g.ravel() for n, g in zip(names, grids)})
     columns = (_blotto_columns if spec.game == "blotto2" else _lotto_columns)(
         point, spec.columns
     )
     cells = [point[n] for n in names] + [columns[c] for c in spec.columns]
-    size = math.prod(ax.steps for ax in spec.axes)
     template = ",".join(["%.12g"] * len(cells))
     if not cells:
         return header, [template] * size
@@ -435,6 +433,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "game", None) is not None:
             _refuse_other_game_flags(args)
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import MASS_TOL, InvalidDistributionError, PiecewiseCdf
+from .distributions import MASS_TOL, PiecewiseCdf
 
 
 class OutOfRegimeError(ValueError):

@@ -1,4 +1,6 @@
+import math
 import sys
+from decimal import MAX_EMAX, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from infoblotto import Budgets, OutOfRegimeError, UnsupportedCaseError, ex_ante_
 from infoblotto.blotto2 import (
     BlottoIndex,
     BlottoParams,
-    _series,
+    _denominator,
+    _geometric_sum,
     build_equilibrium,
     gross_wagner_payoff,
     informed_payoff,
@@ -59,6 +62,12 @@ class TestInformedPayoff:
         # equilibrium below certifies this value independently
         assert informed_payoff(params(vlow=0.1)) == pytest.approx(-1 / 21, abs=1e-15)
 
+    @pytest.mark.parametrize("vbar,vlow", [(1.0, 0.5), (1.0, 0.999999), (1e300, 1e-10)])
+    def test_q2_is_the_weight_for_any_ratio(self, vbar, vlow):
+        # S_1 = 1 exactly, also where c = vbar/vlow is past the float range
+        p = params(vbar=vbar, vlow=vlow, gamma=0.6, x_u=1.0)
+        assert informed_payoff(p) == -(vlow / (vbar + vlow))
+
     def test_homogeneous_limit_recovers_baseline(self):
         close = params(vlow=1.0 - 1e-8)
         assert informed_payoff(close) == pytest.approx(-1 / 3, abs=1e-6)
@@ -97,30 +106,61 @@ class TestInformedPayoff:
                 call(p)
 
 
+def _geometric_reference(c, h):
+    # S_h = (c**h - 1)/(c - 1) at the same float c, in 80 digits
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = 80, MAX_EMAX
+        c = Decimal(c)
+        return (c**h - 1) / (c - 1)
+
+
+def _geometric_cases():
+    # h up to 10^6, and around the h where c**h crosses 2 and leaves the
+    # float range (the two switches of _geometric_sum)
+    for c in (1.0 + 2.0**-52, 1.0 + 1e-12, 1.0000001, 1.3, 20 / 13, 2.0, 20.0):
+        hs = {1, 2, 3, 5, 17, 400, 10**4, 10**6}
+        for crossing in (math.log(2.0), 1024 * math.log(2.0)):
+            at = int(crossing / math.log(c))
+            hs |= {max(at + k, 1) for k in range(-2, 3)}
+        for h in sorted(hs):
+            if _geometric_reference(c, h) < sys.float_info.max:
+                yield c, h
+
+
 class TestSeries:
-    @pytest.mark.parametrize("c", [1.0000001, 1.3, 2.0, 20 / 13])
-    @pytest.mark.parametrize("start,scale,offset", [(0, 1.0, 0.0), (0, 2.0, -1.0), (1, 2.0, 1.0)])
-    def test_running_sum_read_at_each_stop(self, c, start, scale, offset):
-        stops = [start, start + 1, start + 5, start + 17, start + 400]
-        expected = []
-        for stop in stops:
-            total = 0.0
-            for k in range(start, stop):  # left to right, uncompensated
-                total += c**k
-            expected.append(offset + scale * total)
-        assert _series(c, start, stops, scale, offset) == expected
-        assert [_series(c, start, [stop], scale, offset)[0] for stop in stops] == expected
+    @pytest.mark.parametrize("c,h", list(_geometric_cases()))
+    def test_matches_decimal_reference(self, c, h):
+        expected = _geometric_reference(c, h)
+        assert abs(Decimal(_geometric_sum(c, h)) - expected) <= Decimal("1e-15") * expected
 
     def test_overflow_names_the_stop(self):
+        # q = 2199: S_1100 at c = 2
         with pytest.raises(OutOfRegimeError, match="k < 1100"):
-            _series(2.0, 0, [10, 1100])
+            _denominator(2.0, 2199)
+        # the ratio in full: 1.0000001 would print as 1 at 6 digits
+        with pytest.raises(OutOfRegimeError, match=r"1\.0000001\*\*k, k < 7100000000"):
+            _denominator(1.0000001, 14_200_000_000)
 
-    def test_high_q_payoff_unchanged(self):
-        # q = 5e7: 2.5e7 terms, summed in O(1) memory; the bits the
-        # generator-and-sum() loop gave on Python 3.11
+    def test_high_q_payoff_accurate(self):
+        # even q = 5e7: S_{2.5e7} at c = 1 + 1e-8, against the 80-digit
+        # reference; a term-by-term loop was 1.3e-13 off
         p = params(vbar=1.0, vlow=0.99999999, gamma=0.99999998, x_u=1.0)
         assert BlottoIndex.from_params(p).q == 50_000_000
-        assert informed_payoff(p).hex() == "-0x1.2e6f77984a078p-26"
+        weight = Decimal(p.vlow) / (Decimal(p.vbar) + Decimal(p.vlow))
+        expected = weight / _geometric_reference(p.value_ratio, 25_000_000)
+        assert abs(Decimal(-informed_payoff(p)) - expected) <= Decimal("1e-15") * expected
+
+    def test_centre_atom_is_minus_the_payoff(self):
+        # the uninformed centre atom has weight c**0 over the same
+        # denominator as the payoff
+        for vlow in (0.05, 0.3, 0.5, 0.77, 0.999999):
+            # q = 3, 5 (r = 0), 5, 7, 11 and 101
+            for gamma in (0.7, 0.8, 0.81, 0.86, 0.91, 0.9901):
+                p = params(vlow=vlow, gamma=gamma, x_u=1.0)
+                idx = BlottoIndex.from_params(p)
+                assert idx.is_odd
+                atoms = build_equilibrium(p).uninformed[0].atoms
+                assert atoms[idx.q // 2][1].hex() == (-informed_payoff(p)).hex()
 
 
 class TestGrid:

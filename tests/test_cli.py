@@ -501,6 +501,8 @@ def test_non_finite_parameter_exits_two(capsys, tmp_path, command, game, flag, v
         ("verify", "1", "0.5", "0.9999998"),
         ("payoff", "1e6", "1", "0.9999"),
         ("payoff", "1", "0.5", "0.99951159"),
+        # q = 2^53: a sum of 2^52 powers, which the closed form refuses at once
+        ("payoff", "1", "0.9999999", "0.9999999999999999"),
     ],
 )
 def test_series_overflow_exits_two(capsys, command, vbar, vlow, gamma):
@@ -510,6 +512,34 @@ def test_series_overflow_exits_two(capsys, command, vbar, vlow, gamma):
     )
     assert code == 2
     assert err.startswith("error:") and "not a finite float" in err
+    assert out == ""
+
+
+def test_series_overflow_names_the_ratio(capsys):
+    # c = 1/0.9999999 in full: six digits would print it as 1
+    code, _, err = run(
+        capsys, "payoff", "--game", "blotto2", "--vbar", "1", "--vlow", "0.9999999",
+        "--gamma", "0.9999999999999999",
+    )
+    assert code == 2
+    assert f"{1 / 0.9999999!r}**k, k < {2**52}," in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # (1 - cost) * gamma underflows to 0 after every other value is known
+        ["--game", "lotto3", "--alpha", "0.5", "--gamma", "5e-324",
+         "--cost", "0.9999999999999999"],
+        ["--game", "lotto3", "--alpha", "0.5", "--beta", "0.3", "--gamma", "0.5",
+         "--cost", "0.1"],
+        ["--game", "blotto2", "--vbar", "1", "--vlow", "0.5", "--gamma", "0.4"],
+    ],
+)
+def test_refused_payoff_prints_nothing(capsys, argv):
+    code, out, err = run(capsys, "payoff", *argv)
+    assert code == 2
+    assert err.startswith("error:")
     assert out == ""
 
 
@@ -611,6 +641,39 @@ def test_unallocatable_samples_exit_two(capsys, command):
     )
     assert code == 2
     assert err.startswith("error:") and "1000000000000 Monte Carlo samples" in err
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["--game", "lotto3", "--alpha", "0.5", "--axis", "gamma=0.1:0.9:1000000000000"],
+         "gamma (1000000000000 steps)"),
+        (["--game", "lotto3", "--axis", "gamma=0.1:0.9:1000000",
+          "--axis", "alpha=0.1:0.9:1000000"],
+         "gamma (1000000 steps) x alpha (1000000 steps)"),
+        (["--game", "blotto2", "--gamma", "0.7", "--axis", "vlow=0.1:0.9:1000000000000"],
+         "vlow (1000000000000 steps)"),
+    ],
+)
+def test_unallocatable_sweep_exits_two(capsys, tmp_path, argv, named):
+    # 10^12 grid points ask for terabytes at once, so the request fails
+    # before any memory is touched
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "sweep", *argv, "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("error:") and named in err and "do not fit in memory" in err
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_negative_seed_exits_two(capsys, command):
+    code, out, err = run(
+        capsys, command, "--game", "lotto3", "--alpha", "0.5", "--gamma", "0.2",
+        "--samples", "100", "--seed", "-1",
+    )
+    assert code == 2
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+    assert out == ""
 
 
 def test_verify_reports_seed(capsys, tmp_path):
