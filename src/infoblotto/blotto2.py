@@ -146,12 +146,20 @@ def _denominator(c, q):
     return total
 
 
+# -1 over a finite float is never 0; the even-q weight over S_{q/2} can be
+_UNDERFLOW = "the even-q payoff -(vlow/(vbar+vlow))/S_{q/2} underflows to 0"
+
+
 def informed_payoff(params: BlottoParams) -> float:
-    """Ex-ante equilibrium payoff to the informed player; always in (-1, 0)."""
+    """Ex-ante equilibrium payoff to the informed player; always in (-1, 0).
+    OutOfRegimeError where it is below the float range."""
     _require_payoff_regime(params.gamma)
     idx = BlottoIndex.from_params(params)
     weight = 1.0 if idx.is_odd else params.vlow / (params.vbar + params.vlow)
-    return -weight / _denominator(params.value_ratio, idx.q)
+    payoff = -weight / _denominator(params.value_ratio, idx.q)
+    if payoff == 0.0:
+        raise OutOfRegimeError(_UNDERFLOW)
+    return payoff
 
 
 def informed_payoff_grid(vbar, vlow, gamma):
@@ -175,7 +183,9 @@ def informed_payoff_grid(vbar, vlow, gamma):
     pairs, inverse = np.unique(np.stack([c.ravel(), q.ravel()]), axis=1, return_inverse=True)
     totals = np.array([_denominator(ratio, int(steps)) for ratio, steps in pairs.T.tolist()])
     total = totals[inverse.reshape(-1)].reshape(c.shape)
-    return -np.where(q % 2 == 1, 1.0, vlow / (vbar + vlow)) / total, q
+    payoff = -np.where(q % 2 == 1, 1.0, vlow / (vbar + vlow)) / total
+    _require_all(payoff != 0.0, _UNDERFLOW, OutOfRegimeError)
+    return payoff, q
 
 
 def gross_wagner_payoff(q: int) -> float:

@@ -177,34 +177,45 @@ class PiecewiseCdf:
         comps += [(l, r, rho * (r - l), 1.0 / rho) for l, r, rho in self.segments]
         lows, _, masses, slopes = np.array(sorted(comps)).T
         cum_hi = np.cumsum(masses)
-        # the last component once more, for a u at or past the rounded total
-        # mass: the count of cum_hi <= u is then a valid index as it stands
-        padded = (np.append(a, a[-1]) for a in (lows, slopes, cum_hi - masses))
-        return (*padded, cum_hi)
+        # an atom at -0.0 samples as +0.0, as low + (u - below) * 0 gave it
+        lows += 0.0
+        # a u at or past the rounded total mass takes the last component, so
+        # only the cumulative masses before it bound the search
+        return lows, slopes, cum_hi - masses, cum_hi[:-1]
 
     def ppf(self, u):
         """Quantile function; maps uniforms in [0, 1) to allocations.
 
-        The component of u is the count of cumulative masses ``<= u``, as
-        ``searchsorted(side="right")`` gives it.  Up to 255 components (a
-        ``uint8`` count) it is summed one comparison per component over the
-        whole array, with no branch to mispredict; larger tables bisect.
-        The allocation is ``low + (u - mass below) * slope``, in place.
+        The component of u is the count of cumulative masses ``<= u`` but
+        the last, as ``searchsorted(side="right")`` gives it.  Up to 255
+        components (a ``uint8`` count) it is summed one comparison per
+        component over the whole array, with no branch to mispredict;
+        larger tables bisect.  The allocation is ``low + (u - mass below) *
+        slope``, in place.  A one-component table needs no count, and an
+        atoms-only table, slope 0 throughout, is just ``low`` of the
+        component.
         """
         import numpy as np
-        lows, slopes, cum_lo, cum_hi = self._inverse_table
+        lows, slopes, cum_lo, bounds = self._inverse_table
         u = np.asarray(u, dtype=float)
         if not u.shape:
             return float(self.ppf(u.reshape(1))[0])
-        if len(cum_hi) > 255:
-            idx = np.searchsorted(cum_hi, u, side="right")
+        if not len(bounds):
+            # one component, with mass 0.0 below it, so u - below is u
+            x = u * slopes[0]
+            x += lows[0]
+            return x
+        if len(lows) > 255:
+            idx = np.searchsorted(bounds, u, side="right")
         else:
             idx = np.zeros(u.shape, np.uint8)
             hit = np.empty(u.shape, bool)
-            for c in cum_hi:
+            for c in bounds:
                 np.greater_equal(u, c, out=hit)
                 idx += hit.view(np.uint8)
-            idx = idx.astype(np.intp)
+        if not slopes.any():
+            return lows[idx]
+        idx = idx.astype(np.intp)
         x = cum_lo[idx]
         np.subtract(u, x, out=x)
         x *= slopes[idx]

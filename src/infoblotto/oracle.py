@@ -230,11 +230,13 @@ def monte_carlo_value(profile, values, prior, samples, seed):
     """Unbiased (mean, standard error) estimate of the informed player's
     ex-ante payoff.  Draws are exchangeable, so the state counts are drawn
     first and each state's allocations are then sampled as one block, the
-    only block of draws held at a time; each battlefield is scored in place.
-    Philox is counter-based: results are bit-identical for a fixed seed,
-    though a seed's numbers differ from the first 0.1.0 release, which drew
-    a state per sample.  A sample count too large to allocate is refused
-    with ``ValueError``."""
+    only block of draws held at a time.  Battlefield j is scored by two
+    comparisons, ``v * ([x > y] - [x < y])``: for finite allocations x - y
+    is 0 exactly when x == y, so these are the floats ``v * sign(x - y)``
+    gave.  Philox is counter-based: results are bit-identical for a fixed
+    seed, though a seed's numbers differ from the first 0.1.0 release,
+    which drew a state per sample.  A sample count too large to allocate
+    is refused with ``ValueError``."""
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
     import numpy as np
@@ -247,12 +249,14 @@ def monte_carlo_value(profile, values, prior, samples, seed):
         block = payoff[start : start + count]
         start += count
         for v, f, g, a, b in zip(vals[i], profile.informed[i], profile.uninformed, *draws):
-            x = f.ppf(a)
-            x -= g.ppf(b)
-            np.sign(x, out=x)
+            x, y = f.ppf(a), g.ppf(b)
+            score = np.greater(x, y).view(np.int8)
+            score -= np.less(x, y).view(np.int8)
+            np.copyto(x, score)
             x *= v
             block += x
-        del draws, a, b, x  # before the next state's block is drawn
+            del x, y, score  # before the next battlefield is sampled
+        del draws, a, b  # before the next state's block is drawn
     mean = float(payoff.mean())
     std_error = float(payoff.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, std_error

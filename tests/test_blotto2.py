@@ -68,6 +68,13 @@ class TestInformedPayoff:
         p = params(vbar=vbar, vlow=vlow, gamma=0.6, x_u=1.0)
         assert informed_payoff(p) == -(vlow / (vbar + vlow))
 
+    def test_underflowing_even_payoff_refused(self):
+        # -(1/c)/(1 + c) at c = 1e200 and q = 4 is below the subnormals;
+        # the odd q = 3 next to it is -1/(1 + 2c), still a normal float
+        with pytest.raises(OutOfRegimeError, match="underflows to 0"):
+            informed_payoff(params(vbar=1e200, vlow=1.0, gamma=0.76))
+        assert informed_payoff(params(vbar=1e200, vlow=1.0, gamma=0.7)) < 0.0
+
     def test_homogeneous_limit_recovers_baseline(self):
         close = params(vlow=1.0 - 1e-8)
         assert informed_payoff(close) == pytest.approx(-1 / 3, abs=1e-6)
@@ -183,6 +190,13 @@ class TestGrid:
         # one point that overflows among points that do not
         with pytest.raises(OutOfRegimeError, match="not a finite float"):
             informed_payoff_grid(vbar, vlow, np.array([0.6, gamma, 0.7]))
+
+    def test_underflow_refused(self):
+        # one even-q point whose payoff underflows among points that do not
+        gamma = np.array([0.6, 0.7, 0.76])
+        assert (informed_payoff_grid(1e200, 1.0, gamma[:2])[0] < 0.0).all()
+        with pytest.raises(OutOfRegimeError, match="underflows to 0"):
+            informed_payoff_grid(1e200, 1.0, gamma)
 
     @pytest.mark.parametrize(
         "vbar,vlow,gamma,error",

@@ -137,6 +137,8 @@ class TestSweep:
              "--columns", "max_cost"],
             # the series overflows at the top of the grid
             ["--game", "blotto2", "--vlow", "0.5", "--axis", "gamma=0.99:0.9999998:3"],
+            # the even-q payoff (1/c)/(1 + c) underflows at q = 4, not at q = 2
+            ["--game", "blotto2", "--vbar", "1e200", "--vlow", "1", "--axis", "gamma=0.6:0.76:2"],
         ],
     )
     def test_grid_refused(self, capsys, tmp_path, argv):
@@ -512,6 +514,22 @@ def test_series_overflow_exits_two(capsys, command, vbar, vlow, gamma):
     )
     assert code == 2
     assert err.startswith("error:") and "not a finite float" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "vbar,vlow,gamma",
+    # q = 2: the weight vlow/(vbar+vlow) is 0 in floats; q = 4: the weight
+    # is 1e-200 and the payoff 1e-200/(1 + 1e200)
+    [("1e300", "1e-300", "0.6"), ("1e200", "1", "0.76")],
+)
+def test_even_payoff_underflow_exits_two(capsys, vbar, vlow, gamma):
+    code, out, err = run(
+        capsys, "payoff", "--game", "blotto2", "--vbar", vbar, "--vlow", vlow,
+        "--gamma", gamma,
+    )
+    assert code == 2
+    assert err.startswith("error:") and "underflows to 0" in err
     assert out == ""
 
 

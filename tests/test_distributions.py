@@ -266,6 +266,25 @@ def test_ppf_equals_bisection(f):
 
 
 @pytest.mark.parametrize(
+    "f",
+    [
+        # an atom at -0.0 samples as +0.0, as low + (u - below) * 0 gives it
+        PiecewiseCdf(atoms=((-0.0, 0.25), (1.0, 0.75))),
+        PiecewiseCdf(atoms=((-0.0, 0.4),), segments=((1.0, 2.0, 0.6),)),
+        # one component: no count
+        PiecewiseCdf.point(-0.0),
+        PiecewiseCdf.point(2.5),
+        PiecewiseCdf.uniform(-0.0, 1.0),
+        PiecewiseCdf.uniform(0.5, 3.0),
+        # atoms only, past what a uint8 counts
+        PiecewiseCdf(atoms=tuple((0.5 * k, 1.0 / 300) for k in range(300))),
+    ],
+)
+def test_ppf_equals_bisection_on_edge_tables(f):
+    assert_ppf_is_bisection(f)
+
+
+@pytest.mark.parametrize(
     "vlow,gamma",
     # geometric lattice masses: vbar/vlow = 20 leaves masses of 20^-16 at the
     # ends of a q = 33 lattice; q = 1999 has more components than a uint8

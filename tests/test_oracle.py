@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoblotto import (
     PiecewiseCdf,
@@ -178,9 +181,11 @@ class TestMonteCarlo:
         different = monte_carlo_value(profile, v, p, 50_000, 100)
         assert different != first
 
-    # float.hex of (mean, se) at 50k samples, recorded before PiecewiseCdf.ppf
-    # counted components instead of bisecting: a change that moves the
-    # Monte Carlo stream, or one bit of an estimate, fails here
+    # float.hex of (mean, se) at 50k samples, the first four recorded before
+    # PiecewiseCdf.ppf counted components instead of bisecting, the last two
+    # before battlefields were scored by comparison instead of np.sign: a
+    # change that moves the Monte Carlo stream, or one bit of an estimate,
+    # fails here
     @pytest.mark.parametrize(
         "params,seed,mean,se",
         [
@@ -199,6 +204,14 @@ class TestMonteCarlo:
             (  # lotto3 high regime
                 LottoParams(0.6, 0.3, 0.8), 14,
                 "0x1.4f7545486318dp-4", "0x1.33cac88d2c2a0p-9",
+            ),
+            (  # lotto3 mid regime
+                LottoParams(0.6, 0.3, 0.5), 15,
+                "-0x1.fbb910df0783dp-3", "0x1.33a2f3133fd18p-9",
+            ),
+            (  # blotto2 q = 33 with geometric masses down to 20^-16
+                BlottoParams.from_ratio(1.0, 0.05, 1.0 - 1.0 / 33.5), 16,
+                "-0x1.3d91986205ecdp-12", "0x1.1779af3026a37p-8",
             ),
         ],
     )
@@ -255,6 +268,68 @@ class TestMonteCarlo:
         profile = build_lotto(params)
         with pytest.raises(ValueError):
             monte_carlo_value(profile, params.valuation_matrix, params.prior, 0, 1)
+
+
+def sign_scored_monte_carlo(profile, values, prior, samples, seed):
+    # the x - y, np.sign, * v scoring that monte_carlo_value must reproduce
+    # bit for bit, on the same draws in the same order
+    rng = np.random.Generator(np.random.Philox(seed))
+    vals = values.as_array()
+    payoff = np.zeros(samples)
+    start = 0
+    for i, count in enumerate(rng.multinomial(samples, prior.weights)):
+        draws = rng.random((2, values.n, count))
+        block = payoff[start : start + count]
+        start += count
+        for v, f, g, a, b in zip(vals[i], profile.informed[i], profile.uninformed, *draws):
+            x = f.ppf(a)
+            x -= g.ppf(b)
+            np.sign(x, out=x)
+            x *= v
+            block += x
+    std_error = float(payoff.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return float(payoff.mean()), std_error
+
+
+_TIE_LOCATIONS = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+@st.composite
+def tied_marginals(draw):
+    # atoms on locations every marginal shares, so the two players tie with
+    # positive probability, and sometimes a ramp above them
+    locs = draw(st.lists(st.sampled_from(_TIE_LOCATIONS), min_size=1, max_size=5, unique=True))
+    ramp = draw(st.booleans())
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(locs) + ramp,
+                            max_size=len(locs) + ramp))
+    total = math.fsum(weights)
+    masses = [w / total for w in weights]
+    atoms = tuple(zip(sorted(locs), masses))
+    segments = ((2.0, 3.0, masses[-1]),) if ramp else ()
+    return PiecewiseCdf(atoms=atoms, segments=segments)
+
+
+@st.composite
+def tied_games(draw):
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    profile = StrategyProfile(
+        informed=[[draw(tied_marginals()) for _ in range(n)] for _ in range(m)],
+        uninformed=[draw(tied_marginals()) for _ in range(n)],
+    )
+    values = ValuationMatrix(
+        tuple(tuple(draw(st.floats(0.1, 3.0)) for _ in range(n)) for _ in range(m))
+    )
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m))
+    prior = Prior(tuple(w / math.fsum(weights) for w in weights))
+    return profile, values, prior
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_games(), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+def test_comparison_scoring_equals_sign(game, samples, seed):
+    got = monte_carlo_value(*game, samples, seed)
+    want = sign_scored_monte_carlo(*game, samples, seed)
+    assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex())
 
 
 class TestCertify:
