@@ -178,12 +178,16 @@ def informed_payoff_grid(vbar, vlow, gamma):
     _require_all(
         (0.5 < gamma) & (gamma < 1.0), "gamma must stay inside (1/2, 1)", OutOfRegimeError
     )
-    c = vbar / vlow
+    # an overflow to inf meets the scalar path's own refusal, or (in the
+    # even-q weight at an odd-q point) is not selected; numpy need not warn
+    with np.errstate(over="ignore"):
+        c = vbar / vlow
+        weight = vlow / (vbar + vlow)
     q = np.floor(1.0 / (1.0 - gamma) + _FLOOR_SLACK).astype(np.int64)
     pairs, inverse = np.unique(np.stack([c.ravel(), q.ravel()]), axis=1, return_inverse=True)
     totals = np.array([_denominator(ratio, int(steps)) for ratio, steps in pairs.T.tolist()])
     total = totals[inverse.reshape(-1)].reshape(c.shape)
-    payoff = -np.where(q % 2 == 1, 1.0, vlow / (vbar + vlow)) / total
+    payoff = -np.where(q % 2 == 1, 1.0, weight) / total
     _require_all(payoff != 0.0, _UNDERFLOW, OutOfRegimeError)
     return payoff, q
 

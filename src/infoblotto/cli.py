@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import blotto2, lotto3, oracle
 from .games import Budgets, StrategyProfile
@@ -27,18 +27,30 @@ def _fmt(x):
 # Parameter assembly
 # ---------------------------------------------------------------------------
 
-# the flags each game reads; the other game's flags are refused
+# the flags each game reads; the other game's flags are refused, and so are
+# those a subcommand does not read (sweep reads --cost for its voi column)
 _GAME_FLAGS = {
     "blotto2": ("vbar", "vlow", "gamma", "xu", "e"),
     "lotto3": ("alpha", "beta", "gamma", "xu", "cost"),
 }
+_UNREAD_FLAGS = dict(sweep=("xu",), strategy=("cost",), verify=("cost",), simulate=("cost",))
 
 
-def _refuse_other_game_flags(args):
-    other = set().union(*_GAME_FLAGS.values()) - set(_GAME_FLAGS[args.game])
-    given = sorted("--" + name for name in other if getattr(args, name, None) is not None)
-    if given:
-        raise ValueError(f"{', '.join(given)} does not apply to game {args.game}")
+def _refuse_unread_flags(args):
+    every = set().union(*_GAME_FLAGS.values())
+    if getattr(args, "strategy", None) is not None:
+        # the file fixes every game parameter; only --game may be repeated
+        checks = [(every, "cannot be given with --strategy")]
+    else:
+        other = every - set(_GAME_FLAGS.get(args.game, every))
+        checks = [
+            (other, f"does not apply to game {args.game}"),
+            (_UNREAD_FLAGS.get(args.command, ()), f"does not apply to {args.command}"),
+        ]
+    for names, reason in checks:
+        given = sorted("--" + name for name in names if getattr(args, name, None) is not None)
+        if given:
+            raise ValueError(f"{', '.join(given)} {reason}")
 
 
 def _require(args, names):
@@ -142,10 +154,6 @@ class SweepAxis:
     hi: float
     steps: int
 
-    def grid(self):
-        import numpy as np
-        return np.linspace(self.lo, self.hi, self.steps)
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -172,6 +180,8 @@ def _parse_axis(text):
         raise ValueError(f"axis {axis.name}: steps must be >= 2, got {axis.steps}")
     if not axis.lo < axis.hi:
         raise ValueError(f"axis {axis.name}: need lo < hi, got {axis.lo}:{axis.hi}")
+    if not math.isfinite(axis.hi - axis.lo):
+        raise ValueError(f"axis {axis.name}: the span {axis.lo}:{axis.hi} is not finite")
     return axis
 
 
@@ -235,7 +245,9 @@ def sweep_table(spec: SweepSpec):
 
     size = math.prod(ax.steps for ax in spec.axes)
     try:  # numpy refuses a grid too large to allocate before touching memory
-        grids = np.meshgrid(*(ax.grid() for ax in spec.axes), indexing="ij")
+        grids = np.meshgrid(
+            *(np.linspace(ax.lo, ax.hi, ax.steps) for ax in spec.axes), indexing="ij"
+        )
     except (MemoryError, ValueError):
         axes = " x ".join(f"{ax.name} ({ax.steps} steps)" for ax in spec.axes)
         raise ValueError(f"sweep axes {axes}: {size} points do not fit in memory") from None
@@ -252,14 +264,14 @@ def sweep_table(spec: SweepSpec):
 
 
 def cmd_sweep(args):
-    if args.xu is not None:
-        raise ValueError("--xu does not apply to sweep: no column depends on it")
+    columns = tuple(c.strip() for c in args.columns.split(",") if c.strip())
+    if args.cost is not None and "voi" not in columns:
+        raise ValueError("--cost applies only to the voi column")
     axes = tuple(_parse_axis(a) for a in args.axis or ())
     fixed = {"vbar": 1.0} if args.game == "blotto2" else {}
     for name in _GAME_FLAGS[args.game]:
         if getattr(args, name, None) is not None:
             fixed[name] = getattr(args, name)
-    columns = tuple(c.strip() for c in args.columns.split(",") if c.strip())
     spec = SweepSpec(game=args.game, axes=axes, fixed=fixed, columns=columns)
     header, rows = sweep_table(spec)
     text = "\n".join([header] + rows) + "\n"
@@ -295,7 +307,7 @@ def cmd_strategy(args):
     record = {
         "game": args.game,
         "params": _params_record(args.game, params),
-        "profile": profile.to_dict(),
+        "profile": asdict(profile),
     }
     with open(args.out, "w") as handle:
         json.dump(record, handle, indent=2)
@@ -306,11 +318,6 @@ def cmd_strategy(args):
 
 def _resolve_profile(args):
     if args.strategy is not None:
-        # the file fixes every game parameter; only --game may be repeated
-        names = set().union(*_GAME_FLAGS.values())
-        given = sorted("--" + name for name in names if getattr(args, name) is not None)
-        if given:
-            raise ValueError(f"{', '.join(given)} cannot be given with --strategy")
         game, params, profile = _load_strategy(args.strategy)
         if args.game is not None and args.game != game:
             raise ValueError(f"--game {args.game} conflicts with file game {game}")
@@ -338,7 +345,7 @@ def cmd_verify(args):
     print(f"passed = {str(cert.passed).lower()}")
     if args.out is not None:
         with open(args.out, "w") as handle:
-            json.dump(cert.to_dict(), handle, indent=2)
+            json.dump(asdict(cert), handle, indent=2)
             handle.write("\n")
     return 0 if cert.passed else 1
 
@@ -431,8 +438,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        if getattr(args, "game", None) is not None:
-            _refuse_other_game_flags(args)
+        _refuse_unread_flags(args)
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)

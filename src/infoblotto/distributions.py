@@ -7,8 +7,7 @@ integrals be evaluated in closed form (no quadrature, no binning) and makes
 inverse-transform sampling exact.
 
 Everything but sampling is plain Python floats: numpy is imported only by
-``ppf`` and when ``cdf`` is given an array, so the exact payoff and oracle
-checks never load it.
+``ppf``, so the exact payoff and oracle checks never load it.
 """
 
 from __future__ import annotations
@@ -109,21 +108,12 @@ class PiecewiseCdf:
         )
 
     def mean(self):
-        """Expected value, exact."""
+        """Expected value, exact.  A segment adds its mass times its midpoint,
+        so no location is squared and no term overflows before the sum."""
         return math.fsum(
             [loc * m for loc, m in self.atoms]
-            + [rho * (r * r - l * l) / 2.0 for l, r, rho in self.segments]
+            + [rho * (r - l) * (0.5 * l + 0.5 * r) for l, r, rho in self.segments]
         )
-
-    def support_min(self):
-        lo = [self.atoms[0][0]] if self.atoms else []
-        lo += [self.segments[0][0]] if self.segments else []
-        return min(lo)
-
-    def support_max(self):
-        hi = [self.atoms[-1][0]] if self.atoms else []
-        hi += [self.segments[-1][1]] if self.segments else []
-        return max(hi)
 
     def breakpoints(self):
         """Locations where the CDF changes slope or jumps, sorted."""
@@ -146,16 +136,7 @@ class PiecewiseCdf:
 
         ``tie=1`` is the right-continuous CDF P(X <= x), ``tie=0`` its left
         limit P(X < x), and ``tie=0.5`` the tie-neutral win measure at atoms.
-        A scalar gives a float; an array gives an array of the same shape,
-        each point evaluated as a scalar.
         """
-        if not isinstance(x, (int, float)):
-            import numpy as np
-            x = np.asarray(x, dtype=float)
-            if x.shape:
-                points = [self.cdf(v, tie) for v in x.ravel().tolist()]
-                return np.array(points).reshape(x.shape)
-            x = float(x)
         locs, below = self._cdf_table
         k = bisect_left(locs, x)
         out = below[k]
@@ -235,13 +216,7 @@ class PiecewiseCdf:
         )
         return PiecewiseCdf(atoms=atoms, segments=segments)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self):
-        return {
-            "atoms": [[loc, mass] for loc, mass in self.atoms],
-            "segments": [[l, r, rho] for l, r, rho in self.segments],
-        }
+    # -- serialization (``dataclasses.asdict`` writes the record) -------------
 
     @staticmethod
     def from_dict(data):

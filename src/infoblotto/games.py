@@ -64,10 +64,6 @@ class ValuationMatrix:
     def n(self):
         return len(self.values[0])
 
-    def as_array(self):
-        import numpy as np
-        return np.asarray(self.values)
-
     @staticmethod
     def symmetric_pair(vbar, vlow):
         """2x2 matrix with (vbar, vlow) on the diagonal pattern, rows
@@ -167,12 +163,6 @@ class StrategyProfile:
     @property
     def n(self):
         return len(self.uninformed)
-
-    def to_dict(self):
-        return {
-            "informed": [[f.to_dict() for f in row] for row in self.informed],
-            "uninformed": [f.to_dict() for f in self.uninformed],
-        }
 
     @staticmethod
     def from_dict(data):

@@ -15,7 +15,7 @@ type's interim payoff once, so it takes O(q log q) for O(q) lattice atoms.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import blotto2, lotto3
 from .distributions import MASS_TOL
@@ -55,7 +55,8 @@ def _step_candidates(breakpoints, budget):
     so that rounding cannot open a spurious interval between them."""
     pts = sorted({min(max(p, 0.0), budget) for p in (0.0, budget, *breakpoints)})
     pts = pts[:1] + [b for a, b in zip(pts, pts[1:]) if b - a > MASS_TOL * budget]
-    return [0.0, budget] + [(a + b) / 2.0 for a, b in zip(pts, pts[1:])]
+    # a + b would overflow near the largest float
+    return [0.0, budget] + [a + (b - a) / 2.0 for a, b in zip(pts, pts[1:])]
 
 
 def _split_payoffs(xs, budget, f1, f2):
@@ -149,6 +150,8 @@ def lotto_support_optimality(
     For informed type i on battlefield j the priced payoff is
     ``(2 v_ij p_i / lambda_I) F_U(x) - x``; for the uninformed player it is
     the prior mixture ``sum_i p_i (2 v_ij / lambda_U) F_I(t_i)(x) - x``.
+    Both are in budget units, so each slack is reported as a fraction of
+    X_U: the game depends on the budgets only through gamma.
     """
     if lambdas is None:
         lambdas = lotto3.multipliers(
@@ -172,7 +175,8 @@ def lotto_support_optimality(
             for i in range(profile.m)
         ]
         slack_u = max(slack_u, _support_slack(profile.uninformed[j], terms))
-    return DeviationGaps(uninformed=slack_u, informed=tuple(slacks_i))
+    x_u = params.budgets.uninformed
+    return DeviationGaps(slack_u / x_u, tuple(slack / x_u for slack in slacks_i))
 
 
 # ---------------------------------------------------------------------------
@@ -182,32 +186,33 @@ def lotto_support_optimality(
 
 def lotto_budget_residuals(profile: StrategyProfile, params: lotto3.LottoParams):
     """(uninformed residual, per-type informed residuals) of the
-    expected-budget constraints."""
-    res_u = abs(expected_budget(profile.uninformed) - params.budgets.uninformed)
-    res_i = tuple(
-        abs(expected_budget(row) - params.budgets.informed) for row in profile.informed
-    )
+    expected-budget constraints, as fractions of X_U."""
+    x_i, x_u = params.budgets.informed, params.budgets.uninformed
+    res_u = abs(expected_budget(profile.uninformed) - x_u) / x_u
+    res_i = tuple(abs(expected_budget(row) - x_i) / x_u for row in profile.informed)
     return res_u, res_i
 
 
-def _reflection_mismatch(f_first, f_second, budget):
+def _reflection_mismatch(f_first, f_second, budget, unit):
+    # locations are compared in units of ``unit``, masses as they are
     mirrored = f_first.reflect(budget)
     if len(mirrored.atoms) != len(f_second.atoms) or f_second.segments:
         return math.inf
     return max(
-        max(abs(la - lb), abs(ma - mb))
+        max(abs(la - lb) / unit, abs(ma - mb))
         for (la, ma), (lb, mb) in zip(mirrored.atoms, f_second.atoms)
     )
 
 
 def blotto_budget_residuals(profile: StrategyProfile, params: blotto2.BlottoParams):
     """Hard-budget check: battlefield 2 must be the exact budget complement
-    of battlefield 1 for every player/type."""
+    of battlefield 1 for every player/type.  Location mismatches are
+    fractions of X_U; mass mismatches are probabilities."""
     x_i = params.budgets.informed
     x_u = params.budgets.uninformed
-    res_u = _reflection_mismatch(profile.uninformed[0], profile.uninformed[1], x_u)
+    res_u = _reflection_mismatch(profile.uninformed[0], profile.uninformed[1], x_u, x_u)
     res_i = tuple(
-        _reflection_mismatch(row[0], row[1], x_i) for row in profile.informed
+        _reflection_mismatch(row[0], row[1], x_i, x_u) for row in profile.informed
     )
     return res_u, res_i
 
@@ -241,7 +246,7 @@ def monte_carlo_value(profile, values, prior, samples, seed):
         raise ValueError(f"sample count must be >= 1, got {samples}")
     import numpy as np
     rng = np.random.Generator(np.random.Philox(seed))
-    vals = values.as_array()
+    vals = np.asarray(values.values)
     payoff = _allocate(np.zeros, samples, samples)
     start = 0
     for i, count in enumerate(rng.multinomial(samples, prior.weights)):
@@ -274,6 +279,9 @@ class Certificate:
     ``passed`` is true iff every deviation gap is at most ``eps_deviation``,
     every budget residual at most ``eps_budget``, and the Monte Carlo mean
     lies within four standard errors of the claimed closed-form value.
+    Blotto gaps are in payoff units; Lotto slacks and every budget residual
+    are fractions of X_U (Blotto reflection masses excepted), so a verdict
+    does not depend on the budget scale.
     """
 
     game: str
@@ -289,9 +297,6 @@ class Certificate:
     eps_deviation: float
     eps_budget: float
     passed: bool
-
-    def to_dict(self):
-        return asdict(self)
 
     @staticmethod
     def from_dict(data):

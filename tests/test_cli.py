@@ -139,6 +139,8 @@ class TestSweep:
             ["--game", "blotto2", "--vlow", "0.5", "--axis", "gamma=0.99:0.9999998:3"],
             # the even-q payoff (1/c)/(1 + c) underflows at q = 4, not at q = 2
             ["--game", "blotto2", "--vbar", "1e200", "--vlow", "1", "--axis", "gamma=0.6:0.76:2"],
+            # vbar/vlow overflows to inf: the scalar path's refusal, with no numpy warning
+            ["--game", "blotto2", "--vbar", "1e308", "--vlow", "0.5", "--axis", "gamma=0.6:0.9:4"],
         ],
     )
     def test_grid_refused(self, capsys, tmp_path, argv):
@@ -319,6 +321,77 @@ def test_sweep_budget_scale_refused(capsys, tmp_path):
     assert err.startswith("error:") and "--xu" in err and "Traceback" not in err
     assert stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("axis", ["gamma=0.1:inf:3", "gamma=-inf:0.5:3", "gamma=-1e308:1e308:3"])
+def test_non_finite_axis_span_refused(capsys, tmp_path, axis):
+    # numpy's linspace warned on these before the domain check refused them
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(
+        capsys, "sweep", "--game", "lotto3", "--axis", axis, "--alpha", "0.5", "--out", str(out),
+    )
+    assert code == 2
+    assert err.startswith("error:") and "axis gamma" in err and "not finite" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_sweep_near_largest_float(capsys, tmp_path):
+    # vbar + vlow overflows in the even-q weight, which q = 3 does not select
+    out = tmp_path / "x.csv"
+    code, _, err = run(
+        capsys, "sweep", "--game", "blotto2", "--vbar", "1.7e308",
+        "--axis", "vlow=1e308:1.5e308:3", "--gamma", "0.7", "--out", str(out),
+    )
+    assert code == 0, err
+    vlows = np.linspace(1e308, 1.5e308, 3).tolist()
+    expected = [
+        _fmt(blotto2.informed_payoff(BlottoParams.from_ratio(1.7e308, vlow, 0.7)))
+        for vlow in vlows
+    ]
+    assert [row.split(",")[1] for row in out.read_text().splitlines()[1:]] == expected
+
+
+@pytest.mark.parametrize(
+    "command,cost", [("strategy", "0.9"), ("verify", "-3"), ("simulate", "0.9")]
+)
+def test_cost_refused_where_unread(capsys, tmp_path, command, cost):
+    out = tmp_path / "x.out"
+    argv = [command, "--game", "lotto3", "--alpha", "0.5", "--gamma", "0.5", "--cost", cost]
+    argv += ["--out", str(out)] if command == "strategy" else ["--samples", "2000"]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "--cost" in err and command in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_sweep_cost_without_voi_refused(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(
+        capsys, "sweep", "--game", "lotto3", "--axis", "gamma=0.1:0.9:3", "--alpha", "0.5",
+        "--cost", "7", "--columns", "payoff", "--out", str(out),
+    )
+    assert code == 2
+    assert err.startswith("error:") and "--cost" in err and "voi" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # budget residuals of 2e-7 in absolute units, 5e-16 as fractions of X_U
+        ["--game", "lotto3", "--alpha", "0.5", "--gamma", "0.9", "--xu", "1e9"],
+        # a midpoint (a + b)/2 between lattice breakpoints overflowed to inf
+        ["--game", "blotto2", "--vbar", "1", "--vlow", "0.5", "--gamma", "0.7",
+         "--xu", "1.7976931348623157e308"],
+    ],
+)
+def test_verify_passes_at_extreme_budget(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv, "--samples", "20000")
+    assert code == 0, out + err
+    assert "passed = true" in out
 
 
 class TestStrategyAndVerify:
@@ -746,7 +819,7 @@ def _fresh_interpreter(script, argument):
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argument)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script, json.dumps(argument)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

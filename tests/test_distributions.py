@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,6 +8,11 @@ from hypothesis import strategies as st
 
 from infoblotto.blotto2 import BlottoParams, build_equilibrium
 from infoblotto.distributions import InvalidDistributionError, PiecewiseCdf
+
+
+def cdf_of(f, xs, tie=1.0):
+    # the scalar CDF at each point of an array
+    return np.array([f.cdf(x, tie) for x in np.ravel(xs).tolist()])
 
 
 def mixed_example():
@@ -64,24 +70,18 @@ class TestEvaluation:
         assert f.cdf(2.5) == pytest.approx(0.8)
         assert f.cdf(3.0, tie=0.0) == pytest.approx(0.8)
         assert f.cdf(3.0) == pytest.approx(1.0)
-        assert f.cdf(f.support_max()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_cdf_vectorized(self):
-        f = mixed_example()
-        xs = np.array([-1.0, 0.0, 1.0, 3.0, 4.0])
-        np.testing.assert_allclose(f.cdf(xs), [0.0, 0.3, 0.55, 1.0, 1.0])
+        assert f.cdf(f.breakpoints()[-1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_mean(self):
         # 0*0.3 + 0.5*(mean 1) + 3*0.2
         assert mixed_example().mean() == pytest.approx(0.5 + 0.6)
         assert PiecewiseCdf.point(4.0).mean() == 4.0
         assert PiecewiseCdf.uniform(0.0, 2.0).mean() == pytest.approx(1.0)
+        # mass times midpoint: the squares of the ends would overflow
+        assert PiecewiseCdf.uniform(1e308, 1.6e308).mean() == pytest.approx(1.3e308, rel=1e-15)
 
     def test_support(self):
-        f = mixed_example()
-        assert f.support_min() == 0.0
-        assert f.support_max() == 3.0
-        assert f.breakpoints() == [0.0, 2.0, 3.0]
+        assert mixed_example().breakpoints() == [0.0, 2.0, 3.0]
 
 
 class TestPpf:
@@ -102,7 +102,7 @@ class TestPpf:
         us = np.linspace(0.0, 0.999999, 1001)
         xs = f.ppf(us)
         assert np.all(np.diff(xs) >= 0.0)
-        assert np.all(f.cdf(xs) >= us - 1e-12)
+        assert np.all(cdf_of(f, xs) >= us - 1e-12)
 
     def test_scalar_in_float_out(self):
         f = mixed_example()
@@ -113,7 +113,7 @@ class TestPpf:
     def test_uniform_round_trip(self):
         f = PiecewiseCdf.uniform(1.0, 3.0)
         us = np.linspace(0.0, 0.999, 100)
-        np.testing.assert_allclose(f.cdf(f.ppf(us)), us, atol=1e-12)
+        np.testing.assert_allclose(cdf_of(f, f.ppf(us)), us, atol=1e-12)
 
 
 class TestTransforms:
@@ -136,7 +136,7 @@ class TestTransforms:
 class TestSerialization:
     def test_round_trip_exact(self):
         f = mixed_example()
-        data = json.loads(json.dumps(f.to_dict()))
+        data = json.loads(json.dumps(asdict(f)))
         g = PiecewiseCdf.from_dict(data)
         assert g == f
 
@@ -187,12 +187,12 @@ def piecewise_cdfs(draw):
 @given(piecewise_cdfs())
 def test_random_distribution_invariants(f):
     assert abs(f.total_mass() - 1.0) <= 1e-9
-    xs = np.linspace(-1.0, f.support_max() + 1.0, 257)
-    cdf = f.cdf(xs)
+    xs = np.linspace(-1.0, f.breakpoints()[-1] + 1.0, 257)
+    cdf = cdf_of(f, xs)
     assert np.all(np.diff(cdf) >= -1e-12)
     assert cdf[-1] == pytest.approx(1.0, abs=1e-9)
     us = np.linspace(0.0, 0.999, 41)
-    assert np.all(f.cdf(f.ppf(us)) >= us - 1e-9)
+    assert np.all(cdf_of(f, f.ppf(us)) >= us - 1e-9)
 
 
 def component_loop_cdf(f, x, tie):
@@ -218,7 +218,6 @@ def test_cdf_equals_component_loop(f, points):
     for tie in (0.0, 0.5, 1.0):
         for x in xs:
             assert f.cdf(x, tie) == component_loop_cdf(f, x, tie)
-        assert np.array_equal(f.cdf(np.array(xs), tie), component_loop_cdf(f, xs, tie))
 
 
 def bisection_ppf(f):

@@ -272,7 +272,7 @@ def test_sums_round_once(cdfs, alpha, weights):
         )
         assert f.mean() == rounded_once(
             [loc * m for loc, m in f.atoms]
-            + [rho * (r * r - l * l) / 2.0 for l, r, rho in f.segments]
+            + [rho * (r - l) * (0.5 * l + 0.5 * r) for l, r, rho in f.segments]
         )
     assert expected_budget(cdfs) == rounded_once([f.mean() for f in cdfs])
 

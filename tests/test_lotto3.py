@@ -234,7 +234,7 @@ class TestConstruction:
     def test_uninformed_cdf_tops_out_at_one(self):
         for g in (0.2, 0.5, 0.8, 1.0):
             f_u = build_equilibrium(LottoParams(0.6, 0.3, g, 1.0)).uninformed[0]
-            top = f_u.support_max()
+            top = f_u.breakpoints()[-1]
             assert f_u.cdf(top) == pytest.approx(1.0, abs=1e-12)
 
     def test_budget_feasibility_all_regimes(self):

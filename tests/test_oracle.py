@@ -140,8 +140,8 @@ class TestLottoSupportOptimality:
         lam_i, _ = multipliers(0.5, 0.5, 0.2)
         f_u = build_lotto(params).uninformed[0]
         nu = 2.0 * (0.5 * params.scale) * (1.0 / 3.0) / lam_i
-        xs = np.linspace(0.0, 1.2 * f_u.support_max(), 2001)
-        priced = nu * f_u.cdf(xs) - xs
+        xs = np.linspace(0.0, 1.2 * f_u.breakpoints()[-1], 2001)
+        priced = nu * np.array([f_u.cdf(x) for x in xs.tolist()]) - xs
         assert priced.max() <= 1e-12
         assert priced[0] == 0.0
 
@@ -274,7 +274,7 @@ def sign_scored_monte_carlo(profile, values, prior, samples, seed):
     # the x - y, np.sign, * v scoring that monte_carlo_value must reproduce
     # bit for bit, on the same draws in the same order
     rng = np.random.Generator(np.random.Philox(seed))
-    vals = values.as_array()
+    vals = np.asarray(values.values)
     payoff = np.zeros(samples)
     start = 0
     for i, count in enumerate(rng.multinomial(samples, prior.weights)):
@@ -353,11 +353,11 @@ class TestCertify:
 
     def test_round_trip(self):
         cert = certify(build_blotto(BLOTTO), BLOTTO, samples=10_000)
-        again = Certificate.from_dict(cert.to_dict())
+        again = Certificate.from_dict(dataclasses.asdict(cert))
         assert again == cert
         # the JSON written by ``verify --out`` lists the fields in order
         fields = [f.name for f in dataclasses.fields(Certificate)]
-        assert list(cert.to_dict()) == fields
+        assert list(dataclasses.asdict(cert)) == fields
 
     def test_claimed_value_is_the_closed_form(self):
         lotto = LottoParams(0.55, 0.35, 0.5)
@@ -397,7 +397,7 @@ def ref_cdf(f, x, tie):
 
 def dense_blotto_gaps(profile, params):
     values, prior = params.valuation_matrix, params.prior
-    vals = values.as_array()
+    vals = np.asarray(values.values)
 
     def pay(xs, budget, row, bf1, bf2):
         return row[0] * (2.0 * ref_cdf(bf1, xs, 0.5) - 1.0) + row[1] * (
@@ -429,14 +429,14 @@ def dense_support_slack(own, terms):
     for left, right, _ in own.segments:
         on += [priced(left, 1.0), priced(right, 0.0)]
         on += [priced(p, tie) for p in opp if left < p < right for tie in (0.0, 1.0)]
-    top = 1.05 * max([own.support_max()] + [f.support_max() for _, f in terms])
+    top = 1.05 * max([own.breakpoints()[-1]] + [f.breakpoints()[-1] for _, f in terms])
     off = priced(dense_grid(top), 0.5).max()
     return max(off - max(on), max(on) - min(on))
 
 
 def dense_lotto_slacks(profile, params, lambdas):
     lam_i, lam_u = lambdas
-    vals, weights = params.valuation_matrix.as_array(), params.prior.weights
+    vals, weights = np.asarray(params.valuation_matrix.values), params.prior.weights
     slack_u, slacks_i = 0.0, [0.0] * profile.m
     for j in range(profile.n):
         for i in range(profile.m):
@@ -448,7 +448,9 @@ def dense_lotto_slacks(profile, params, lambdas):
             for i in range(profile.m)
         ]
         slack_u = max(slack_u, dense_support_slack(profile.uninformed[j], terms))
-    return slack_u, slacks_i
+    # as fractions of X_U, like the oracle's
+    x_u = params.budgets.uninformed
+    return slack_u / x_u, [slack / x_u for slack in slacks_i]
 
 
 def centered_blotto_profile():
@@ -497,3 +499,51 @@ class TestExactScanCoversDenseGrid:
         assert exact.uninformed >= ref_u - 1e-12
         for slack, ref in zip(exact.informed, ref_i):
             assert slack >= ref - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Budget scale: every payoff depends on the budgets only through gamma, so
+# the exact checks give the same numbers, up to rounding, at every X_U.
+# Each case is (equilibrium params, wrong params) as functions of X_U: the
+# profile built for the first is checked against the second.
+# ---------------------------------------------------------------------------
+
+SCALE_CASES = {
+    "lotto3-low": (lambda xu: LottoParams(0.5, 0.5, 0.2, xu),
+                   lambda xu: LottoParams(0.5, 0.5, 0.25, xu)),
+    "lotto3-mid": (lambda xu: LottoParams(0.6, 0.3, 0.5, xu),
+                   lambda xu: LottoParams(0.6, 0.3, 0.55, xu)),
+    "lotto3-high": (lambda xu: LottoParams(0.5, 0.5, 0.85, xu),
+                    lambda xu: LottoParams(0.5, 0.5, 0.9, xu)),
+    "blotto2-q3": (lambda xu: BlottoParams.from_ratio(1.0, 0.5, 0.7, xu),
+                   lambda xu: BlottoParams.from_ratio(1.0, 0.55, 0.7, xu)),
+    "blotto2-q33": (lambda xu: BlottoParams.from_ratio(1.0, 0.9, 0.97, xu),
+                    lambda xu: BlottoParams.from_ratio(1.0, 0.91, 0.97, xu)),
+}
+
+
+def exact_checks(profile, params):
+    """(worst deviation gap, worst budget residual) of ``profile``."""
+    if isinstance(params, BlottoParams):
+        gaps = blotto_deviation_gaps(profile, params)
+        res_u, res_i = blotto_budget_residuals(profile, params)
+    else:
+        gaps = lotto_support_optimality(profile, params)
+        res_u, res_i = lotto_budget_residuals(profile, params)
+    return gaps.worst(), max(res_u, *res_i)
+
+
+@pytest.mark.parametrize("case", list(SCALE_CASES))
+def test_exact_checks_do_not_depend_on_budget_scale(case):
+    right, wrong = SCALE_CASES[case]
+    build = build_blotto if case.startswith("blotto2") else build_lotto
+    unit_gap, unit_res = exact_checks(build(right(1.0)), wrong(1.0))
+    assert unit_gap > 1e-3
+    for k in (-300, -150, -9, 0, 9, 150, 300):
+        xu = 10.0**k
+        profile = build(right(xu))
+        gap, res = exact_checks(profile, right(xu))
+        assert gap <= oracle.EPS_DEVIATION and res <= oracle.EPS_BUDGET, xu
+        gap, res = exact_checks(profile, wrong(xu))
+        assert gap == pytest.approx(unit_gap, rel=1e-12, abs=0.0), xu
+        assert res == pytest.approx(unit_res, rel=1e-12, abs=0.0), xu
