@@ -13,7 +13,9 @@ For odd q the equilibrium mixed strategies are explicit lattices of atoms
 spaced d = X_U - X_I apart with geometrically weighted masses; this module
 constructs them.  Below gamma = 1/2 the stronger player secures both
 battlefields and the game is trivial; the even-q strategy construction is
-not provided (the payoff formula still is).
+not provided (the payoff formula still is).  The step count q, the
+normalised values and the payoff at a point each have one private function,
+shared by the payoff, the sweep grid and the builder.
 """
 
 from __future__ import annotations
@@ -29,13 +31,32 @@ from .games import (
     StrategyProfile,
     UnsupportedCaseError,
     ValuationMatrix,
-    _require_all,
-    _require_finite,
 )
 
-# floor(X_U / d) is evaluated with this slack so ratios that are integers up
-# to rounding do not drop a whole step
-_FLOOR_SLACK = 1e-9
+
+def _require_values(vbar, vlow):
+    if not math.inf > vbar > vlow > 0.0:
+        raise ValueError(f"need finite vbar > vlow > 0, got {vbar}, {vlow}")
+
+
+def _weights(vbar, vlow, scale=1.0):
+    """vbar/(vbar + vlow) and vlow*scale/(vbar + vlow), the builder's lattice
+    weight at scale c**k.  Where the sum or vlow*scale overflows, vbar and
+    vlow are halved first (exact there) and the scale applies last."""
+    total = vbar + vlow
+    if total == math.inf or vlow * scale == math.inf:
+        total = 0.5 * vbar + 0.5 * vlow
+        return 0.5 * vbar / total, 0.5 * vlow / total * scale
+    return vbar / total, vlow * scale / total
+
+
+def _step_count(ratio):
+    """q = floor(ratio) for ratio X_U/d, which a sweep (X_U = 1) forms as
+    1/(1 - gamma): the same float, as 1 - gamma is exact.  A ratio short of
+    an integer by at most four times what the rounding of gamma moves it,
+    ratio**2 * 2**-53, and at most 1e-9, counts as that integer."""
+    slack = ratio * ratio * 2.0**-51
+    return math.floor(ratio + (slack if slack < 1e-9 else 1e-9))
 
 
 @dataclass(frozen=True)
@@ -49,9 +70,7 @@ class BlottoParams:
     def __post_init__(self):
         object.__setattr__(self, "vbar", float(self.vbar))
         object.__setattr__(self, "vlow", float(self.vlow))
-        _require_finite("valuations", self.vbar, self.vlow)
-        if not self.vbar > self.vlow > 0.0:
-            raise ValueError(f"need vbar > vlow > 0, got {self.vbar}, {self.vlow}")
+        _require_values(self.vbar, self.vlow)
 
     @staticmethod
     def from_ratio(vbar, vlow, gamma, x_uninformed=1.0):
@@ -69,7 +88,8 @@ class BlottoParams:
 
     @property
     def valuation_matrix(self):
-        return ValuationMatrix.symmetric_pair(self.vbar, self.vlow)
+        high, low = _weights(self.vbar, self.vlow)
+        return ValuationMatrix(((high, low), (low, high)))
 
     @property
     def prior(self):
@@ -92,7 +112,7 @@ class BlottoIndex:
         if x_i >= x_u:
             raise OutOfRegimeError("Blotto analysis requires X_I < X_U")
         d = x_u - x_i
-        q = int(math.floor(x_u / d + _FLOOR_SLACK))
+        q = _step_count(x_u / d)
         r = max(x_u - q * d, 0.0)
         return BlottoIndex(d=d, q=q, r=r)
 
@@ -102,15 +122,10 @@ class BlottoIndex:
 
 
 def _require_payoff_regime(gamma):
-    if gamma < 0.5:
-        raise OutOfRegimeError(
-            f"budget ratio {gamma:.6g} < 1/2: the uninformed player can secure "
-            "both battlefields regardless of information"
-        )
-    if gamma == 0.5 or gamma >= 1.0:
-        raise OutOfRegimeError(
-            f"budget ratio {gamma:.6g} outside the open interval (1/2, 1)"
-        )
+    if not 0.5 < gamma < 1.0:
+        why = ("< 1/2: the uninformed player can secure both battlefields regardless of "
+               "information" if gamma < 0.5 else "outside the open interval (1/2, 1)")
+        raise OutOfRegimeError(f"budget ratio gamma = {gamma:.6g} {why}")
 
 
 def _geometric_sum(c, h):
@@ -146,50 +161,41 @@ def _denominator(c, q):
     return total
 
 
-# -1 over a finite float is never 0; the even-q weight over S_{q/2} can be
-_UNDERFLOW = "the even-q payoff -(vlow/(vbar+vlow))/S_{q/2} underflows to 0"
+def _payoff(vbar, vlow, q):
+    """The closed form at step count q.  OutOfRegimeError where its
+    denominator is not a finite float, or where (even q only) it underflows."""
+    weight = 1.0 if q % 2 else _weights(vbar, vlow)[1]
+    payoff = -weight / _denominator(vbar / vlow, q)
+    if payoff == 0.0:
+        raise OutOfRegimeError(
+            f"the even-q payoff -(vlow/(vbar+vlow))/S_{{q/2}} at vbar = {vbar!r}, "
+            f"vlow = {vlow!r}, q = {q} underflows to 0"
+        )
+    return payoff
 
 
 def informed_payoff(params: BlottoParams) -> float:
-    """Ex-ante equilibrium payoff to the informed player; always in (-1, 0).
-    OutOfRegimeError where it is below the float range."""
+    """Ex-ante equilibrium payoff to the informed player; always in (-1, 0)."""
     _require_payoff_regime(params.gamma)
-    idx = BlottoIndex.from_params(params)
-    weight = 1.0 if idx.is_odd else params.vlow / (params.vbar + params.vlow)
-    payoff = -weight / _denominator(params.value_ratio, idx.q)
-    if payoff == 0.0:
-        raise OutOfRegimeError(_UNDERFLOW)
-    return payoff
+    return _payoff(params.vbar, params.vlow, BlottoIndex.from_params(params).q)
 
 
 def informed_payoff_grid(vbar, vlow, gamma):
     """(informed_payoff, q) at every point of broadcast arrays, for budgets
-    (gamma, 1).
-
-    The denominator is evaluated once per distinct (value ratio, q) pair by
-    the scalar path's own function, so every value is bit-identical to
-    ``informed_payoff``.
-    """
+    (gamma, 1): the scalar closed form per point, so each value, and each
+    refusal, is the scalar path's."""
     import numpy as np
 
     vbar, vlow, gamma = np.broadcast_arrays(vbar, vlow, gamma)
-    _require_all(np.isfinite(vbar), "vbar must be finite")
-    _require_all((0.0 < vlow) & (vlow < vbar), "vlow must stay inside (0, vbar)")
-    _require_all(
-        (0.5 < gamma) & (gamma < 1.0), "gamma must stay inside (1/2, 1)", OutOfRegimeError
-    )
-    # an overflow to inf meets the scalar path's own refusal, or (in the
-    # even-q weight at an odd-q point) is not selected; numpy need not warn
-    with np.errstate(over="ignore"):
-        c = vbar / vlow
-        weight = vlow / (vbar + vlow)
-    q = np.floor(1.0 / (1.0 - gamma) + _FLOOR_SLACK).astype(np.int64)
-    pairs, inverse = np.unique(np.stack([c.ravel(), q.ravel()]), axis=1, return_inverse=True)
-    totals = np.array([_denominator(ratio, int(steps)) for ratio, steps in pairs.T.tolist()])
-    total = totals[inverse.reshape(-1)].reshape(c.shape)
-    payoff = -np.where(q % 2 == 1, 1.0, weight) / total
-    _require_all(payoff != 0.0, _UNDERFLOW, OutOfRegimeError)
-    return payoff, q
+    shape = vbar.shape
+    vbar, vlow, gamma = vbar.ravel().tolist(), vlow.ravel().tolist(), gamma.ravel().tolist()
+    # every point's domain first, as BlottoParams and informed_payoff check it
+    for high, low in zip(vbar, vlow):
+        _require_values(high, low)
+    for g in gamma:
+        _require_payoff_regime(g)
+    q = [_step_count(1.0 / (1.0 - g)) for g in gamma]
+    return np.reshape(list(map(_payoff, vbar, vlow, q)), shape), np.reshape(q, shape)
 
 
 def gross_wagner_payoff(q: int) -> float:
@@ -248,7 +254,7 @@ def build_equilibrium(params: BlottoParams, e: float | None = None) -> StrategyP
     # game value is -1/s_a, and vlow*(1+c)/s_a = vlow/s_b.  c**half is a term
     # of s_a, and S_half is less than s_a, so both are finite here
     s_a = _denominator(c, q)
-    boundary_w = params.vlow * c**half / (params.vbar + params.vlow)
+    boundary_w = _weights(params.vbar, params.vlow, c**half)[1]
     s_b = boundary_w + _geometric_sum(c, half)
 
     # uninformed lattice: q atoms at e, e+d, ..., weights c^|k - half| (0-based)

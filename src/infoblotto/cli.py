@@ -212,11 +212,11 @@ def _lotto_columns(point, columns):
 def sweep_table(spec: SweepSpec):
     """(header, rows) of the grid sweep, row-major over the axes in order.
 
-    The grid is built once, and each column is evaluated over all of it by
-    the array kernels of ``blotto2`` and ``lotto3``.  They check the whole
-    grid, fixed values included, and give every cell the value of the scalar
-    closed form at its point, bit for bit.  Each row is one ``%.12g``
-    template, which prints every cell as ``_fmt`` does.
+    The grid is built once, and each column is evaluated over all of it:
+    by the array kernels of ``lotto3``, and by the scalar Blotto closed form
+    point by point.  Fixed values are checked at every point, and every cell
+    is the value of the scalar closed form at its point, bit for bit.  Each
+    row is one ``%.12g`` template, which prints every cell as ``_fmt`` does.
     """
     import numpy as np
 

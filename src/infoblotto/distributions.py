@@ -43,7 +43,8 @@ class PiecewiseCdf:
     atoms: ``(location, mass)`` pairs, locations strictly increasing.
     segments: ``(left, right, density)`` triples, disjoint, left < right.
     Atom locations may touch segment endpoints but never lie in a segment
-    interior.  Total mass must equal 1 to within ``MASS_TOL``.
+    interior, to within ``MASS_TOL`` of the largest location.  Total mass
+    must equal 1 to within ``MASS_TOL``.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
@@ -59,32 +60,35 @@ class PiecewiseCdf:
             raise InvalidDistributionError("empty distribution")
         prev = -math.inf
         for loc, mass in self.atoms:
-            if loc < 0.0:
-                raise InvalidDistributionError(f"atom location {loc} < 0")
+            if not 0.0 <= loc:
+                raise InvalidDistributionError(f"atom location {loc} outside [0, inf)")
             if not 0.0 < mass <= 1.0 + MASS_TOL:
                 raise InvalidDistributionError(f"atom mass {mass} outside (0, 1]")
             if loc <= prev:
                 raise InvalidDistributionError("atom locations must be strictly increasing")
             prev = loc
+        # locations agree to MASS_TOL of the support's extent (the last atom or
+        # segment end; unsorted segments overlap), at every budget scale
+        tol = MASS_TOL * max(prev, self.segments[-1][1] if self.segments else 0.0)
+        if tol == math.inf:
+            raise InvalidDistributionError("locations must be finite")
         prev_right = -math.inf
         for left, right, density in self.segments:
-            if left < 0.0:
-                raise InvalidDistributionError(f"segment left {left} < 0")
-            if right <= left:
-                raise InvalidDistributionError(f"segment [{left}, {right}] is empty")
-            if density <= 0.0:
+            if not 0.0 <= left < right:
+                raise InvalidDistributionError(f"segment [{left}, {right}] not in [0, inf)")
+            if not density > 0.0:
                 raise InvalidDistributionError(f"segment density {density} <= 0")
-            if left < prev_right - MASS_TOL:
+            if left < prev_right - tol:
                 raise InvalidDistributionError("segments overlap")
             prev_right = right
         for loc, _ in self.atoms:
             for left, right, _ in self.segments:
-                if left + MASS_TOL < loc < right - MASS_TOL:
+                if left + tol < loc < right - tol:
                     raise InvalidDistributionError(
                         f"atom at {loc} lies inside segment ({left}, {right})"
                     )
         total = self.total_mass()
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise InvalidDistributionError(f"total mass {total!r} != 1")
 
     # -- constructors ------------------------------------------------------

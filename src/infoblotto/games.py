@@ -65,15 +65,6 @@ class ValuationMatrix:
         return len(self.values[0])
 
     @staticmethod
-    def symmetric_pair(vbar, vlow):
-        """2x2 matrix with (vbar, vlow) on the diagonal pattern, rows
-        normalized to sum to one."""
-        if not vbar > vlow > 0.0:
-            raise ValueError(f"need vbar > vlow > 0, got {vbar}, {vlow}")
-        s = vbar + vlow
-        return ValuationMatrix(((vbar / s, vlow / s), (vlow / s, vbar / s)))
-
-    @staticmethod
     def cyclic(alpha, beta):
         """3x3 matrix whose rows are cyclic shifts of (1, alpha, beta),
         each normalized to sum to one."""

@@ -11,6 +11,7 @@ from infoblotto.blotto2 import (
     BlottoParams,
     _denominator,
     _geometric_sum,
+    _weights,
     build_equilibrium,
     gross_wagner_payoff,
     informed_payoff,
@@ -42,6 +43,15 @@ class TestIndex:
         idx = BlottoIndex.from_params(params(gamma=0.8, x_u=1.0))
         assert idx.q == 5
         assert idx.r == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("x_u", [1.0, 10.0, 100.0])
+    def test_slack_only_absorbs_the_rounding_of_gamma(self, x_u):
+        # 2.9999999994 is 6e-10 short of 3, far more than gamma's rounding
+        # moves it; the float 2/3 is 4e-16 short and 0.96 lands just below 25
+        for gamma, q in ((0.6666666666, 2), (2 / 3, 3), (0.96, 25)):
+            assert BlottoIndex.from_params(params(gamma=gamma, x_u=x_u)).q == q
+        _, steps = informed_payoff_grid(2.0, 1.0, np.array([0.6666666666, 2 / 3, 0.96]))
+        assert steps.tolist() == [2, 3, 25]
 
     def test_equal_budgets_rejected(self):
         with pytest.raises(ValueError):
@@ -168,6 +178,24 @@ class TestSeries:
                 assert idx.is_odd
                 atoms = build_equilibrium(p).uninformed[0].atoms
                 assert atoms[idx.q // 2][1].hex() == (-informed_payoff(p)).hex()
+
+
+class TestLargestFloatValuations:
+    def test_weights_where_the_sum_overflows(self):
+        assert _weights(1.7e308, 1.5e308) == (0.53125, 0.46875)
+        p = params(vbar=1.7e308, vlow=1.5e308, gamma=0.6)
+        assert p.valuation_matrix.values == ((0.53125, 0.46875), (0.46875, 0.53125))
+        assert informed_payoff(p) == -0.46875
+        assert informed_payoff_grid(1.7e308, 1.5e308, 0.6)[0] == -0.46875
+
+    @pytest.mark.parametrize(
+        # q = 3, 33; and q = 5, where the sum is finite but vlow * c**2 is not
+        "vbar,vlow,gamma", [(1.7e308, 1.5e308, 0.7), (1.7e308, 1.5e308, 0.97), (1e308, 1e307, 0.8)]
+    )
+    def test_profile_attains_the_payoff(self, vbar, vlow, gamma):
+        p = params(vbar=vbar, vlow=vlow, gamma=gamma)
+        value = ex_ante_payoff(build_equilibrium(p), p.valuation_matrix, p.prior)
+        assert value == pytest.approx(informed_payoff(p), rel=1e-12)
 
 
 class TestGrid:

@@ -353,6 +353,76 @@ def test_sweep_near_largest_float(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["--vbar", "1", "--vlow", "1.5", "--axis", "gamma=0.6:0.9:4"], "1.5"),
+        (["--vlow", "0.5", "--axis", "gamma=0.3:0.9:5"], "gamma = 0.3 "),
+        (["--vbar", "1e200", "--vlow", "1", "--axis", "gamma=0.6:0.76:2"], "q = 4 "),
+    ],
+)
+def test_refused_blotto_sweep_names_the_value(capsys, tmp_path, argv, named):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, "sweep", "--game", "blotto2", *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and named in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_step_count_not_raised_far_from_an_integer(capsys):
+    # 1/(1 - 0.6666666666) = 2.9999999994 is q = 2, not 3; an absolute
+    # slack of 1e-9 raised it to 3
+    argv = ["--game", "blotto2", "--vbar", "2", "--vlow", "1", "--gamma", "0.6666666666"]
+    code, out, _ = run(capsys, "payoff", *argv)
+    assert code == 0
+    assert "pi_informed = -0.333333333333\n" in out and "q = 2\n" in out
+    # an even q has no strategy construction: refused, not a failed certificate
+    code, out, err = run(capsys, "verify", *argv, "--samples", "2000")
+    assert code == 2
+    assert err.startswith("error:") and "even" in err
+    assert out == ""
+
+
+_LARGEST_VALUES = ["--game", "blotto2", "--vbar", "1.7e308", "--vlow", "1.5e308"]
+
+
+def test_payoff_at_largest_float_valuations(capsys):
+    # vbar + vlow overflows to inf; the weight 1.5/3.2 does not
+    code, out, err = run(capsys, "payoff", *_LARGEST_VALUES, "--gamma", "0.6")
+    assert code == 0, err
+    assert "pi_informed = -0.46875\n" in out and "q = 2\n" in out
+
+
+@pytest.mark.parametrize("command", ["strategy", "verify", "simulate"])
+def test_profile_at_largest_float_valuations(capsys, tmp_path, command):
+    argv = [command, *_LARGEST_VALUES, "--gamma", "0.7"]
+    argv += ["--out", str(tmp_path / "s.json")] if command == "strategy" else ["--samples", "20000"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if command == "verify":
+        assert "passed = true" in out
+
+
+@pytest.mark.parametrize(
+    "marginal",
+    [
+        {"atoms": [[5e-14, 0.5]], "segments": [[0.0, 1e-13, 5e12]]},
+        {"atoms": [], "segments": [[0.0, 2e-13, 2.5e12], [1e-13, 3e-13, 2.5e12]]},
+    ],
+)
+def test_small_scale_malformed_strategy_exits_two(capsys, blotto_strategy_file, marginal):
+    with open(blotto_strategy_file) as handle:
+        data = json.load(handle)
+    data["profile"]["uninformed"][0] = marginal
+    with open(blotto_strategy_file, "w") as handle:
+        json.dump(data, handle)
+    code, out, err = run(capsys, "verify", "--strategy", blotto_strategy_file, "--samples", "2000")
+    assert code == 2
+    assert err.startswith("error:") and ("inside" in err or "overlap" in err)
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "command,cost", [("strategy", "0.9"), ("verify", "-3"), ("simulate", "0.9")]
 )
 def test_cost_refused_where_unread(capsys, tmp_path, command, cost):

@@ -53,6 +53,38 @@ class TestValidation:
         with pytest.raises(InvalidDistributionError):
             PiecewiseCdf(atoms=((0.0, 1.0),), segments=((0.0, 1.0, 0.0),))
 
+    @pytest.mark.parametrize(
+        "atoms,segments",
+        [
+            # an atom inside a segment, and two overlapping segments, at a
+            # scale where an absolute 1e-12 slack covers the whole support
+            (((5e-14, 0.5),), ((0.0, 1e-13, 5e12),)),
+            ((), ((0.0, 2e-13, 2.5e12), (1e-13, 3e-13, 2.5e12))),
+        ],
+    )
+    def test_structure_checked_at_small_scale(self, atoms, segments):
+        with pytest.raises(InvalidDistributionError):
+            PiecewiseCdf(atoms=atoms, segments=segments)
+
+    def test_touching_accepted_at_small_scale(self):
+        f = PiecewiseCdf(atoms=((1e-13, 0.5),), segments=((0.0, 1e-13, 5e12),))
+        assert f.total_mass() == 1.0
+        PiecewiseCdf(segments=((0.0, 1e-13, 5e12), (1e-13, 2e-13, 5e12)))
+
+    @pytest.mark.parametrize(
+        "atoms,segments",
+        [
+            (((float("nan"), 1.0),), ()),
+            (((float("inf"), 1.0),), ()),
+            ((), ((0.0, float("nan"), 1.0),)),
+            (((0.0, 0.5),), ((1.0, float("inf"), 0.5),)),
+            (((0.0, 0.5),), ((0.0, 1.0, float("nan")),)),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, atoms, segments):
+        with pytest.raises(InvalidDistributionError):
+            PiecewiseCdf(atoms=atoms, segments=segments)
+
     def test_doubled_density_rejected(self):
         # mass 2 is caught by the normalization invariant
         with pytest.raises(InvalidDistributionError):

@@ -16,13 +16,14 @@ from infoblotto import (
     expected_budget,
     interim_payoff,
 )
+from infoblotto.blotto2 import BlottoParams
 from infoblotto.games import _clamp_integral
 from tests.test_distributions import piecewise_cdfs
 
 
 class TestTypes:
     def test_symmetric_pair_normalization(self):
-        v = ValuationMatrix.symmetric_pair(1.0, 0.5)
+        v = BlottoParams(1.0, 0.5, Budgets(0.7, 1.0)).valuation_matrix
         assert v.values == ((2 / 3, 1 / 3), (1 / 3, 2 / 3))
 
     def test_cyclic_rows_sum_to_one(self):
@@ -188,7 +189,7 @@ class TestProfilePayoffs:
 
     def test_identical_strategies_are_worth_zero(self):
         profile = self._identical_profile()
-        v = ValuationMatrix.symmetric_pair(1.0, 0.25)
+        v = BlottoParams(1.0, 0.25, Budgets(0.7, 1.0)).valuation_matrix
         assert ex_ante_payoff(profile, v, Prior.uniform(2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_state_deterministic_win(self):
@@ -222,8 +223,9 @@ class TestProfilePayoffs:
         v = ValuationMatrix.cyclic(0.5, 0.5)
         with pytest.raises(ValueError):
             ex_ante_payoff(profile, v, Prior.uniform(3))
+        v = BlottoParams(1.0, 0.5, Budgets(0.7, 1.0)).valuation_matrix
         with pytest.raises(ValueError):
-            interim_payoff(profile, ValuationMatrix.symmetric_pair(1.0, 0.5), Prior.uniform(2), 5)
+            interim_payoff(profile, v, Prior.uniform(2), 5)
 
 
 class TestExpectedBudget:
