@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import PiecewiseCdf
+from .distributions import MASS_TOL, PiecewiseCdf
 from .games import (
     Budgets,
     OutOfRegimeError,
@@ -232,6 +232,8 @@ def build_equilibrium(params: BlottoParams, e: float | None = None) -> StrategyP
     marginal is the battlefield-1 marginal reflected about the budget.  The
     free offset ``e`` of the uninformed lattice may be anything in (r, d)
     and defaults to the midpoint; the game value does not depend on it.
+    Within ``MASS_TOL * X_U`` of r or d, where rounding can put the lattice
+    on the informed atoms, ``e`` is refused.
     """
     _require_payoff_regime(params.gamma)
     idx = BlottoIndex.from_params(params)
@@ -242,8 +244,9 @@ def build_equilibrium(params: BlottoParams, e: float | None = None) -> StrategyP
         )
     if e is None:
         e = (idx.r + idx.d) / 2.0
-    if not idx.r < e < idx.d:
-        raise ValueError(f"offset e = {e} outside the open interval ({idx.r}, {idx.d})")
+    tol = MASS_TOL * params.budgets.uninformed
+    if not (e - idx.r > tol and idx.d - e > tol):
+        raise ValueError(f"offset e = {e} not inside ({idx.r}, {idx.d}) by more than {tol:.3g}")
 
     c = params.value_ratio
     q, d = idx.q, idx.d

@@ -6,8 +6,8 @@ plus a piecewise-linear ramp.  Keeping that structure explicit lets payoff
 integrals be evaluated in closed form (no quadrature, no binning) and makes
 inverse-transform sampling exact.
 
-Everything but sampling is plain Python floats: numpy is imported only by
-``ppf``, so the exact payoff and oracle checks never load it.
+Everything but sampling is plain Python floats: only the sampling methods
+import numpy, so the exact payoff and oracle checks never load it.
 """
 
 from __future__ import annotations
@@ -168,18 +168,25 @@ class PiecewiseCdf:
         # only the cumulative masses before it bound the search
         return lows, slopes, cum_hi - masses, cum_hi[:-1]
 
-    def ppf(self, u):
-        """Quantile function; maps uniforms in [0, 1) to allocations.
+    def component(self, u):
+        """Component of each uniform in the array ``u``: the count of
+        cumulative masses ``<= u`` but the last (a ``u`` past the rounded
+        total mass takes the last component), summed one branch-free
+        comparison per component up to 255 (a ``uint8``), bisected past."""
+        import numpy as np
+        bounds = self._inverse_table[3]
+        if len(bounds) > 254:
+            return np.searchsorted(bounds, u, side="right")
+        idx = np.zeros(u.shape, np.uint8)
+        hit = np.empty(u.shape, bool)
+        for c in bounds:
+            np.greater_equal(u, c, out=hit)
+            idx += hit.view(np.uint8)
+        return idx
 
-        The component of u is the count of cumulative masses ``<= u`` but
-        the last, as ``searchsorted(side="right")`` gives it.  Up to 255
-        components (a ``uint8`` count) it is summed one comparison per
-        component over the whole array, with no branch to mispredict;
-        larger tables bisect.  The allocation is ``low + (u - mass below) *
-        slope``, in place.  A one-component table needs no count, and an
-        atoms-only table, slope 0 throughout, is just ``low`` of the
-        component.
-        """
+    def ppf(self, u):
+        """Quantile function: ``low + (u - mass below) * slope`` of each
+        uniform's ``component``, in place; ``low`` for an atoms-only table."""
         import numpy as np
         lows, slopes, cum_lo, bounds = self._inverse_table
         u = np.asarray(u, dtype=float)
@@ -190,14 +197,7 @@ class PiecewiseCdf:
             x = u * slopes[0]
             x += lows[0]
             return x
-        if len(lows) > 255:
-            idx = np.searchsorted(bounds, u, side="right")
-        else:
-            idx = np.zeros(u.shape, np.uint8)
-            hit = np.empty(u.shape, bool)
-            for c in bounds:
-                np.greater_equal(u, c, out=hit)
-                idx += hit.view(np.uint8)
+        idx = self.component(u)
         if not slopes.any():
             return lows[idx]
         idx = idx.astype(np.intp)
@@ -206,6 +206,16 @@ class PiecewiseCdf:
         x *= slopes[idx]
         x += lows[idx]
         return x
+
+    def thresholds(self, locations):
+        """``(t_plus, t_minus)`` of an atoms-only table at each location x:
+        ``ppf(b) < x`` iff ``b < t_plus`` and ``ppf(b) > x`` iff ``b >=
+        t_minus``, the cumulative masses at the count of atoms below x and
+        at or below it, padded with -inf (none below) and +inf (none above)."""
+        import numpy as np
+        lows, _, _, bounds = self._inverse_table
+        cum = np.concatenate(([-np.inf], bounds, [np.inf]))
+        return tuple(cum[np.searchsorted(lows, locations, side)] for side in ("left", "right"))
 
     # -- transforms ---------------------------------------------------------
 

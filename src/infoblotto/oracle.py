@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import blotto2, lotto3
+from . import blotto2, games, lotto3
 from .distributions import MASS_TOL
 from .games import StrategyProfile, expected_budget, interim_payoff, pure_deviation_payoff
 
@@ -222,46 +222,81 @@ def blotto_budget_residuals(profile: StrategyProfile, params: blotto2.BlottoPara
 # ---------------------------------------------------------------------------
 
 
-def _allocate(make, shape, samples):
-    # numpy refuses a size past its index range with ValueError and one the
-    # system will not give with MemoryError, both before touching memory
-    try:
-        return make(shape)
-    except (MemoryError, ValueError):
-        raise ValueError(f"{samples} Monte Carlo samples do not fit in memory") from None
+_CHUNK = 1 << 15  # samples scored at a time; 2^15 ran fastest of 2^13 to 2^16
+
+
+def _positioned(state, k):
+    """A Generator at the k-th 64-bit word after the Philox ``state`` dict.
+    Counter c yields words 4c to 4c + 3 and the next word is number
+    4 * counter + buffer_pos, so a Philox one counter before word k's, with
+    the words before k in its block discarded, continues there."""
+    import numpy as np
+    counter = sum(int(c) << 64 * i for i, c in enumerate(state["state"]["counter"]))
+    block, skip = divmod(4 * counter + state["buffer_pos"] + k, 4)
+    bit_generator = np.random.Philox(counter=block - 1, key=state["state"]["key"])
+    bit_generator.random_raw(skip)
+    return np.random.Generator(bit_generator)
+
+
+def _draws(f, state, k):
+    # a one-atom marginal's quantile is its location: it reads no draws
+    return _positioned(state, k) if f.segments or len(f.atoms) > 1 else None
 
 
 def monte_carlo_value(profile, values, prior, samples, seed):
     """Unbiased (mean, standard error) estimate of the informed player's
     ex-ante payoff.  Draws are exchangeable, so the state counts are drawn
-    first and each state's allocations are then sampled as one block, the
-    only block of draws held at a time.  Battlefield j is scored by two
-    comparisons, ``v * ([x > y] - [x < y])``: for finite allocations x - y
-    is 0 exactly when x == y, so these are the floats ``v * sign(x - y)``
-    gave.  Philox is counter-based: results are bit-identical for a fixed
-    seed, though a seed's numbers differ from the first 0.1.0 release,
-    which drew a state per sample.  A sample count too large to allocate
-    is refused with ``ValueError``."""
+    first; state i's allocations then take the next 2 * n * count_i uniforms
+    as one ``(2, n, count_i)`` block holds them, each battlefield's range
+    read from a positioned Philox stream ``_CHUNK`` samples at a time (none
+    for a one-atom marginal), so only the payoff array grows with
+    ``samples``.  Battlefield j is scored ``v * ([x > y] - [x < y])``, the
+    floats ``v * sign(x - y)`` gave; between atoms-only marginals y is never
+    sampled: its uniform is compared with the ``PiecewiseCdf.thresholds`` of
+    x's atom.  A seed's numbers differ from the first 0.1.0 release, which
+    drew a state per sample.  A sample count too large to allocate is
+    refused with ``ValueError``."""
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
+    games._check_dimensions(profile, values, prior)
     import numpy as np
     rng = np.random.Generator(np.random.Philox(seed))
-    vals = np.asarray(values.values)
-    payoff = _allocate(np.zeros, samples, samples)
-    start = 0
-    for i, count in enumerate(rng.multinomial(samples, prior.weights)):
-        draws = _allocate(rng.random, (2, values.n, count), samples)
-        block = payoff[start : start + count]
-        start += count
-        for v, f, g, a, b in zip(vals[i], profile.informed[i], profile.uninformed, *draws):
-            x, y = f.ppf(a), g.ppf(b)
-            score = np.greater(x, y).view(np.int8)
-            score -= np.less(x, y).view(np.int8)
-            np.copyto(x, score)
-            x *= v
-            block += x
-            del x, y, score  # before the next battlefield is sampled
-        del draws, a, b  # before the next state's block is drawn
+    # numpy refuses a size past its index range with ValueError and one the
+    # system will not give with MemoryError, both before touching memory
+    try:
+        payoff = np.zeros(samples)
+    except (MemoryError, ValueError):
+        raise ValueError(f"{samples} Monte Carlo samples do not fit in memory") from None
+    counts = rng.multinomial(samples, prior.weights).tolist()
+    state = rng.bit_generator.state
+    buffer = np.empty(min(samples, _CHUNK))
+    n, word, end = values.n, 0, 0
+    for vals, row, count in zip(values.values, profile.informed, counts):
+        start, end = end, end + count
+        # battlefield by battlefield, so each sample still adds j = 0 first
+        for j, (v, f, g) in enumerate(zip(vals, row, profile.uninformed)):
+            draws_a = _draws(f, state, word + j * count)
+            draws_b = _draws(g, state, word + (n + j) * count)
+            atoms_only = not (f.segments or g.segments)
+            if atoms_only:
+                t_plus, t_minus = g.thresholds([loc for loc, _ in f.atoms])
+            for lo in range(start, end, _CHUNK):
+                block = payoff[lo : min(lo + _CHUNK, end)]
+                a = draws_a.random(len(block)) if draws_a else 0.0
+                b = draws_b.random(len(block)) if draws_b else 0.0
+                if atoms_only:
+                    i = f.component(a) if draws_a else 0
+                    above, below = np.less(b, t_plus[i]), np.greater_equal(b, t_minus[i])
+                else:
+                    x, y = f.ppf(a), g.ppf(b)
+                    above, below = np.greater(x, y), np.less(x, y)
+                score = above.view(np.int8)
+                score -= below.view(np.int8)
+                out = buffer[: len(block)]
+                np.copyto(out, score)
+                out *= v
+                block += out
+        word += 2 * n * count
     mean = float(payoff.mean())
     std_error = float(payoff.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, std_error

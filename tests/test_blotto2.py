@@ -19,6 +19,8 @@ from infoblotto.blotto2 import (
     uninformed_guarantee_condition,
     value_of_information,
 )
+from infoblotto.distributions import MASS_TOL
+from infoblotto.oracle import certify
 
 
 def params(vlow=0.5, gamma=0.7, x_u=10.0, vbar=1.0):
@@ -392,3 +394,19 @@ class TestConstruction:
             build_equilibrium(params(), e=0.5)  # below r = 1
         with pytest.raises(ValueError):
             build_equilibrium(params(), e=3.0)  # at d
+
+    @pytest.mark.parametrize("x_u", [1.0, 10.0, 1e6])
+    def test_offset_within_merge_tolerance_refused(self, x_u):
+        # within MASS_TOL * X_U of r or d rounding can put the lattice on the
+        # informed atoms, and such profiles failed their certificates; just
+        # outside, the profile passes
+        p = params(x_u=x_u)
+        idx = BlottoIndex.from_params(p)
+        tol = MASS_TOL * x_u
+        near = (idx.r + 0.5 * tol, math.nextafter(idx.r, math.inf),
+                idx.d - 0.5 * tol, math.nextafter(idx.d, 0.0))
+        for e in near:
+            with pytest.raises(ValueError, match="offset"):
+                build_equilibrium(p, e=e)
+        for e in (idx.r + 2.0 * tol, idx.d - 2.0 * tol):
+            assert certify(build_equilibrium(p, e=e), p, samples=20_000).passed

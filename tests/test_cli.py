@@ -422,6 +422,27 @@ def test_small_scale_malformed_strategy_exits_two(capsys, blotto_strategy_file, 
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("cut", ["state", "battlefield"])
+def test_strategy_of_other_dimensions_exits_two(capsys, blotto_strategy_file, command, cut):
+    # one state or one battlefield short of its game: simulate raised
+    # IndexError on the first and scored one battlefield of the second
+    with open(blotto_strategy_file) as handle:
+        data = json.load(handle)
+    profile = data["profile"]
+    if cut == "state":
+        profile["informed"] = profile["informed"][:1]
+    else:
+        profile["informed"] = [row[:1] for row in profile["informed"]]
+        profile["uninformed"] = profile["uninformed"][:1]
+    with open(blotto_strategy_file, "w") as handle:
+        json.dump(data, handle)
+    code, out, err = run(capsys, command, "--strategy", blotto_strategy_file, "--samples", "2000")
+    assert code == 2
+    assert err.startswith("error:") and "counts disagree" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "command,cost", [("strategy", "0.9"), ("verify", "-3"), ("simulate", "0.9")]
 )
@@ -462,6 +483,19 @@ def test_verify_passes_at_extreme_budget(capsys, argv):
     code, out, err = run(capsys, "verify", *argv, "--samples", "20000")
     assert code == 0, out + err
     assert "passed = true" in out
+
+
+@pytest.mark.parametrize("command", ["strategy", "verify", "simulate"])
+def test_offset_at_rounded_gap_exits_two(capsys, tmp_path, command):
+    # 0.3 is 4e-17 below d = 1 - 0.7 = 0.30000000000000004: inside (r, d),
+    # but the lattice it builds failed its own certificate (verify exited 1)
+    extra = ["--out", str(tmp_path / "s.json")] if command == "strategy" else []
+    code, out, err = run(
+        capsys, command, "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
+        "--gamma", "0.7", "--e", "0.3", *extra,
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "offset e = 0.3" in err
 
 
 class TestStrategyAndVerify:

@@ -182,10 +182,13 @@ class TestMonteCarlo:
         assert different != first
 
     # float.hex of (mean, se) at 50k samples, the first four recorded before
-    # PiecewiseCdf.ppf counted components instead of bisecting, the last two
+    # PiecewiseCdf.ppf counted components instead of bisecting, the next two
     # before battlefields were scored by comparison instead of np.sign: a
     # change that moves the Monte Carlo stream, or one bit of an estimate,
-    # fails here
+    # fails here.  A (params, samples) pair pins another count; the last
+    # three, recorded before the draws were read in chunks, span several
+    # chunks in every state, and 3 * 2**16 + 1 samples split into counts
+    # that end mid-chunk
     @pytest.mark.parametrize(
         "params,seed,mean,se",
         [
@@ -213,12 +216,25 @@ class TestMonteCarlo:
                 BlottoParams.from_ratio(1.0, 0.05, 1.0 - 1.0 / 33.5), 16,
                 "-0x1.3d91986205ecdp-12", "0x1.1779af3026a37p-8",
             ),
+            (  # lotto3 low regime: one-atom informed marginals draw nothing
+                (LottoParams(0.5, 0.5, 0.2), 200_000), 21,
+                "-0x1.6669057d1782dp-1", "0x1.0c9cfc0ad97c4p-10",
+            ),
+            (  # blotto2 q = 33: atoms only, scored by thresholds
+                (BlottoParams.from_ratio(1.0, 0.8, 1.0 - 1.0 / 33.5), 200_000), 22,
+                "-0x1.bfd44f3078260p-9", "0x1.9fce77b046bacp-10",
+            ),
+            (  # lotto3 high regime, state counts 65775, 65223 and 65611
+                (LottoParams(0.6, 0.3, 0.8), 3 * 2**16 + 1), 23,
+                "0x1.49f0b175620a3p-4", "0x1.38cd27743011dp-10",
+            ),
         ],
     )
     def test_stream_is_pinned(self, params, seed, mean, se):
+        params, samples = params if isinstance(params, tuple) else (params, 50_000)
         build = build_blotto if isinstance(params, BlottoParams) else build_lotto
         got = monte_carlo_value(
-            build(params), params.valuation_matrix, params.prior, 50_000, seed
+            build(params), params.valuation_matrix, params.prior, samples, seed
         )
         assert (got[0].hex(), got[1].hex()) == (mean, se)
 
@@ -291,15 +307,23 @@ def sign_scored_monte_carlo(profile, values, prior, samples, seed):
     return float(payoff.mean()), std_error
 
 
-_TIE_LOCATIONS = (0.0, 0.5, 1.0, 1.5, 2.0)
+# -0.0 and 0.0 compare equal, so a marginal holds at most one of them
+_TIE_LOCATIONS = (-0.0, 0.0, 0.5, 1.0, 1.5, 2.0)
 
 
 @st.composite
-def tied_marginals(draw):
+def tied_marginals(draw, ramps=True):
     # atoms on locations every marginal shares, so the two players tie with
     # positive probability, and sometimes a ramp above them
+    if draw(st.integers(0, 19)) == 0:
+        # more than 255 atoms, on a lattice through the shared locations:
+        # the component index is bisected, not counted in a uint8
+        size = draw(st.integers(256, 300))
+        ratio = draw(st.floats(0.95, 1.05))
+        total = math.fsum(ratio**k for k in range(size))
+        return PiecewiseCdf(atoms=tuple((0.25 * k, ratio**k / total) for k in range(size)))
     locs = draw(st.lists(st.sampled_from(_TIE_LOCATIONS), min_size=1, max_size=5, unique=True))
-    ramp = draw(st.booleans())
+    ramp = ramps and draw(st.booleans())
     weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(locs) + ramp,
                             max_size=len(locs) + ramp))
     total = math.fsum(weights)
@@ -310,11 +334,11 @@ def tied_marginals(draw):
 
 
 @st.composite
-def tied_games(draw):
+def tied_games(draw, ramps=True):
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     profile = StrategyProfile(
-        informed=[[draw(tied_marginals()) for _ in range(n)] for _ in range(m)],
-        uninformed=[draw(tied_marginals()) for _ in range(n)],
+        informed=[[draw(tied_marginals(ramps)) for _ in range(n)] for _ in range(m)],
+        uninformed=[draw(tied_marginals(ramps)) for _ in range(n)],
     )
     values = ValuationMatrix(
         tuple(tuple(draw(st.floats(0.1, 3.0)) for _ in range(n)) for _ in range(m))
@@ -324,12 +348,81 @@ def tied_games(draw):
     return profile, values, prior
 
 
+# atoms-only games, as every Blotto profile is, take the threshold path
+# that never samples the uninformed allocation
 @settings(max_examples=60, deadline=None)
-@given(tied_games(), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+@given(
+    st.one_of(tied_games(), tied_games(ramps=False)),
+    st.integers(1, 3000),
+    st.integers(0, 2**32 - 1),
+)
 def test_comparison_scoring_equals_sign(game, samples, seed):
     got = monte_carlo_value(*game, samples, seed)
     want = sign_scored_monte_carlo(*game, samples, seed)
     assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex())
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize(
+    "params", [BlottoParams.from_ratio(1.0, 0.8, 0.91), LottoParams(0.6, 0.3, 0.8)]
+)
+def test_chunk_boundaries_equal_block_draws(params, extra):
+    # one state, so its count is the sample count: a whole number of chunks,
+    # one short of it, and one past it
+    build = build_blotto if isinstance(params, BlottoParams) else build_lotto
+    profile = build(params)
+    game = (
+        StrategyProfile(informed=profile.informed[:1], uninformed=profile.uninformed),
+        ValuationMatrix(params.valuation_matrix.values[:1]),
+        Prior((1.0,)),
+    )
+    samples = 2 * oracle._CHUNK + extra
+    got = monte_carlo_value(*game, samples, 3)
+    want = sign_scored_monte_carlo(*game, samples, 3)
+    assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex())
+
+
+def _raw_after(state, skip, size):
+    bit_generator = np.random.Philox()
+    bit_generator.state = state
+    bit_generator.random_raw(skip)
+    return bit_generator.random_raw(size)
+
+
+# skips 0-9, and skips that cross one or more 4-word blocks
+_SKIPS = (*range(10), 11, 12, 13, 17, 31, 100, 1001)
+
+
+@pytest.mark.parametrize("buffer_pos", range(5))
+def test_positioned_stream_at_every_buffer_position(buffer_pos):
+    bit_generator = np.random.Philox(7)
+    bit_generator.random_raw(9)  # counter 3, its block in the buffer
+    state = bit_generator.state
+    state["buffer_pos"] = buffer_pos
+    for skip in _SKIPS:
+        got = oracle._positioned(state, skip).bit_generator.random_raw(9)
+        assert np.array_equal(got, _raw_after(state, skip, 9)), skip
+
+
+def test_positioned_stream_across_counter_carry():
+    # the next words come from counter 2**64 - 1, so a skip of 4 or more
+    # carries the counter into its second 64-bit limb
+    state = np.random.Philox(counter=2**64 - 2, key=5).state
+    for skip in _SKIPS:
+        got = oracle._positioned(state, skip).bit_generator.random_raw(9)
+        assert np.array_equal(got, _raw_after(state, skip, 9)), skip
+
+
+@pytest.mark.parametrize("seed", [0, 11, 20240801])
+def test_positioned_stream_after_multinomial(seed):
+    # the state monte_carlo_value positions from, and the doubles it reads
+    rng = np.random.Generator(np.random.Philox(seed))
+    rng.multinomial(200_000, [0.2, 0.3, 0.5])
+    state = rng.bit_generator.state
+    block = rng.random(1200)
+    for skip in _SKIPS:
+        got = oracle._positioned(state, skip).random(100)
+        assert np.array_equal(got, block[skip : skip + 100]), skip
 
 
 class TestCertify:
