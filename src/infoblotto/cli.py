@@ -329,7 +329,7 @@ def _resolve_profile(args):
 
 def cmd_verify(args):
     params, profile = _resolve_profile(args)
-    cert = oracle.certify(profile, params, samples=args.samples, seed=args.seed)
+    cert = oracle.certify(profile, params)
     print(f"game = {cert.game}")
     print(f"claimed_value = {_fmt(cert.claimed_value)}")
     print(f"deviation_gap_uninformed = {_fmt(cert.deviation_gap_uninformed)}")
@@ -338,10 +338,7 @@ def cmd_verify(args):
     print(f"budget_residual_uninformed = {_fmt(cert.budget_residual_uninformed)}")
     for i, res in enumerate(cert.budget_residuals_informed):
         print(f"budget_residual_informed[{i}] = {_fmt(res)}")
-    print(f"mc_mean = {_fmt(cert.mc_mean)}")
-    print(f"mc_std_error = {_fmt(cert.mc_std_error)}")
-    print(f"mc_samples = {cert.mc_samples}")
-    print(f"mc_seed = {cert.mc_seed}")
+    print(f"value_residual = {_fmt(cert.value_residual)}")
     print(f"passed = {str(cert.passed).lower()}")
     if args.out is not None:
         with open(args.out, "w") as handle:
@@ -359,7 +356,7 @@ def cmd_simulate(args):
     print(f"mc_mean = {_fmt(mean)}")
     print(f"mc_std_error = {_fmt(std_error)}")
     print(f"closed_form = {_fmt(claimed)}")
-    # the z that certify judges by: with no spread, any miss is infinite
+    # with no spread, any miss is infinite
     miss = abs(mean - claimed)
     z = miss / std_error if std_error > 0.0 else (math.inf if miss else 0.0)
     print(f"z_score = {_fmt(z)}")
@@ -411,12 +408,10 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_strategy)
 
-    p = subs.add_parser("verify", help="certify a profile against the closed form")
+    p = subs.add_parser("verify", help="certify a profile exactly against the closed form")
     _add_game_options(p, require_game=False)
     p.add_argument("--e", type=float, default=None)
     p.add_argument("--strategy", default=None, help="strategy JSON to verify")
-    p.add_argument("--samples", type=int, default=oracle.DEFAULT_MC_SAMPLES)
-    p.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
     p.add_argument("--out", default=None, help="write certificate JSON here")
     p.set_defaults(func=cmd_verify)
 

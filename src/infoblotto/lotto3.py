@@ -198,10 +198,12 @@ def multipliers(alpha, beta, gamma, budget_uninformed=1.0) -> tuple[float, float
             beta + (1.0 + 3.0 * alpha - 4.0 * beta) / (9.0 * gamma**2)
         )
     lam_u = 3.0 * gamma * lam_i
-    if not math.isfinite(lam_u):  # a positive multiple of lam_i: covers both
+    # a positive multiple of lam_i no larger than 3 lam_i: covers both
+    if not 0.0 < lam_u < math.inf:
+        size = "small" if lam_u else "large"
         raise OutOfRegimeError(
-            f"uninformed budget {budget_uninformed!r} is too small: "
-            "the multipliers overflow"
+            f"uninformed budget {budget_uninformed!r} is too {size} at budget "
+            f"ratio {gamma!r}: the multiplier lambda_uninformed is {lam_u!r}"
         )
     return lam_i, lam_u
 

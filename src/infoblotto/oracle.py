@@ -3,13 +3,15 @@
 Nothing here reuses the closed-form constructions' internals: deviations are
 checked as pure allocations against the opponent's marginals, budget
 feasibility is recomputed from the marginals, and the game value is
-re-estimated by seeded Monte Carlo.  Opponent CDFs are steps plus ramps, so
-every deviation payoff is piecewise constant (Blotto) or piecewise linear
-(Lotto) between the opponent's breakpoints, and its supremum is found
-exactly by evaluating a finite list of points: no grid, no tuning.  Every
-payoff comes from the one tie-aware ``PiecewiseCdf.cdf`` in plain Python
-floats (numpy is loaded only for Monte Carlo); a Blotto scan pays each
-type's interim payoff once, so it takes O(q log q) for O(q) lattice atoms.
+recomputed exactly from the marginals by ``games.ex_ante_payoff``.  Opponent
+CDFs are steps plus ramps, so every deviation payoff is piecewise constant
+(Blotto) or piecewise linear (Lotto) between the opponent's breakpoints, and
+its supremum is found exactly by evaluating a finite list of points: no
+grid, no tuning.  Every payoff comes from the one tie-aware
+``PiecewiseCdf.cdf`` in plain Python floats; a Blotto scan pays each type's
+interim payoff once, so it takes O(q log q) for O(q) lattice atoms.  The
+seeded Monte Carlo estimate ``monte_carlo_value`` (``infoblotto simulate``)
+is the only part that loads numpy, and no verdict reads it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from . import blotto2, games, lotto3
 from .distributions import MASS_TOL
 from .games import StrategyProfile, expected_budget, interim_payoff, pure_deviation_payoff
 
-DEFAULT_MC_SAMPLES = 200_000
 DEFAULT_SEED = 20240801
 EPS_DEVIATION = 1e-6
 EPS_BUDGET = 1e-9
@@ -311,12 +312,13 @@ def monte_carlo_value(profile, values, prior, samples, seed):
 class Certificate:
     """Outcome of all oracle checks on one profile.
 
-    ``passed`` is true iff every deviation gap is at most ``eps_deviation``,
-    every budget residual at most ``eps_budget``, and the Monte Carlo mean
-    lies within four standard errors of the claimed closed-form value.
-    Blotto gaps are in payoff units; Lotto slacks and every budget residual
-    are fractions of X_U (Blotto reflection masses excepted), so a verdict
-    does not depend on the budget scale.
+    ``passed`` is true iff every deviation gap and the value residual
+    ``|ex_ante_payoff - claimed_value|`` are at most ``eps_deviation`` and
+    every budget residual is at most ``eps_budget``.  Blotto gaps and the
+    value residual are in payoff units (absolute: a Blotto value can be as
+    small as 1e-300); Lotto slacks and every budget residual are fractions
+    of X_U (Blotto reflection masses excepted), so a verdict does not depend
+    on the budget scale.
     """
 
     game: str
@@ -325,10 +327,7 @@ class Certificate:
     deviation_gaps_informed: tuple[float, ...]
     budget_residual_uninformed: float
     budget_residuals_informed: tuple[float, ...]
-    mc_mean: float
-    mc_std_error: float
-    mc_samples: int
-    mc_seed: int
+    value_residual: float
     eps_deviation: float
     eps_budget: float
     passed: bool
@@ -349,14 +348,9 @@ def claimed_value(params):
     raise TypeError(f"unsupported params type: {type(params).__name__}")
 
 
-def certify(
-    profile: StrategyProfile,
-    params,
-    samples=DEFAULT_MC_SAMPLES,
-    seed=DEFAULT_SEED,
-) -> Certificate:
-    """Run every applicable check for ``profile`` against the closed-form
-    value implied by ``params`` and assemble a Certificate."""
+def certify(profile: StrategyProfile, params) -> Certificate:
+    """Run every exact check for ``profile`` against the closed-form value
+    implied by ``params`` and assemble a Certificate."""
     claimed = claimed_value(params)
     if isinstance(params, blotto2.BlottoParams):
         game, scan, residuals = "blotto2", blotto_deviation_gaps, blotto_budget_residuals
@@ -364,14 +358,12 @@ def certify(
         game, scan, residuals = "lotto3", lotto_support_optimality, lotto_budget_residuals
     gaps = scan(profile, params)
     res_u, res_i = residuals(profile, params)
-
-    mc_mean, mc_se = monte_carlo_value(
-        profile, params.valuation_matrix, params.prior, samples, seed
-    )
+    value = games.ex_ante_payoff(profile, params.valuation_matrix, params.prior)
+    value_residual = abs(value - claimed)
     passed = (
         gaps.worst() <= EPS_DEVIATION
         and max(res_u, *res_i) <= EPS_BUDGET
-        and abs(mc_mean - claimed) <= 4.0 * mc_se
+        and value_residual <= EPS_DEVIATION
     )
     return Certificate(
         game=game,
@@ -380,10 +372,7 @@ def certify(
         deviation_gaps_informed=gaps.informed,
         budget_residual_uninformed=res_u,
         budget_residuals_informed=res_i,
-        mc_mean=mc_mean,
-        mc_std_error=mc_se,
-        mc_samples=samples,
-        mc_seed=seed,
+        value_residual=value_residual,
         eps_deviation=EPS_DEVIATION,
         eps_budget=EPS_BUDGET,
         passed=passed,

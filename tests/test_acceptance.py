@@ -337,13 +337,13 @@ def test_certification_grid():
     for gamma in (0.15, 0.3, 0.4, 0.6, 0.75, 0.95):
         for a, b in [(0.3, 0.2), (0.6, 0.6), (0.85, 0.25), (0.5, 0.1)]:
             params = LottoParams(a, b, gamma)
-            cert = certify(build_lotto(params), params, samples=30_000)
+            cert = certify(build_lotto(params), params)
             if not cert.passed:
                 failures.append(("lotto3", a, b, gamma))
     for gamma in (0.67, 0.71, 0.74, 0.8, 0.82, 0.86, 0.87):
         for vlow in (0.15, 0.45, 0.75):
             params = BlottoParams.from_ratio(1.0, vlow, gamma, 1.0)
-            cert = certify(build_blotto(params), params, samples=30_000)
+            cert = certify(build_blotto(params), params)
             if not cert.passed:
                 failures.append(("blotto2", vlow, gamma))
     assert not failures, f"certification failed at {failures}"

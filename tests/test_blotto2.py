@@ -409,4 +409,4 @@ class TestConstruction:
             with pytest.raises(ValueError, match="offset"):
                 build_equilibrium(p, e=e)
         for e in (idx.r + 2.0 * tol, idx.d - 2.0 * tol):
-            assert certify(build_equilibrium(p, e=e), p, samples=20_000).passed
+            assert certify(build_equilibrium(p, e=e), p).passed

@@ -30,6 +30,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def samples(command, count="2000"):
+    # simulate's sample count; verify is exact and takes none
+    return ["--samples", count] if command == "simulate" else []
+
+
 class TestPayoff:
     def test_lotto_low_regime(self, capsys):
         code, out, _ = run(
@@ -377,7 +382,7 @@ def test_step_count_not_raised_far_from_an_integer(capsys):
     assert code == 0
     assert "pi_informed = -0.333333333333\n" in out and "q = 2\n" in out
     # an even q has no strategy construction: refused, not a failed certificate
-    code, out, err = run(capsys, "verify", *argv, "--samples", "2000")
+    code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert err.startswith("error:") and "even" in err
     assert out == ""
@@ -396,8 +401,8 @@ def test_payoff_at_largest_float_valuations(capsys):
 @pytest.mark.parametrize("command", ["strategy", "verify", "simulate"])
 def test_profile_at_largest_float_valuations(capsys, tmp_path, command):
     argv = [command, *_LARGEST_VALUES, "--gamma", "0.7"]
-    argv += ["--out", str(tmp_path / "s.json")] if command == "strategy" else ["--samples", "20000"]
-    code, out, err = run(capsys, *argv)
+    argv += ["--out", str(tmp_path / "s.json")] if command == "strategy" else []
+    code, out, err = run(capsys, *argv, *samples(command, "20000"))
     assert code == 0, err
     if command == "verify":
         assert "passed = true" in out
@@ -416,7 +421,7 @@ def test_small_scale_malformed_strategy_exits_two(capsys, blotto_strategy_file, 
     data["profile"]["uninformed"][0] = marginal
     with open(blotto_strategy_file, "w") as handle:
         json.dump(data, handle)
-    code, out, err = run(capsys, "verify", "--strategy", blotto_strategy_file, "--samples", "2000")
+    code, out, err = run(capsys, "verify", "--strategy", blotto_strategy_file)
     assert code == 2
     assert err.startswith("error:") and ("inside" in err or "overlap" in err)
     assert out == ""
@@ -437,7 +442,7 @@ def test_strategy_of_other_dimensions_exits_two(capsys, blotto_strategy_file, co
         profile["uninformed"] = profile["uninformed"][:1]
     with open(blotto_strategy_file, "w") as handle:
         json.dump(data, handle)
-    code, out, err = run(capsys, command, "--strategy", blotto_strategy_file, "--samples", "2000")
+    code, out, err = run(capsys, command, "--strategy", blotto_strategy_file, *samples(command))
     assert code == 2
     assert err.startswith("error:") and "counts disagree" in err
     assert out == ""
@@ -449,7 +454,7 @@ def test_strategy_of_other_dimensions_exits_two(capsys, blotto_strategy_file, co
 def test_cost_refused_where_unread(capsys, tmp_path, command, cost):
     out = tmp_path / "x.out"
     argv = [command, "--game", "lotto3", "--alpha", "0.5", "--gamma", "0.5", "--cost", cost]
-    argv += ["--out", str(out)] if command == "strategy" else ["--samples", "2000"]
+    argv += ["--out", str(out)] if command == "strategy" else samples(command)
     code, stdout, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and "--cost" in err and command in err
@@ -480,7 +485,7 @@ def test_sweep_cost_without_voi_refused(capsys, tmp_path):
     ],
 )
 def test_verify_passes_at_extreme_budget(capsys, argv):
-    code, out, err = run(capsys, "verify", *argv, "--samples", "20000")
+    code, out, err = run(capsys, "verify", *argv)
     assert code == 0, out + err
     assert "passed = true" in out
 
@@ -516,7 +521,7 @@ class TestStrategyAndVerify:
         cert_path = tmp_path / "cert.json"
         code, out, _ = run(
             capsys, "verify", "--game", "lotto3", "--alpha", "0.5", "--beta", "0.5",
-            "--gamma", "0.2", "--samples", "40000", "--out", str(cert_path),
+            "--gamma", "0.2", "--out", str(cert_path),
         )
         assert code == 0
         assert "passed = true" in out
@@ -530,9 +535,7 @@ class TestStrategyAndVerify:
             capsys, "strategy", "--game", "lotto3", "--alpha", "0.6", "--beta", "0.3",
             "--gamma", "0.8", "--out", str(path),
         )
-        code, out, _ = run(
-            capsys, "verify", "--strategy", str(path), "--samples", "40000"
-        )
+        code, out, _ = run(capsys, "verify", "--strategy", str(path))
         assert code == 0
         assert "passed = true" in out
 
@@ -552,7 +555,7 @@ class TestStrategyAndVerify:
         bf2[-1][1] += 0.05
         bf2[-2][1] -= 0.05
         path.write_text(json.dumps(data))
-        code, out, _ = run(capsys, "verify", "--strategy", str(path), "--samples", "40000")
+        code, out, _ = run(capsys, "verify", "--strategy", str(path))
         assert code == 1
         assert "passed = false" in out
 
@@ -624,7 +627,7 @@ def test_game_flags_beside_strategy_refused(capsys, blotto_strategy_file, comman
     # would silently ignore the flags
     code, out, err = run(
         capsys, command, "--strategy", blotto_strategy_file, "--game", "blotto2",
-        "--vbar", "1", "--vlow", "0.1", "--gamma", "0.9", "--samples", "2000",
+        "--vbar", "1", "--vlow", "0.1", "--gamma", "0.9", *samples(command),
     )
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
@@ -643,7 +646,7 @@ def test_each_game_flag_beside_strategy_refused(capsys, blotto_strategy_file, fl
 
 
 def test_game_beside_strategy_checked(capsys, blotto_strategy_file):
-    argv = ["verify", "--strategy", blotto_strategy_file, "--samples", "2000", "--game"]
+    argv = ["verify", "--strategy", blotto_strategy_file, "--game"]
     code, out, _ = run(capsys, *argv, "blotto2")
     assert code == 0 and "passed = true" in out
     code, _, err = run(capsys, *argv, "lotto3")
@@ -826,7 +829,7 @@ class TestSimulate:
         assert "z_score = inf\n" in out
 
 
-@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("command", ["simulate"])
 def test_unallocatable_samples_exit_two(capsys, command):
     # 10^12 samples ask for terabytes at once, so the request fails before
     # any memory is touched; a count that could be allocated is never tried
@@ -860,7 +863,7 @@ def test_unallocatable_sweep_exits_two(capsys, tmp_path, argv, named):
     assert out == "" and not out_path.exists()
 
 
-@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("command", ["simulate"])
 def test_negative_seed_exits_two(capsys, command):
     code, out, err = run(
         capsys, command, "--game", "lotto3", "--alpha", "0.5", "--gamma", "0.2",
@@ -871,21 +874,68 @@ def test_negative_seed_exits_two(capsys, command):
     assert out == ""
 
 
-def test_verify_reports_seed(capsys, tmp_path):
+def test_verify_reports_value_residual(capsys, tmp_path):
     cert_path = tmp_path / "cert.json"
     code, out, _ = run(
         capsys, "verify", "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
-        "--gamma", "0.7", "--samples", "2000", "--seed", "11", "--out", str(cert_path),
+        "--gamma", "0.7", "--out", str(cert_path),
     )
     assert code == 0
-    assert "mc_seed = 11\n" in out
-    assert json.loads(cert_path.read_text())["mc_seed"] == 11
+    *_, residual_line, passed_line = out.splitlines()
+    assert residual_line.startswith("value_residual = ") and passed_line == "passed = true"
+    assert float(residual_line.split(" = ")[1]) <= 1e-15
+    cert = json.loads(cert_path.read_text())
+    assert cert["value_residual"] <= 1e-15
+    assert "mc_" not in out and not [key for key in cert if key.startswith("mc_")]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--samples", "10"], ["--seed", "-1"], ["--samples", "1000000000000"]],
+    ids=["samples", "negative-seed", "unallocatable-samples"],
+)
+def test_verify_takes_no_monte_carlo_flags(capsys, flags):
+    argv = ["verify", "--game", "lotto3", "--alpha", "0.5", "--gamma", "0.2", *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {' '.join(flags)}" in captured.err
+
+
+def test_verify_at_tiny_gamma(capsys):
+    # every Monte Carlo sample scored the same sum, one ulp off the claimed
+    # value with a standard error of 0, so the old verdict failed (exit 1)
+    code, out, err = run(
+        capsys, "verify", "--game", "lotto3", "--alpha", "0.0018928857208885264",
+        "--gamma", "1e-9",
+    )
+    assert code == 0, out + err
+    assert "passed = true" in out
+
+
+_MULTIPLIER_UNDERFLOW = [
+    "--game", "lotto3", "--alpha", "1e-308", "--gamma", "5.569061113408053e-136",
+    "--xu", "1.7976931348623157e308",
+]
+
+
+@pytest.mark.parametrize("command", ["payoff", "strategy", "verify", "simulate"])
+def test_multiplier_underflow_exits_two(capsys, tmp_path, command):
+    # lambda_uninformed = 3 gamma lambda_informed underflows to 0: payoff
+    # printed it as 0, and the builder divided by it (ZeroDivisionError, exit 1)
+    out_path = tmp_path / "s.json"
+    extra = ["--out", str(out_path)] if command == "strategy" else []
+    code, out, err = run(capsys, command, *_MULTIPLIER_UNDERFLOW, *extra)
+    assert code == 2
+    assert err.startswith("error:") and "multiplier lambda_uninformed is 0.0" in err
+    assert out == "" and not out_path.exists()
 
 
 # The payoff closed forms, the strategy constructions and the exact oracle
-# checks are scalar Python; numpy is loaded only for array work (Monte Carlo,
-# sweep grids).  pytest's own process already holds numpy, so each check
-# runs in a fresh interpreter.
+# checks (all of verify) are scalar Python; numpy is loaded only for array
+# work (simulate's Monte Carlo, sweep grids).  pytest's own process already
+# holds numpy, so each check runs in a fresh interpreter.
 _NUMPY_PROBE = """
 import json, sys
 import infoblotto, infoblotto.cli
@@ -951,12 +1001,13 @@ def test_numpy_loaded_only_for_array_work(tmp_path):
         ["sweep", "--game", "lotto3", "--axis", "gamma=0.5:0.1:3", "--alpha", "0.5",
          "--out", str(tmp_path / "bad.csv")],
         ["verify", "--strategy", str(malformed)],
+        ["verify", "--strategy", lotto_json],
+        ["verify", "--strategy", blotto_json],
     ]
-    verify = ["verify", "--strategy", lotto_json, "--samples", "1000"]
-    report = _numpy_probe(*scalar, verify)
+    report = _numpy_probe(*scalar)
     assert report == [("import", None, False)] + [
-        (argv[0], code, False) for argv, code in zip(scalar, [0, 0, 0, 0, 2, 2, 2, 2])
-    ] + [("verify", 0, True)]
+        (argv[0], code, False) for argv, code in zip(scalar, [0, 0, 0, 0, 2, 2, 2, 2, 0, 0])
+    ]
     simulate = ["simulate", "--strategy", blotto_json, "--samples", "1000"]
     assert _numpy_probe(simulate) == [("import", None, False), ("simulate", 0, True)]
 

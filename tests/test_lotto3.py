@@ -187,6 +187,15 @@ class TestMultipliers:
         with pytest.raises(OutOfRegimeError, match="uninformed budget"):
             build_equilibrium(LottoParams(0.5, 0.5, gamma, budget))
 
+    def test_underflow_to_zero_refused(self):
+        # lambda_I is a subnormal 1/(3 X_U) and lambda_U = 3 gamma lambda_I
+        # underflows to 0; the builder divided by it (ZeroDivisionError)
+        args = (1e-308, 1e-308, 5.569061113408053e-136, 1.7976931348623157e308)
+        with pytest.raises(OutOfRegimeError, match="lambda_uninformed is 0.0"):
+            multipliers(*args)
+        with pytest.raises(OutOfRegimeError, match="lambda_uninformed is 0.0"):
+            build_equilibrium(LottoParams(*args))
+
     def test_tiny_finite_budget_kept(self):
         lam_i, lam_u = multipliers(0.5, 0.5, 1.0, 1e-300)
         assert lam_i == pytest.approx(0.25 * 10 / 9 * 1e300, rel=1e-14)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -34,18 +35,21 @@ from infoblotto.oracle import (
 BLOTTO = BlottoParams.from_ratio(1.0, 0.5, 0.7, 10.0)
 
 
-def perturbed_blotto_profile(delta=0.05):
-    """Equilibrium profile with the uninformed lattice reweighted; still a
-    valid Blotto strategy (battlefield 2 stays the budget complement)."""
-    profile = build_blotto(BLOTTO)
-    atoms = list(profile.uninformed[0].atoms)
-    loc0, mass0 = atoms[0]
-    atoms[0] = (loc0, mass0 + delta)
-    total = sum(m for _, m in atoms)
-    bumped = PiecewiseCdf(atoms=tuple((loc, m / total) for loc, m in atoms))
+def shifted(f, index, delta):
+    """``f`` with ``delta`` added to the mass of atom ``index``, renormalised."""
+    index %= len(f.atoms)
+    atoms = [(loc, mass + delta * (k == index)) for k, (loc, mass) in enumerate(f.atoms)]
+    total = math.fsum(mass for _, mass in atoms)
+    return PiecewiseCdf(atoms=tuple((loc, mass / total) for loc, mass in atoms))
+
+
+def shifted_uninformed(params, delta=0.05):
+    """Equilibrium profile with uninformed atom 0 reweighted; still a valid
+    Blotto strategy (battlefield 2 stays the budget complement)."""
+    profile = build_blotto(params)
+    g = shifted(profile.uninformed[0], 0, delta)
     return StrategyProfile(
-        informed=profile.informed,
-        uninformed=(bumped, bumped.reflect(BLOTTO.budgets.uninformed)),
+        informed=profile.informed, uninformed=(g, g.reflect(params.budgets.uninformed))
     )
 
 
@@ -73,7 +77,7 @@ class TestBlottoDeviations:
         assert max(gaps.informed) > 0.1
 
     def test_perturbed_profile_detected(self):
-        gaps = blotto_deviation_gaps(perturbed_blotto_profile(), BLOTTO)
+        gaps = blotto_deviation_gaps(shifted_uninformed(BLOTTO), BLOTTO)
         assert gaps.worst() > 1e-3
 
     def test_requires_atomic_marginals(self):
@@ -362,6 +366,53 @@ def test_comparison_scoring_equals_sign(game, samples, seed):
     assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex())
 
 
+def sample_payoff_sd(profile, values, prior):
+    """Exact standard deviation of one Monte Carlo sample's payoff.  Given
+    state i the battlefields score independent signs s_j, with mean
+    ``battlefield_payoff`` and E[s_j^2] = 1 - P(tie), where ties come only
+    from atoms the two marginals share."""
+    second_moment = 0.0
+    for weight, vals, row in zip(prior.weights, values.values, profile.informed):
+        mean_i = var_i = 0.0
+        for v, f, g in zip(vals, row, profile.uninformed):
+            b = games.battlefield_payoff(f, g)
+            g_mass = dict(g.atoms)
+            tie = math.fsum(m * g_mass.get(loc, 0.0) for loc, m in f.atoms)
+            mean_i += v * b
+            var_i += v * v * (1.0 - tie - b * b)
+        second_moment += weight * (var_i + mean_i**2)
+    return math.sqrt(max(second_moment - ex_ante_payoff(profile, values, prior) ** 2, 0.0))
+
+
+# Monte Carlo as a second opinion on the exact payoff, which every verdict
+# trusts: a battlefield_payoff that scores tied atoms as wins passes every
+# certificate in this suite and fails this test.  Agreement is judged by
+# Bernstein's inequality with the exact variance, so a correct pair fails at
+# most MC_FALSE_ALARM of the time whatever the payoff's distribution: at
+# most 5e-5 over MC_EXAMPLES examples.  On typical games the bound is about
+# 5.4 sigma/sqrt(n); its range term keeps it valid for rare outcomes and
+# covers the rounding of a constant payoff.
+MC_SAMPLES = 100_000
+MC_EXAMPLES = 50
+MC_FALSE_ALARM = 1e-6
+
+
+@settings(max_examples=MC_EXAMPLES, deadline=None)
+@given(tied_games(), st.integers(0, 2**32 - 1))
+def test_monte_carlo_agrees_with_exact_payoff(game, seed):
+    exact = ex_ante_payoff(*game)
+    mean, _ = monte_carlo_value(*game, MC_SAMPLES, seed)
+    profile, values, prior = game
+    # |sample - exact| <= spread: each sample and the exact value lie in
+    # [-V, V], V the largest total value of a state
+    spread = 2.0 * max(math.fsum(row) for row in values.values)
+    sigma = sample_payoff_sd(*game)
+    log_term = math.log(2.0 / MC_FALSE_ALARM)
+    range_term = spread * log_term / (3.0 * MC_SAMPLES)
+    bound = range_term + math.sqrt(range_term**2 + 2.0 * sigma**2 * log_term / MC_SAMPLES)
+    assert abs(mean - exact) <= bound, (mean, exact, sigma)
+
+
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 @pytest.mark.parametrize(
     "params", [BlottoParams.from_ratio(1.0, 0.8, 0.91), LottoParams(0.6, 0.3, 0.8)]
@@ -427,25 +478,27 @@ def test_positioned_stream_after_multinomial(seed):
 
 class TestCertify:
     def test_blotto_equilibrium_passes(self):
-        cert = certify(build_blotto(BLOTTO), BLOTTO, samples=50_000)
+        cert = certify(build_blotto(BLOTTO), BLOTTO)
         assert cert.passed
         assert cert.game == "blotto2"
         assert cert.claimed_value == pytest.approx(-0.2, abs=1e-12)
         assert cert.deviation_gap_uninformed <= 1e-6
+        assert cert.value_residual <= 1e-15
 
     @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
     def test_lotto_equilibrium_passes(self, gamma):
         params = LottoParams(0.55, 0.35, gamma)
-        cert = certify(build_lotto(params), params, samples=50_000)
+        cert = certify(build_lotto(params), params)
         assert cert.passed
+        assert cert.value_residual <= 1e-15
 
     def test_perturbed_profile_fails(self):
-        cert = certify(perturbed_blotto_profile(), BLOTTO, samples=50_000)
+        cert = certify(shifted_uninformed(BLOTTO), BLOTTO)
         assert not cert.passed
         assert max(cert.deviation_gap_uninformed, *cert.deviation_gaps_informed) > 1e-3
 
     def test_round_trip(self):
-        cert = certify(build_blotto(BLOTTO), BLOTTO, samples=10_000)
+        cert = certify(build_blotto(BLOTTO), BLOTTO)
         again = Certificate.from_dict(dataclasses.asdict(cert))
         assert again == cert
         # the JSON written by ``verify --out`` lists the fields in order
@@ -466,6 +519,105 @@ class TestCertify:
         assert pure_deviation_payoff(2.0, f) == pytest.approx(0.0)
         assert pure_deviation_payoff(1.0, f) == pytest.approx(-0.5)
         assert pure_deviation_payoff(4.0, f) == pytest.approx(1.0)
+
+
+BLOTTO_Q9 = BlottoParams.from_ratio(1.0, 0.5, 1.0 - 1.0 / 9.5)
+LOTTO_MID = LottoParams(0.6, 0.3, 0.5)
+
+
+def shifted_type_1_top(delta):
+    # the top atom of informed type 1 (the high type) of q = 9
+    profile = build_blotto(BLOTTO_Q9)
+    f = shifted(profile.informed[0][0], -1, delta)
+    return StrategyProfile(
+        informed=((f, f.reflect(BLOTTO_Q9.budgets.informed)), profile.informed[1]),
+        uninformed=profile.uninformed,
+    )
+
+
+def moved_uninformed_mass():
+    # 0.05 from uninformed atom 1 to atom 0 at X_U = 10, as in
+    # test_cli's test_verify_perturbed_strategy_exits_one
+    atoms = [list(atom) for atom in build_blotto(BLOTTO).uninformed[0].atoms]
+    atoms[0][1] += 0.05
+    atoms[1][1] -= 0.05
+    g = PiecewiseCdf(atoms=tuple(map(tuple, atoms)))
+    return StrategyProfile(
+        informed=build_blotto(BLOTTO).informed,
+        uninformed=(g, g.reflect(BLOTTO.budgets.uninformed)),
+    )
+
+
+def failed_checks(cert):
+    """The names of the checks ``cert`` fails, against its own thresholds."""
+    gap = max(cert.deviation_gap_uninformed, *cert.deviation_gaps_informed)
+    residual = max(cert.budget_residual_uninformed, *cert.budget_residuals_informed)
+    checks = {
+        "deviation": gap > cert.eps_deviation,
+        "budget": residual > cert.eps_budget,
+        "value": cert.value_residual > cert.eps_deviation,
+    }
+    return {name for name, failed in checks.items() if failed}
+
+
+# (profile, params it is certified against, the checks that fail).  The
+# Monte Carlo verdict this replaced, |mean - claimed| <= 4 standard errors at
+# 200k samples, read |z| <= 2 on every row and caught none of them.
+PERTURBATIONS = {
+    "q9-uninformed-atom0-1e-2": (
+        lambda: shifted_uninformed(BLOTTO_Q9, 1e-2), BLOTTO_Q9, {"deviation"}
+    ),
+    "q9-uninformed-atom0-1e-3": (
+        lambda: shifted_uninformed(BLOTTO_Q9, 1e-3), BLOTTO_Q9, {"deviation"}
+    ),
+    "q9-type1-top-atom-1e-2": (lambda: shifted_type_1_top(1e-2), BLOTTO_Q9, {"deviation"}),
+    "q9-type1-top-atom-1e-3": (lambda: shifted_type_1_top(1e-3), BLOTTO_Q9, {"deviation"}),
+    "blotto2-vlow-0.001-off": (
+        lambda: build_blotto(BLOTTO),
+        BlottoParams.from_ratio(1.0, 0.501, 0.7, 10.0),
+        {"deviation"},
+    ),
+    "blotto2-gamma-0.001-off": (
+        lambda: build_blotto(BLOTTO),
+        BlottoParams.from_ratio(1.0, 0.5, 0.701, 10.0),
+        {"deviation", "budget"},
+    ),
+    "lotto3-alpha-0.001-off": (
+        lambda: build_lotto(LOTTO_MID), LottoParams(0.601, 0.3, 0.5), {"deviation"}
+    ),
+    "lotto3-gamma-0.001-off": (
+        lambda: build_lotto(LOTTO_MID),
+        LottoParams(0.6, 0.3, 0.501),
+        {"deviation", "budget", "value"},
+    ),
+    "blotto2-uninformed-mass-move": (moved_uninformed_mass, BLOTTO, {"deviation"}),
+}
+
+
+@pytest.mark.parametrize("case", list(PERTURBATIONS))
+def test_perturbation_fails_named_check(case):
+    make_profile, params, failing = PERTURBATIONS[case]
+    cert = certify(make_profile(), params)
+    assert not cert.passed
+    assert failed_checks(cert) == failing
+
+
+# alpha, beta in (0, 1) and gamma in (1e-300, 1e-8): a Monte Carlo verdict
+# scored the same sum in every sample there, one ulp off the claimed value
+# with a standard error of 0, and failed correct profiles
+_TINY_RNG = random.Random(20240801)
+TINY_GAMMA_POINTS = [
+    (*sorted((_TINY_RNG.uniform(1e-9, 1.0), _TINY_RNG.uniform(1e-9, 1.0)), reverse=True),
+     10.0 ** _TINY_RNG.uniform(-300.0, -8.0))
+    for _ in range(8)
+]
+
+
+@pytest.mark.parametrize("alpha,beta,gamma", TINY_GAMMA_POINTS)
+def test_lotto_certifies_at_tiny_gamma(alpha, beta, gamma):
+    params = LottoParams(alpha, beta, gamma)
+    cert = certify(build_lotto(params), params)
+    assert cert.passed, cert
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +719,7 @@ def centered_lotto_profile(params):
 class TestExactScanCoversDenseGrid:
     @pytest.mark.parametrize(
         "profile",
-        [build_blotto(BLOTTO), perturbed_blotto_profile(), centered_blotto_profile()],
+        [build_blotto(BLOTTO), shifted_uninformed(BLOTTO), centered_blotto_profile()],
         ids=["equilibrium", "perturbed", "centered-atom"],
     )
     def test_blotto(self, profile):
