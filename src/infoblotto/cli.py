@@ -2,9 +2,10 @@
 
 Subcommands: payoff, sweep, strategy, verify, simulate.  Exit codes: 0 on
 success (and a passing certificate for ``verify``), 1 on a failing
-certificate, 2 on invalid parameters or malformed input.  All numbers are
-printed with 12 significant digits and sweeps are byte-identical across
-runs for identical flags.
+certificate, 2 on invalid parameters or malformed input.  ``main`` prints
+each record once every value is computed and every file written, so exit
+2 leaves stdout empty.  Numbers are printed with 12 significant digits and
+sweeps are byte-identical across runs for identical flags.
 """
 
 from __future__ import annotations
@@ -21,6 +22,23 @@ from .games import Budgets, StrategyProfile
 
 def _fmt(x):
     return format(float(x), ".12g")
+
+
+def _render(record):
+    """The ``key = value`` lines of a record: floats through ``_fmt``,
+    booleans in lower case, a tuple as one ``key[i]`` line per item."""
+    for key, value in record.items():
+        if isinstance(value, tuple):
+            yield from _render({f"{key}[{i}]": item for i, item in enumerate(value)})
+        elif isinstance(value, bool):
+            yield f"{key} = {str(value).lower()}"
+        else:
+            yield f"{key} = {_fmt(value) if isinstance(value, float) else value}"
+
+
+def _write(path, text):
+    with open(path, "w") as handle:
+        handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +132,6 @@ def _load_strategy(path):
 
 
 def cmd_payoff(args):
-    # every value is computed before any is printed, so a refusal prints none
     if args.game == "blotto2":
         params = _blotto_params(args)
         idx = blotto2.BlottoIndex.from_params(params)
@@ -137,9 +154,7 @@ def cmd_payoff(args):
                 record["voi"] = lotto3.voi(a, g, args.cost)
         elif args.cost is not None:
             raise ValueError("--cost applies only to the symmetric case beta == alpha")
-    for key, item in record.items():
-        print(f"{key} = {_fmt(item) if isinstance(item, float) else item}")
-    return 0
+    return record, 0
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +289,8 @@ def cmd_sweep(args):
             fixed[name] = getattr(args, name)
     spec = SweepSpec(game=args.game, axes=axes, fixed=fixed, columns=columns)
     header, rows = sweep_table(spec)
-    text = "\n".join([header] + rows) + "\n"
-    with open(args.out, "w") as handle:
-        handle.write(text)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    _write(args.out, "\n".join([header] + rows) + "\n")
+    return f"wrote {len(rows)} rows to {args.out}", 0
 
 
 # ---------------------------------------------------------------------------
@@ -287,33 +299,19 @@ def cmd_sweep(args):
 
 
 def _params_record(game, params):
-    if game == "blotto2":
-        return {
-            "vbar": params.vbar,
-            "vlow": params.vlow,
-            "budget_informed": params.budgets.informed,
-            "budget_uninformed": params.budgets.uninformed,
-        }
-    return {
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "gamma": params.gamma,
-        "budget_uninformed": params.budget_uninformed,
-    }
+    if game == "lotto3":
+        return asdict(params)
+    budgets = params.budgets
+    return {"vbar": params.vbar, "vlow": params.vlow,
+            "budget_informed": budgets.informed, "budget_uninformed": budgets.uninformed}
 
 
 def cmd_strategy(args):
     params, profile = _build_profile(args)
-    record = {
-        "game": args.game,
-        "params": _params_record(args.game, params),
-        "profile": asdict(profile),
-    }
-    with open(args.out, "w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote strategy profile to {args.out}")
-    return 0
+    record = {"game": args.game, "params": _params_record(args.game, params),
+              "profile": asdict(profile)}
+    _write(args.out, json.dumps(record, indent=2) + "\n")
+    return f"wrote strategy profile to {args.out}", 0
 
 
 def _resolve_profile(args):
@@ -329,22 +327,10 @@ def _resolve_profile(args):
 
 def cmd_verify(args):
     params, profile = _resolve_profile(args)
-    cert = oracle.certify(profile, params)
-    print(f"game = {cert.game}")
-    print(f"claimed_value = {_fmt(cert.claimed_value)}")
-    print(f"deviation_gap_uninformed = {_fmt(cert.deviation_gap_uninformed)}")
-    for i, gap in enumerate(cert.deviation_gaps_informed):
-        print(f"deviation_gap_informed[{i}] = {_fmt(gap)}")
-    print(f"budget_residual_uninformed = {_fmt(cert.budget_residual_uninformed)}")
-    for i, res in enumerate(cert.budget_residuals_informed):
-        print(f"budget_residual_informed[{i}] = {_fmt(res)}")
-    print(f"value_residual = {_fmt(cert.value_residual)}")
-    print(f"passed = {str(cert.passed).lower()}")
+    record = asdict(oracle.certify(profile, params))
     if args.out is not None:
-        with open(args.out, "w") as handle:
-            json.dump(asdict(cert), handle, indent=2)
-            handle.write("\n")
-    return 0 if cert.passed else 1
+        _write(args.out, json.dumps(record, indent=2) + "\n")
+    return record, 0 if record["passed"] else 1
 
 
 def cmd_simulate(args):
@@ -353,16 +339,11 @@ def cmd_simulate(args):
         profile, params.valuation_matrix, params.prior, args.samples, args.seed
     )
     claimed = oracle.claimed_value(params)
-    print(f"mc_mean = {_fmt(mean)}")
-    print(f"mc_std_error = {_fmt(std_error)}")
-    print(f"closed_form = {_fmt(claimed)}")
     # with no spread, any miss is infinite
     miss = abs(mean - claimed)
     z = miss / std_error if std_error > 0.0 else (math.inf if miss else 0.0)
-    print(f"z_score = {_fmt(z)}")
-    print(f"samples = {args.samples}")
-    print(f"seed = {args.seed}")
-    return 0
+    return {"mc_mean": mean, "mc_std_error": std_error, "closed_form": claimed,
+            "z_score": z, "samples": args.samples, "seed": args.seed}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +417,12 @@ def main(argv=None) -> int:
         _refuse_unread_flags(args)
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.func(args)
+        record, code = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(record if isinstance(record, str) else "\n".join(_render(record)))
+    return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import numpy, so the exact payoff and oracle checks never load it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -148,6 +148,24 @@ class PiecewiseCdf:
             out += self.atoms[k][1] * tie
         for l, r, rho in self.segments:
             out += rho * min(max(x - l, 0.0), r - l)
+        return out
+
+    @cached_property
+    def _sf_table(self):
+        # atom locations and the mass strictly above each, summed right to left
+        above = list(accumulate((m for _, m in reversed(self.atoms)), initial=0.0))
+        return [loc for loc, _ in self.atoms], above[::-1]
+
+    def sf(self, x, tie=1.0):
+        """P(X > x) + (1 - tie) * P(X = x), which is ``1 - cdf(x, tie)``
+        summed from the right, so a small upper tail keeps its digits."""
+        locs, above = self._sf_table
+        k = bisect_right(locs, x)
+        out = above[k]
+        if k and locs[k - 1] == x:
+            out += self.atoms[k - 1][1] * (1.0 - tie)
+        for l, r, rho in self.segments:
+            out += rho * min(max(r - x, 0.0), r - l)
         return out
 
     # -- inverse transform sampling ----------------------------------------

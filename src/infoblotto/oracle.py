@@ -8,10 +8,11 @@ CDFs are steps plus ramps, so every deviation payoff is piecewise constant
 (Blotto) or piecewise linear (Lotto) between the opponent's breakpoints, and
 its supremum is found exactly by evaluating a finite list of points: no
 grid, no tuning.  Every payoff comes from the one tie-aware
-``PiecewiseCdf.cdf`` in plain Python floats; a Blotto scan pays each type's
-interim payoff once, so it takes O(q log q) for O(q) lattice atoms.  The
-seeded Monte Carlo estimate ``monte_carlo_value`` (``infoblotto simulate``)
-is the only part that loads numpy, and no verdict reads it.
+``PiecewiseCdf.cdf`` (Lotto priced payoffs from its complement ``sf``) in
+plain Python floats; a Blotto scan pays each type's interim payoff once, so
+it takes O(q log q) for O(q) lattice atoms.  The seeded Monte Carlo
+estimate ``monte_carlo_value`` (``infoblotto simulate``) is the only part
+that loads numpy, and no verdict reads it.
 """
 
 from __future__ import annotations
@@ -113,11 +114,13 @@ def blotto_deviation_gaps(
 
 
 def _priced_payoff(x, terms, tie):
-    # tie=1 (right limit) is the value seen from inside a support segment
-    # starting at x; tie=0 (left limit) from inside one ending at x
+    # sum(weight * cdf) - x less its constant sum(weight) (see
+    # lotto_support_optimality); tie=1 (right limit) is the value seen from
+    # inside a support segment starting at x; tie=0 (left limit) from inside
+    # one ending at x
     out = -x
     for weight, f in terms:
-        out += weight * f.cdf(x, tie)
+        out -= weight * f.sf(x, tie)
     return out
 
 
@@ -151,8 +154,12 @@ def lotto_support_optimality(
     For informed type i on battlefield j the priced payoff is
     ``(2 v_ij p_i / lambda_I) F_U(x) - x``; for the uninformed player it is
     the prior mixture ``sum_i p_i (2 v_ij / lambda_U) F_I(t_i)(x) - x``.
-    Both are in budget units, so each slack is reported as a fraction of
-    X_U: the game depends on the budgets only through gamma.
+    Each is evaluated less its constant sum of weights, as ``-x - sum w S(x)``
+    with the survival function ``PiecewiseCdf.sf``: the uninformed weights
+    grow as 1/gamma while F_I is near 1, so the CDF form would round every
+    value at ulp(1/gamma).  Both are in budget units, so each slack is
+    reported as a fraction of X_U: the game depends on the budgets only
+    through gamma.
     """
     if lambdas is None:
         lambdas = lotto3.multipliers(
@@ -318,18 +325,19 @@ class Certificate:
     value residual are in payoff units (absolute: a Blotto value can be as
     small as 1e-300); Lotto slacks and every budget residual are fractions
     of X_U (Blotto reflection masses excepted), so a verdict does not depend
-    on the budget scale.
+    on the budget scale.  The fields, thresholds first, are what ``verify``
+    prints and writes to ``--out``, in this order.
     """
 
     game: str
     claimed_value: float
+    eps_deviation: float
+    eps_budget: float
     deviation_gap_uninformed: float
     deviation_gaps_informed: tuple[float, ...]
     budget_residual_uninformed: float
     budget_residuals_informed: tuple[float, ...]
     value_residual: float
-    eps_deviation: float
-    eps_budget: float
     passed: bool
 
     @staticmethod
@@ -368,12 +376,12 @@ def certify(profile: StrategyProfile, params) -> Certificate:
     return Certificate(
         game=game,
         claimed_value=claimed,
+        eps_deviation=EPS_DEVIATION,
+        eps_budget=EPS_BUDGET,
         deviation_gap_uninformed=gaps.uninformed,
         deviation_gaps_informed=gaps.informed,
         budget_residual_uninformed=res_u,
         budget_residuals_informed=res_i,
         value_residual=value_residual,
-        eps_deviation=EPS_DEVIATION,
-        eps_budget=EPS_BUDGET,
         passed=passed,
     )

@@ -389,6 +389,15 @@ class TestConstruction:
         with pytest.raises(UnsupportedCaseError, match="even"):
             build_equilibrium(params(gamma=0.6))
 
+    def test_lattice_limit(self):
+        # q = 99999 is the largest odd step count under 10^5 and builds; the
+        # next, q = 100001, built in 0.75 s at 129 MB and is refused, before
+        # any atom, with the step count and the limit named
+        p = params(vlow=0.9999, gamma=0.99998999995, x_u=1.0)
+        assert len(build_equilibrium(p).uninformed[0].atoms) == 99999
+        with pytest.raises(OutOfRegimeError, match=r"q = 100001: .* at most q = 100000 "):
+            build_equilibrium(params(vlow=0.9999, gamma=0.99999000015, x_u=1.0))
+
     def test_offset_domain_checked(self):
         with pytest.raises(ValueError):
             build_equilibrium(params(), e=0.5)  # below r = 1

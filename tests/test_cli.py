@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -503,6 +504,25 @@ def test_offset_at_rounded_gap_exits_two(capsys, tmp_path, command):
     assert out == "" and err.startswith("error:") and "offset e = 0.3" in err
 
 
+def perturbed_strategy_file(capsys, tmp_path):
+    path = tmp_path / "strat.json"
+    run(
+        capsys, "strategy", "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
+        "--gamma", "0.7", "--xu", "10", "--out", str(path),
+    )
+    data = json.loads(path.read_text())
+    # shift mass within the uninformed lattice, keeping it a valid
+    # distribution and keeping battlefield 2 the exact complement
+    bf1 = data["profile"]["uninformed"][0]["atoms"]
+    bf1[0][1] += 0.05
+    bf1[1][1] -= 0.05
+    bf2 = data["profile"]["uninformed"][1]["atoms"]
+    bf2[-1][1] += 0.05
+    bf2[-2][1] -= 0.05
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 class TestStrategyAndVerify:
     def test_strategy_round_trip(self, capsys, tmp_path):
         path = tmp_path / "strat.json"
@@ -540,22 +560,8 @@ class TestStrategyAndVerify:
         assert "passed = true" in out
 
     def test_verify_perturbed_strategy_exits_one(self, capsys, tmp_path):
-        path = tmp_path / "strat.json"
-        run(
-            capsys, "strategy", "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
-            "--gamma", "0.7", "--xu", "10", "--out", str(path),
-        )
-        data = json.loads(path.read_text())
-        # shift mass within the uninformed lattice, keeping it a valid
-        # distribution and keeping battlefield 2 the exact complement
-        bf1 = data["profile"]["uninformed"][0]["atoms"]
-        bf1[0][1] += 0.05
-        bf1[1][1] -= 0.05
-        bf2 = data["profile"]["uninformed"][1]["atoms"]
-        bf2[-1][1] += 0.05
-        bf2[-2][1] -= 0.05
-        path.write_text(json.dumps(data))
-        code, out, _ = run(capsys, "verify", "--strategy", str(path))
+        path = perturbed_strategy_file(capsys, tmp_path)
+        code, out, _ = run(capsys, "verify", "--strategy", path)
         assert code == 1
         assert "passed = false" in out
 
@@ -889,6 +895,59 @@ def test_verify_reports_value_residual(capsys, tmp_path):
     assert "mc_" not in out and not [key for key in cert if key.startswith("mc_")]
 
 
+@pytest.mark.parametrize("source", ["blotto2", "lotto3", "perturbed"])
+def test_verify_stdout_is_the_certificate(capsys, tmp_path, source):
+    # stdout lists the Certificate fields in order, a tuple as name[i] lines,
+    # each value printed as _fmt prints its --out JSON value
+    argv = {
+        "blotto2": ["--game", "blotto2", "--vbar", "1", "--vlow", "0.5", "--gamma", "0.7"],
+        "lotto3": ["--game", "lotto3", "--alpha", "0.6", "--beta", "0.3", "--gamma", "0.8"],
+    }.get(source) or ["--strategy", perturbed_strategy_file(capsys, tmp_path)]
+    cert_path = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "verify", *argv, "--out", str(cert_path))
+    assert code == (1 if source == "perturbed" else 0)
+    cert = json.loads(cert_path.read_text())
+    fields = [field.name for field in dataclasses.fields(oracle.Certificate)]
+    assert list(cert) == fields
+    expected = []
+    for name in fields:
+        value = cert[name]
+        if isinstance(value, list):
+            expected += [(f"{name}[{i}]", item) for i, item in enumerate(value)]
+        else:
+            expected.append((name, value))
+    lines = [line.split(" = ", 1) for line in out.splitlines()]
+    assert [name for name, _ in lines] == [name for name, _ in expected]
+    for (name, text), (_, value) in zip(lines, expected):
+        if isinstance(value, bool):
+            assert text == ("true" if value else "false"), name
+        elif isinstance(value, str):
+            assert text == value, name
+        else:
+            assert text == _fmt(value), name
+    assert lines[-1] == ["passed", "false" if source == "perturbed" else "true"]
+    assert ["eps_deviation", "1e-06"] in lines and ["eps_budget", "1e-09"] in lines
+
+
+@pytest.mark.parametrize(
+    "command,argv",
+    [
+        ("verify", ["--game", "blotto2", "--vbar", "1", "--vlow", "0.5", "--gamma", "0.7"]),
+        ("strategy", ["--game", "blotto2", "--vbar", "1", "--vlow", "0.5", "--gamma", "0.7"]),
+        ("sweep", ["--game", "lotto3", "--alpha", "0.5", "--axis", "gamma=0.1:0.9:3"]),
+    ],
+    ids=["verify", "strategy", "sweep"],
+)
+def test_unwritable_out_exits_two(capsys, tmp_path, command, argv):
+    # the record is printed only once the file is written: a passing
+    # certificate used to be printed before its --out write failed
+    path = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, command, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "No such file or directory" in err
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--samples", "10"], ["--seed", "-1"], ["--samples", "1000000000000"]],
@@ -904,14 +963,20 @@ def test_verify_takes_no_monte_carlo_flags(capsys, flags):
 
 
 def test_verify_at_tiny_gamma(capsys):
-    # every Monte Carlo sample scored the same sum, one ulp off the claimed
-    # value with a standard error of 0, so the old verdict failed (exit 1)
-    code, out, err = run(
-        capsys, "verify", "--game", "lotto3", "--alpha", "0.0018928857208885264",
-        "--gamma", "1e-9",
-    )
-    assert code == 0, out + err
-    assert "passed = true" in out
+    # at 1e-9 every Monte Carlo sample scored the same sum, one ulp off the
+    # claimed value with a standard error of 0, so the old verdict failed
+    # (exit 1); below, the uninformed priced payoff summed weights of order
+    # 1/gamma times an informed CDF near 1, so each value was rounded at
+    # ulp(1/gamma): the support spread read 3.1e-5, 3.9e-3 and 0.25 (exit 1)
+    for gamma in ["1e-9", "1e-12", "1e-14", "1e-16"]:
+        code, out, err = run(
+            capsys, "verify", "--game", "lotto3", "--alpha", "0.0018928857208885264",
+            "--gamma", gamma,
+        )
+        assert code == 0, (gamma, out + err)
+        assert "passed = true" in out
+        gap = next(line for line in out.splitlines() if line.startswith("deviation_gap_uninformed"))
+        assert float(gap.split(" = ")[1]) <= 1e-15, gamma
 
 
 _MULTIPLIER_UNDERFLOW = [
@@ -930,6 +995,45 @@ def test_multiplier_underflow_exits_two(capsys, tmp_path, command):
     assert code == 2
     assert err.startswith("error:") and "multiplier lambda_uninformed is 0.0" in err
     assert out == "" and not out_path.exists()
+
+
+# The Blotto lattice is refused past q = 10^5 before any atom is built.
+# Without that check the two larger step counts would allocate until the
+# machine runs out of memory, so the calls run in a fresh interpreter whose
+# address space is capped at 2 GiB: a missing check fails with MemoryError.
+_LATTICE_PROBE = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+from infoblotto.cli import main
+report = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        report.append([main(argv), out.getvalue(), err.getvalue()])
+print(json.dumps(report))
+"""
+
+# (vlow, gamma, q) with vbar = 1: every payoff is finite (the last -6.1e-16)
+_PAST_LATTICE_LIMIT = [
+    ("0.9999", "0.99999000015", 100001),
+    ("0.9999999", "0.99999999", 99999999),
+    ("0.9999999999999999", "0.9999999999999993", 1501199875790165),
+]
+
+
+@pytest.mark.parametrize("command", ["strategy", "verify", "simulate"])
+def test_lattice_past_limit_exits_two(tmp_path, command):
+    out_path = tmp_path / "s.json"
+    extra = ["--out", str(out_path)] if command == "strategy" else []
+    calls = [
+        [command, "--game", "blotto2", "--vbar", "1", "--vlow", vlow, "--gamma", gamma, *extra]
+        for vlow, gamma, _ in _PAST_LATTICE_LIMIT
+    ]
+    report = _fresh_interpreter(_LATTICE_PROBE, calls)
+    for (code, out, err), (_, _, q) in zip(report, _PAST_LATTICE_LIMIT):
+        assert code == 2 and out == "", (q, out, err)
+        assert err.startswith(f"error: q = {q}: ") and "at most q = 100000 atoms" in err
+    assert not out_path.exists()
 
 
 # The payoff closed forms, the strategy constructions and the exact oracle

@@ -252,6 +252,27 @@ def test_cdf_equals_component_loop(f, points):
             assert f.cdf(x, tie) == component_loop_cdf(f, x, tie)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(piecewise_cdfs(), st.just(mixed_example())),
+    st.lists(st.floats(-1.0, 11.0, allow_nan=False), max_size=12),
+)
+def test_sf_complements_cdf(f, points):
+    for tie in (0.0, 0.5, 1.0):
+        for x in [*f.breakpoints(), *points]:
+            assert f.sf(x, tie) + f.cdf(x, tie) == pytest.approx(1.0, abs=2e-12)
+
+
+def test_sf_keeps_a_small_upper_tail():
+    # 1 - cdf rounds a tail below 2^-53 to 0; sf sums it from the right
+    f = PiecewiseCdf(atoms=((0.0, 1.0), (1.0, 1e-20)), segments=((2.0, 3.0, 1e-20),))
+    assert 1.0 - f.cdf(0.5) == 0.0
+    assert f.sf(0.5) == 2e-20
+    assert f.sf(1.0) == 1e-20 and f.sf(1.0, tie=0.0) == 2e-20
+    assert f.sf(2.5) == 0.5e-20
+    assert f.sf(0.0, tie=0.5) == 0.5 + 2e-20
+
+
 def bisection_ppf(f):
     # the searchsorted + clamp inversion that PiecewiseCdf.ppf must reproduce
     # bit for bit, and the cumulative masses it searches

@@ -604,13 +604,22 @@ def test_perturbation_fails_named_check(case):
 
 # alpha, beta in (0, 1) and gamma in (1e-300, 1e-8): a Monte Carlo verdict
 # scored the same sum in every sample there, one ulp off the claimed value
-# with a standard error of 0, and failed correct profiles
+# with a standard error of 0, and failed correct profiles.  The second eight
+# have gamma in (1e-17, 1e-11), where the uninformed priced payoff, formed
+# as sum(w * cdf) - x with weights of order 1/gamma, rounded every value at
+# ulp(1/gamma) and failed two of them (support spreads 0.125 and 9.8e-4)
 _TINY_RNG = random.Random(20240801)
-TINY_GAMMA_POINTS = [
-    (*sorted((_TINY_RNG.uniform(1e-9, 1.0), _TINY_RNG.uniform(1e-9, 1.0)), reverse=True),
-     10.0 ** _TINY_RNG.uniform(-300.0, -8.0))
-    for _ in range(8)
-]
+
+
+def _tiny_gamma_points(lo, hi):
+    return [
+        (*sorted((_TINY_RNG.uniform(1e-9, 1.0), _TINY_RNG.uniform(1e-9, 1.0)), reverse=True),
+         10.0 ** _TINY_RNG.uniform(lo, hi))
+        for _ in range(8)
+    ]
+
+
+TINY_GAMMA_POINTS = _tiny_gamma_points(-300.0, -8.0) + _tiny_gamma_points(-17.0, -11.0)
 
 
 @pytest.mark.parametrize("alpha,beta,gamma", TINY_GAMMA_POINTS)
