@@ -13,7 +13,7 @@ import numpy, so the exact payoff and oracle checks never load it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -127,46 +127,31 @@ class PiecewiseCdf:
             pts.add(r)
         return sorted(pts)
 
-    # -- CDF evaluation (plain floats, one bisection per point) -------------
+    # -- point query (plain floats, one bisection per point) ---------------
 
     @cached_property
-    def _cdf_table(self):
-        # atom locations and the mass strictly below each, summed left to right
-        locs = [loc for loc, _ in self.atoms]
-        return locs, list(accumulate((m for _, m in self.atoms), initial=0.0))
+    def _mass_table(self):
+        # atom locations, the mass strictly below each (summed left to right)
+        # and the mass strictly above each (summed right to left)
+        masses = [m for _, m in self.atoms]
+        above = list(accumulate(reversed(masses), initial=0.0))[::-1]
+        return [loc for loc, _ in self.atoms], list(accumulate(masses, initial=0.0)), above
 
-    def cdf(self, x, tie=1.0):
-        """P(X < x) + tie * P(X = x).
+    def masses(self, x):
+        """``(below, at, above)`` = (P(X < x), P(X = x), P(X > x)).
 
-        ``tie=1`` is the right-continuous CDF P(X <= x), ``tie=0`` its left
-        limit P(X < x), and ``tie=0.5`` the tie-neutral win measure at atoms.
-        """
-        locs, below = self._cdf_table
+        ``below`` is summed from the left and ``above`` from the right, so a
+        small upper tail keeps the digits that ``1 - below - at`` rounds
+        away.  Each caller combines the three into its own tie rule."""
+        locs, below, above = self._mass_table
         k = bisect_left(locs, x)
-        out = below[k]
+        lo, at, hi = below[k], 0.0, above[k]
         if k < len(locs) and locs[k] == x:
-            out += self.atoms[k][1] * tie
+            at, hi = self.atoms[k][1], above[k + 1]
         for l, r, rho in self.segments:
-            out += rho * min(max(x - l, 0.0), r - l)
-        return out
-
-    @cached_property
-    def _sf_table(self):
-        # atom locations and the mass strictly above each, summed right to left
-        above = list(accumulate((m for _, m in reversed(self.atoms)), initial=0.0))
-        return [loc for loc, _ in self.atoms], above[::-1]
-
-    def sf(self, x, tie=1.0):
-        """P(X > x) + (1 - tie) * P(X = x), which is ``1 - cdf(x, tie)``
-        summed from the right, so a small upper tail keeps its digits."""
-        locs, above = self._sf_table
-        k = bisect_right(locs, x)
-        out = above[k]
-        if k and locs[k - 1] == x:
-            out += self.atoms[k - 1][1] * (1.0 - tie)
-        for l, r, rho in self.segments:
-            out += rho * min(max(r - x, 0.0), r - l)
-        return out
+            lo += rho * min(max(x - l, 0.0), r - l)
+            hi += rho * min(max(r - x, 0.0), r - l)
+        return lo, at, hi
 
     # -- inverse transform sampling ----------------------------------------
 

@@ -5,7 +5,7 @@ The informed player observes which row of the valuation matrix is realized
 (one type per state); the uninformed player knows only the prior.  Payoffs
 are evaluated battlefield by battlefield as ``E[sgn(x_a - x_b)]`` under
 independent draws, ties worth zero, in closed form from the marginals'
-tie-aware CDF.  Sums use ``math.fsum``: one rounding on every interpreter.
+``masses``.  Sums use ``math.fsum``: one rounding on every interpreter.
 """
 
 from __future__ import annotations
@@ -173,25 +173,27 @@ class StrategyProfile:
 # ---------------------------------------------------------------------------
 
 
-def _clamp_integral(la, ra, lb, rb):
-    # integral over [la, ra] of clamp(x - lb, 0, rb - lb) dx as the ramp over
-    # [lo, hi] plus the plateau past rb: a difference of squares would cancel
+def _clamp_integral(la, ra, lb, rb, rho):
+    # rho * integral over [la, ra] of clamp(x - lb, 0, rb - lb) dx as the ramp
+    # over [lo, hi] plus the plateau past rb, each a mass times a width: a
+    # difference of squares would cancel, and a width squared over/underflows
     lo, hi = max(la, lb), min(ra, rb)
-    ramp = 0.5 * max(hi - lo, 0.0) * ((lo - lb) + (hi - lb))
-    return ramp + (rb - lb) * max(ra - max(la, rb), 0.0)
+    ramp = 0.5 * (rho * max(hi - lo, 0.0)) * ((lo - lb) + (hi - lb))
+    return ramp + rho * (rb - lb) * max(ra - max(la, rb), 0.0)
 
 
 def pure_deviation_payoff(x, marginal: PiecewiseCdf) -> float:
-    """E[sgn(x - Y)] for a pure allocation x against marginal Y; ties at
-    atoms of Y count zero."""
-    return 2.0 * marginal.cdf(x, tie=0.5) - 1.0
+    """E[sgn(x - Y)] = P(Y < x) - P(Y > x) for a pure allocation x against
+    marginal Y, so ties at atoms of Y count zero."""
+    below, _, above = marginal.masses(x)
+    return below - above
 
 
 def battlefield_payoff(f_a: PiecewiseCdf, f_b: PiecewiseCdf) -> float:
-    """E[sgn(x_a - x_b)] = P(a wins) - P(b wins) under independent draws,
-    as E[2 F_b(x_a) - 1] with ``cdf`` at tie 1/2, so coinciding atoms count
-    zero: one CDF evaluation per atom of ``f_a``, and a closed-form integral
-    of F_b over each of its segments."""
+    """E[sgn(x_a - x_b)] = P(a wins) - P(b wins) under independent draws, as
+    E[below - above] of ``f_b.masses(x_a)``: ``pure_deviation_payoff`` per
+    atom of ``f_a``, so coinciding atoms count zero, and over each of its
+    segments, where it is 2 F_b - 1 a.e., a closed-form integral of F_b."""
     total = 0.0
     for xa, ma in f_a.atoms:
         total += ma * pure_deviation_payoff(xa, f_b)
@@ -201,7 +203,7 @@ def battlefield_payoff(f_a: PiecewiseCdf, f_b: PiecewiseCdf) -> float:
         for xb, mb in f_b.atoms:
             area += mb * max(ra - max(xb, la), 0.0)
         for lb, rb, rho_b in f_b.segments:
-            area += rho_b * _clamp_integral(la, ra, lb, rb)
+            area += _clamp_integral(la, ra, lb, rb, rho_b)
         total += rho_a * (2.0 * area - (ra - la))
     return total
 

@@ -7,10 +7,10 @@ recomputed exactly from the marginals by ``games.ex_ante_payoff``.  Opponent
 CDFs are steps plus ramps, so every deviation payoff is piecewise constant
 (Blotto) or piecewise linear (Lotto) between the opponent's breakpoints, and
 its supremum is found exactly by evaluating a finite list of points: no
-grid, no tuning.  Every payoff comes from the one tie-aware
-``PiecewiseCdf.cdf`` (Lotto priced payoffs from its complement ``sf``) in
-plain Python floats; a Blotto scan pays each type's interim payoff once, so
-it takes O(q log q) for O(q) lattice atoms.  The seeded Monte Carlo
+grid, no tuning.  Every payoff reads the one point query
+``PiecewiseCdf.masses`` in plain Python floats, each caller with its own
+tie rule; a Blotto scan pays each type's interim payoff once, so it takes
+O(q log q) for O(q) lattice atoms.  The seeded Monte Carlo
 estimate ``monte_carlo_value`` (``infoblotto simulate``) is the only part
 that loads numpy, and no verdict reads it.
 """
@@ -113,15 +113,18 @@ def blotto_deviation_gaps(
 # ---------------------------------------------------------------------------
 
 
-def _priced_payoff(x, terms, tie):
-    # sum(weight * cdf) - x less its constant sum(weight) (see
-    # lotto_support_optimality); tie=1 (right limit) is the value seen from
-    # inside a support segment starting at x; tie=0 (left limit) from inside
-    # one ending at x
-    out = -x
+def _priced_payoff(x, terms):
+    # (left limit, tie-split value, right limit) at x of -x - sum(w P(X >= x)),
+    # the priced payoff less its constant sum(w) (see lotto_support_optimality);
+    # the right limit is seen from inside a support segment starting at x, the
+    # left limit from inside one ending at x
+    left = mid = right = -x
     for weight, f in terms:
-        out -= weight * f.sf(x, tie)
-    return out
+        _, at, above = f.masses(x)
+        left -= weight * (above + at)
+        mid -= weight * (above + 0.5 * at)
+        right -= weight * above
+    return left, mid, right
 
 
 def _support_slack(own, terms):
@@ -129,18 +132,15 @@ def _support_slack(own, terms):
     the priced all-pay payoff for one marginal.
 
     The payoff is linear between breakpoints and has slope -1 past the last
-    one, so its supremum is a one-sided limit at 0 or at a breakpoint."""
+    one, so its supremum is a one-sided limit at 0 or at a breakpoint; every
+    on-support value is read at one of those points, each priced once."""
     opp_bps = sorted({p for _, f in terms for p in f.breakpoints()})
-    on_vals = [_priced_payoff(loc, terms, 0.5) for loc, _ in own.atoms]
+    priced = {x: _priced_payoff(x, terms) for x in {0.0, *opp_bps, *own.breakpoints()}}
+    on_vals = [priced[loc][1] for loc, _ in own.atoms]
     for left, right, _ in own.segments:
-        on_vals.append(_priced_payoff(left, terms, 1.0))
-        on_vals.append(_priced_payoff(right, terms, 0.0))
-        for p in opp_bps:
-            if left < p < right:
-                on_vals.append(_priced_payoff(p, terms, 0.0))
-                on_vals.append(_priced_payoff(p, terms, 1.0))
-    xs = {0.0, *opp_bps, *own.breakpoints()}
-    off_max = max(_priced_payoff(x, terms, tie) for tie in (0.0, 1.0) for x in xs)
+        on_vals += [priced[left][2], priced[right][0]]
+        on_vals += [priced[p][k] for p in opp_bps if left < p < right for k in (0, 2)]
+    off_max = max(max(lim_l, lim_r) for lim_l, _, lim_r in priced.values())
     return max(off_max - max(on_vals), max(on_vals) - min(on_vals))
 
 
@@ -155,11 +155,11 @@ def lotto_support_optimality(
     ``(2 v_ij p_i / lambda_I) F_U(x) - x``; for the uninformed player it is
     the prior mixture ``sum_i p_i (2 v_ij / lambda_U) F_I(t_i)(x) - x``.
     Each is evaluated less its constant sum of weights, as ``-x - sum w S(x)``
-    with the survival function ``PiecewiseCdf.sf``: the uninformed weights
-    grow as 1/gamma while F_I is near 1, so the CDF form would round every
-    value at ulp(1/gamma).  Both are in budget units, so each slack is
-    reported as a fraction of X_U: the game depends on the budgets only
-    through gamma.
+    with S the ``above`` (plus ``at``) of ``PiecewiseCdf.masses``: the
+    uninformed weights grow as 1/gamma while F_I is near 1, so the CDF form
+    would round every value at ulp(1/gamma).  Both are in budget units, so
+    each slack is reported as a fraction of X_U: the game depends on the
+    budgets only through gamma.
     """
     if lambdas is None:
         lambdas = lotto3.multipliers(

@@ -483,6 +483,10 @@ def test_sweep_cost_without_voi_refused(capsys, tmp_path):
         # a midpoint (a + b)/2 between lattice breakpoints overflowed to inf
         ["--game", "blotto2", "--vbar", "1", "--vlow", "0.5", "--gamma", "0.7",
          "--xu", "1.7976931348623157e308"],
+        # the value residual was inf (a width squared overflowed) and 0.708
+        # (it underflowed) at these budgets
+        ["--game", "lotto3", "--alpha", "0.5", "--gamma", "0.5", "--xu", "1e300"],
+        ["--game", "lotto3", "--alpha", "0.5", "--gamma", "0.5", "--xu", "1e-300"],
     ],
 )
 def test_verify_passes_at_extreme_budget(capsys, argv):

@@ -10,9 +10,9 @@ from infoblotto.blotto2 import BlottoParams, build_equilibrium
 from infoblotto.distributions import InvalidDistributionError, PiecewiseCdf
 
 
-def cdf_of(f, xs, tie=1.0):
-    # the scalar CDF at each point of an array
-    return np.array([f.cdf(x, tie) for x in np.ravel(xs).tolist()])
+def cdf_of(f, xs):
+    # the CDF P(X <= x) = below + at at each point of an array
+    return np.array([below + at for below, at, _ in map(f.masses, np.ravel(xs).tolist())])
 
 
 def mixed_example():
@@ -94,15 +94,14 @@ class TestValidation:
 class TestEvaluation:
     def test_cdf_steps_and_ramps(self):
         f = mixed_example()
-        assert f.cdf(-1.0) == 0.0
-        assert f.cdf(0.0) == pytest.approx(0.3)
-        assert f.cdf(0.0, tie=0.0) == 0.0
-        assert f.cdf(0.0, tie=0.5) == pytest.approx(0.15)
-        assert f.cdf(1.0) == pytest.approx(0.3 + 0.25)
-        assert f.cdf(2.5) == pytest.approx(0.8)
-        assert f.cdf(3.0, tie=0.0) == pytest.approx(0.8)
-        assert f.cdf(3.0) == pytest.approx(1.0)
-        assert f.cdf(f.breakpoints()[-1]) == pytest.approx(1.0, abs=1e-12)
+        assert f.masses(-1.0) == (0.0, 0.0, 1.0)
+        assert f.masses(0.0) == pytest.approx((0.0, 0.3, 0.7))
+        assert f.masses(1.0) == pytest.approx((0.3 + 0.25, 0.0, 0.25 + 0.2))
+        assert f.masses(2.5) == pytest.approx((0.8, 0.0, 0.2))
+        assert f.masses(3.0) == pytest.approx((0.8, 0.2, 0.0))
+        assert f.masses(4.0) == pytest.approx((1.0, 0.0, 0.0))
+        below, at, above = f.masses(f.breakpoints()[-1])
+        assert below + at == pytest.approx(1.0, abs=1e-12) and above == 0.0
 
     def test_mean(self):
         # 0*0.3 + 0.5*(mean 1) + 3*0.2
@@ -228,14 +227,28 @@ def test_random_distribution_invariants(f):
 
 
 def component_loop_cdf(f, x, tie):
-    # one numpy accumulation step per atom and per segment: the evaluation
-    # PiecewiseCdf.cdf must reproduce bit for bit
+    # one numpy accumulation step per atom below x, per segment, then the
+    # atom at x times tie: below (tie 0) and below + at (tie 1) in the order
+    # that PiecewiseCdf.masses and a caller adding at must reproduce
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape)
     for loc, mass in f.atoms:
-        out += mass * ((x > loc) + tie * (x == loc))
+        out += mass * (x > loc)
     for l, r, rho in f.segments:
         out += rho * np.clip(x - l, 0.0, r - l)
+    for loc, mass in f.atoms:
+        out += tie * mass * (x == loc)
+    return out
+
+
+def component_loop_tail(f, x):
+    # the same loop for the mass above x, atoms summed from the right
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    for loc, mass in reversed(f.atoms):
+        out += mass * (x < loc)
+    for l, r, rho in f.segments:
+        out += rho * np.clip(r - x, 0.0, r - l)
     return out
 
 
@@ -246,10 +259,11 @@ def component_loop_cdf(f, x, tie):
 )
 def test_cdf_equals_component_loop(f, points):
     # every atom and segment endpoint, where the ties act, plus random points
-    xs = [*f.breakpoints(), *points]
-    for tie in (0.0, 0.5, 1.0):
-        for x in xs:
-            assert f.cdf(x, tie) == component_loop_cdf(f, x, tie)
+    for x in [*f.breakpoints(), *points]:
+        below, at, above = f.masses(x)
+        assert below == component_loop_cdf(f, x, 0.0)
+        assert below + at == component_loop_cdf(f, x, 1.0)
+        assert above == component_loop_tail(f, x)
 
 
 @settings(max_examples=80, deadline=None)
@@ -258,19 +272,22 @@ def test_cdf_equals_component_loop(f, points):
     st.lists(st.floats(-1.0, 11.0, allow_nan=False), max_size=12),
 )
 def test_sf_complements_cdf(f, points):
-    for tie in (0.0, 0.5, 1.0):
-        for x in [*f.breakpoints(), *points]:
-            assert f.sf(x, tie) + f.cdf(x, tie) == pytest.approx(1.0, abs=2e-12)
+    # below, at and above partition the mass at every point
+    for x in [*f.breakpoints(), *points]:
+        below, at, above = f.masses(x)
+        assert min(below, at, above) >= 0.0
+        assert below + at + above == pytest.approx(1.0, abs=2e-12)
 
 
 def test_sf_keeps_a_small_upper_tail():
-    # 1 - cdf rounds a tail below 2^-53 to 0; sf sums it from the right
+    # 1 - below - at rounds a tail below 2^-53 to 0; above sums it from the right
     f = PiecewiseCdf(atoms=((0.0, 1.0), (1.0, 1e-20)), segments=((2.0, 3.0, 1e-20),))
-    assert 1.0 - f.cdf(0.5) == 0.0
-    assert f.sf(0.5) == 2e-20
-    assert f.sf(1.0) == 1e-20 and f.sf(1.0, tie=0.0) == 2e-20
-    assert f.sf(2.5) == 0.5e-20
-    assert f.sf(0.0, tie=0.5) == 0.5 + 2e-20
+    below, at, above = f.masses(0.5)
+    assert 1.0 - below - at == 0.0 and above == 2e-20
+    assert f.masses(1.0)[1:] == (1e-20, 1e-20)
+    assert f.masses(2.5)[2] == 0.5e-20
+    _, at, above = f.masses(0.0)
+    assert above + 0.5 * at == 0.5 + 2e-20
 
 
 def bisection_ppf(f):

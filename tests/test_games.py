@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from infoblotto import (
     interim_payoff,
 )
 from infoblotto.blotto2 import BlottoParams
-from infoblotto.games import _clamp_integral
+from infoblotto.games import _clamp_integral, pure_deviation_payoff
 from tests.test_distributions import piecewise_cdfs
 
 
@@ -121,7 +122,9 @@ def exact_clamp_integral(la, ra, lb, rb):
     la, ra, lb, rb = map(Fraction, (la, ra, lb, rb))
 
     def g(x):
-        lo, hi = max(x - lb, 0), max(x - rb, 0)
+        # a Fraction zero: int 0 / 2 is a float, and a float minuend rounds
+        # the difference to a float (to 0.0 at widths near 1e-300)
+        lo, hi = max(x - lb, Fraction(0)), max(x - rb, Fraction(0))
         return (lo * lo - hi * hi) / 2
 
     return g(ra) - g(la)
@@ -133,11 +136,15 @@ intervals = st.tuples(st.floats(0.0, 100.0), st.floats(1e-6, 10.0)).map(
 
 
 @settings(max_examples=200, deadline=None)
-@given(intervals, intervals)
-def test_clamp_integral_relative_to_widths(a, b):
-    exact = exact_clamp_integral(*a, *b)
-    widths = (a[1] - a[0]) * (b[1] - b[0])
-    assert abs(Fraction(_clamp_integral(*a, *b)) - exact) <= 1e-15 * widths
+@given(intervals, intervals, st.floats(1e-3, 1e3), st.sampled_from([1e-200, 1.0, 1e200]))
+def test_clamp_integral_relative_to_widths(a, b, rho, unit):
+    # rho times the integral, to within 1e-15 of rho times the two widths, at
+    # budget units whose squares overflow or underflow (the result itself,
+    # down to 1e-3 * 1e-6 * 1e-6 units, stays a normal float)
+    a, b, rho = (a[0] * unit, a[1] * unit), (b[0] * unit, b[1] * unit), rho / unit
+    exact = Fraction(rho) * exact_clamp_integral(*a, *b)
+    scale = rho * (a[1] - a[0]) * (b[1] - b[0])
+    assert abs(Fraction(_clamp_integral(*a, *b, rho)) - exact) <= 1e-15 * scale
 
 
 def pairwise_battlefield_payoff(f_a, f_b):
@@ -158,8 +165,8 @@ def pairwise_battlefield_payoff(f_a, f_b):
             w = min(max(xb, la), ra)
             total -= mb * rho_a * (2.0 * w - la - ra)
         for lb, rb, rho_b in f_b.segments:
-            below = _clamp_integral(la, ra, lb, rb)
-            total += rho_a * rho_b * (2.0 * below - (rb - lb) * (ra - la))
+            below = _clamp_integral(la, ra, lb, rb, rho_b)
+            total += rho_a * (2.0 * below - rho_b * (rb - lb) * (ra - la))
     return total
 
 
@@ -168,6 +175,19 @@ def pairwise_battlefield_payoff(f_a, f_b):
 def test_payoff_equals_pairwise_reference(f, g):
     assert abs(battlefield_payoff(f, g) - pairwise_battlefield_payoff(f, g)) <= 1e-13
     assert abs(battlefield_payoff(f, f) - pairwise_battlefield_payoff(f, f)) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    piecewise_cdfs().filter(lambda f: not f.segments),
+    st.lists(st.floats(-1.0, 11.0, allow_nan=False), max_size=4),
+)
+def test_pure_deviation_payoff_is_exact_sign_expectation(f, points):
+    # E[sgn(x - Y)] over the atoms in exact arithmetic, at every atom (a tie)
+    # and at random points
+    for x in [*f.breakpoints(), *points]:
+        exact = sum(Fraction(m) * ((x > loc) - (x < loc)) for loc, m in f.atoms)
+        assert abs(Fraction(pure_deviation_payoff(x, f)) - exact) <= 4 * math.ulp(1.0)
 
 
 @settings(max_examples=40, deadline=None)

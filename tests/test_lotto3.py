@@ -244,7 +244,8 @@ class TestConstruction:
         for g in (0.2, 0.5, 0.8, 1.0):
             f_u = build_equilibrium(LottoParams(0.6, 0.3, g, 1.0)).uninformed[0]
             top = f_u.breakpoints()[-1]
-            assert f_u.cdf(top) == pytest.approx(1.0, abs=1e-12)
+            below, at, above = f_u.masses(top)
+            assert below + at == pytest.approx(1.0, abs=1e-12) and above == 0.0
 
     def test_budget_feasibility_all_regimes(self):
         for a, b in ordered_pairs(5):

@@ -31,6 +31,7 @@ from infoblotto.oracle import (
     monte_carlo_value,
     pure_deviation_payoff,
 )
+from tests.test_distributions import cdf_of
 
 BLOTTO = BlottoParams.from_ratio(1.0, 0.5, 0.7, 10.0)
 
@@ -145,7 +146,7 @@ class TestLottoSupportOptimality:
         f_u = build_lotto(params).uninformed[0]
         nu = 2.0 * (0.5 * params.scale) * (1.0 / 3.0) / lam_i
         xs = np.linspace(0.0, 1.2 * f_u.breakpoints()[-1], 2001)
-        priced = nu * np.array([f_u.cdf(x) for x in xs.tolist()]) - xs
+        priced = nu * cdf_of(f_u, xs) - xs
         assert priced.max() <= 1e-12
         assert priced[0] == 0.0
 
@@ -777,27 +778,31 @@ SCALE_CASES = {
 
 
 def exact_checks(profile, params):
-    """(worst deviation gap, worst budget residual) of ``profile``."""
+    """(worst deviation gap, worst budget residual, value residual
+    ``|ex_ante_payoff - claimed_value|``) of ``profile``."""
     if isinstance(params, BlottoParams):
         gaps = blotto_deviation_gaps(profile, params)
         res_u, res_i = blotto_budget_residuals(profile, params)
     else:
         gaps = lotto_support_optimality(profile, params)
         res_u, res_i = lotto_budget_residuals(profile, params)
-    return gaps.worst(), max(res_u, *res_i)
+    value = ex_ante_payoff(profile, params.valuation_matrix, params.prior)
+    return gaps.worst(), max(res_u, *res_i), abs(value - claimed_value(params))
 
 
 @pytest.mark.parametrize("case", list(SCALE_CASES))
 def test_exact_checks_do_not_depend_on_budget_scale(case):
     right, wrong = SCALE_CASES[case]
     build = build_blotto if case.startswith("blotto2") else build_lotto
-    unit_gap, unit_res = exact_checks(build(right(1.0)), wrong(1.0))
+    unit_gap, unit_res, unit_value = exact_checks(build(right(1.0)), wrong(1.0))
     assert unit_gap > 1e-3
     for k in (-300, -150, -9, 0, 9, 150, 300):
         xu = 10.0**k
         profile = build(right(xu))
-        gap, res = exact_checks(profile, right(xu))
+        gap, res, value = exact_checks(profile, right(xu))
         assert gap <= oracle.EPS_DEVIATION and res <= oracle.EPS_BUDGET, xu
-        gap, res = exact_checks(profile, wrong(xu))
+        assert value <= oracle.EPS_DEVIATION, xu
+        gap, res, value = exact_checks(profile, wrong(xu))
         assert gap == pytest.approx(unit_gap, rel=1e-12, abs=0.0), xu
         assert res == pytest.approx(unit_res, rel=1e-12, abs=0.0), xu
+        assert value == pytest.approx(unit_value, rel=1e-12, abs=0.0), xu
