@@ -59,20 +59,28 @@ def _step_count(ratio):
     """q = floor(ratio) for ratio X_U/d, which a sweep (X_U = 1) forms as
     1/(1 - gamma): the same float, as 1 - gamma is exact.  A ratio short of
     an integer by at most four times what the rounding of gamma moves it,
-    ratio**2 * 2**-53, and at most 1e-9, counts as that integer."""
+    ratio**2 * 2**-53, and at most a quarter step, counts as that integer:
+    the rounding stays below a quarter step up to ratio 2**26 ~ 6.7e7."""
     slack = ratio * ratio * 2.0**-51
-    return math.floor(ratio + (slack if slack < 1e-9 else 1e-9))
+    return math.floor(ratio + (slack if slack < 0.25 else 0.25))
 
 
 @dataclass(frozen=True)
 class BlottoParams:
-    """Instance of the two-battlefield game with symmetric 2x2 valuations."""
+    """Instance of the two-battlefield game with symmetric 2x2 valuations.
+    The fields are a strategy file's ``params`` record, in order: ``asdict``
+    writes it and ``BlottoParams(**record)`` reads it; ``Budgets`` checks
+    the budgets."""
 
     vbar: float
     vlow: float
-    budgets: Budgets
+    budget_informed: float
+    budget_uninformed: float
 
     def __post_init__(self):
+        budgets = Budgets(self.budget_informed, self.budget_uninformed)
+        object.__setattr__(self, "budget_informed", budgets.informed)
+        object.__setattr__(self, "budget_uninformed", budgets.uninformed)
         object.__setattr__(self, "vbar", float(self.vbar))
         object.__setattr__(self, "vlow", float(self.vlow))
         _require_values(self.vbar, self.vlow)
@@ -81,11 +89,15 @@ class BlottoParams:
     def from_ratio(vbar, vlow, gamma, x_uninformed=1.0):
         if not 0.0 < gamma < 1.0:
             raise OutOfRegimeError(f"budget ratio {gamma} outside (0, 1)")
-        return BlottoParams(vbar, vlow, Budgets(gamma * x_uninformed, x_uninformed))
+        return BlottoParams(vbar, vlow, gamma * x_uninformed, x_uninformed)
+
+    @property
+    def budgets(self):
+        return Budgets(self.budget_informed, self.budget_uninformed)
 
     @property
     def gamma(self):
-        return self.budgets.gamma
+        return self.budget_informed / self.budget_uninformed
 
     @property
     def value_ratio(self):
@@ -112,8 +124,7 @@ class BlottoIndex:
 
     @staticmethod
     def from_params(params: BlottoParams):
-        x_i = params.budgets.informed
-        x_u = params.budgets.uninformed
+        x_i, x_u = params.budget_informed, params.budget_uninformed
         if x_i >= x_u:
             raise OutOfRegimeError("Blotto analysis requires X_I < X_U")
         d = x_u - x_i
@@ -239,19 +250,20 @@ def build_equilibrium(params: BlottoParams, e: float | None = None) -> StrategyP
     and defaults to the midpoint; the game value does not depend on it.
     Within ``MASS_TOL * X_U`` of r or d, where rounding can put the lattice
     on the informed atoms, ``e`` is refused.  Before that, once its closed
-    form is known to be finite, a step count q past ``_MAX_LATTICE`` is
-    refused with ``OutOfRegimeError``.
+    form is known to be finite, an even q is refused with
+    ``UnsupportedCaseError`` and a q past ``_MAX_LATTICE`` with
+    ``OutOfRegimeError``.
     """
     _require_payoff_regime(params.gamma)
     idx = BlottoIndex.from_params(params)
-    if not idx.is_odd:
-        raise UnsupportedCaseError(
-            f"q = {idx.q} is even: no strategy construction is provided for "
-            "even q (the equilibrium payoff is still available)"
-        )
     c = params.value_ratio
     q, d = idx.q, idx.d
     s_a = _denominator(c, q)
+    if not idx.is_odd:
+        raise UnsupportedCaseError(
+            f"q = {q} is even: no strategy construction is provided for "
+            "even q (the equilibrium payoff is still available)"
+        )
     if q > _MAX_LATTICE:
         raise OutOfRegimeError(
             f"q = {q}: the strategy construction builds lattices of at most "
@@ -259,13 +271,12 @@ def build_equilibrium(params: BlottoParams, e: float | None = None) -> StrategyP
         )
     if e is None:
         e = (idx.r + idx.d) / 2.0
-    tol = MASS_TOL * params.budgets.uninformed
+    x_i, x_u = params.budget_informed, params.budget_uninformed
+    tol = MASS_TOL * x_u
     if not (e - idx.r > tol and idx.d - e > tol):
         raise ValueError(f"offset e = {e} not inside ({idx.r}, {idx.d}) by more than {tol:.3g}")
 
     half = (q - 1) // 2
-    x_i = params.budgets.informed
-    x_u = params.budgets.uninformed
     # s_a normalizes the uninformed lattice and s_b the informed ones: the
     # game value is -1/s_a, and vlow*(1+c)/s_a = vlow/s_b.  c**half is a term
     # of s_a, and S_half is less than s_a, so both are finite here

@@ -14,10 +14,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import blotto2, lotto3, oracle
-from .games import Budgets, StrategyProfile
+from .games import StrategyProfile
 
 
 def _fmt(x):
@@ -99,29 +99,30 @@ def _build_profile(args):
     return params, lotto3.build_equilibrium(params)
 
 
+_PARAMS = {"blotto2": blotto2.BlottoParams, "lotto3": lotto3.LottoParams}
+
+
 def _load_strategy(path):
+    """(game, params, profile) of a strategy file.  Its ``params`` record must
+    hold exactly the fields of the game's params class, whose constructor
+    reads it; ``StrategyProfile.from_dict`` reads the profile."""
     try:
         with open(path) as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
+    # a document nested too deeply for the decoder raises RecursionError
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed strategy file {path}: {exc}") from exc
     try:
         game = data["game"]
-        raw = data["params"]
-        if game == "blotto2":
-            params = blotto2.BlottoParams(
-                raw["vbar"],
-                raw["vlow"],
-                Budgets(raw["budget_informed"], raw["budget_uninformed"]),
-            )
-        elif game == "lotto3":
-            params = lotto3.LottoParams(
-                raw["alpha"], raw["beta"], raw["gamma"], raw["budget_uninformed"]
-            )
-        else:
+        if game not in _PARAMS:
             raise ValueError(f"unknown game {game!r}")
+        record, names = data["params"], [field.name for field in fields(_PARAMS[game])]
+        if set(record) != set(names):
+            raise TypeError(f"params {sorted(record)}, expected {names}")
+        params = _PARAMS[game](**record)
         profile = StrategyProfile.from_dict(data["profile"])
-    except (KeyError, TypeError) as exc:
+    # an integer literal too large for a float raises OverflowError
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed strategy file {path}: {exc}") from exc
     return game, params, profile
 
@@ -298,18 +299,9 @@ def cmd_sweep(args):
 # ---------------------------------------------------------------------------
 
 
-def _params_record(game, params):
-    if game == "lotto3":
-        return asdict(params)
-    budgets = params.budgets
-    return {"vbar": params.vbar, "vlow": params.vlow,
-            "budget_informed": budgets.informed, "budget_uninformed": budgets.uninformed}
-
-
 def cmd_strategy(args):
     params, profile = _build_profile(args)
-    record = {"game": args.game, "params": _params_record(args.game, params),
-              "profile": asdict(profile)}
+    record = {"game": args.game, "params": asdict(params), "profile": asdict(profile)}
     _write(args.out, json.dumps(record, indent=2) + "\n")
     return f"wrote strategy profile to {args.out}", 0
 

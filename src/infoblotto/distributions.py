@@ -44,7 +44,8 @@ class PiecewiseCdf:
     segments: ``(left, right, density)`` triples, disjoint, left < right.
     Atom locations may touch segment endpoints but never lie in a segment
     interior, to within ``MASS_TOL`` of the largest location.  Total mass
-    must equal 1 to within ``MASS_TOL``.
+    must equal 1 to within ``MASS_TOL``.  ``dataclasses.asdict`` writes the
+    record of a marginal and ``PiecewiseCdf(**record)`` reads it back.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
@@ -232,14 +233,3 @@ class PiecewiseCdf:
             [(total - r, total - l, rho) for l, r, rho in reversed(self.segments)]
         )
         return PiecewiseCdf(atoms=atoms, segments=segments)
-
-    # -- serialization (``dataclasses.asdict`` writes the record) -------------
-
-    @staticmethod
-    def from_dict(data):
-        if not isinstance(data, dict) or set(data) - {"atoms", "segments"}:
-            raise InvalidDistributionError(f"bad distribution record: {data!r}")
-        return PiecewiseCdf(
-            atoms=tuple(tuple(a) for a in data.get("atoms", ())),
-            segments=tuple(tuple(s) for s in data.get("segments", ())),
-        )

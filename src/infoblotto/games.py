@@ -157,12 +157,13 @@ class StrategyProfile:
 
     @staticmethod
     def from_dict(data):
+        """The profile of an ``asdict`` record, each marginal read back by
+        ``PiecewiseCdf(**record)``.  ValueError on a malformed record."""
         try:
             informed = tuple(
-                tuple(PiecewiseCdf.from_dict(f) for f in row)
-                for row in data["informed"]
+                tuple(PiecewiseCdf(**f) for f in row) for row in data["informed"]
             )
-            uninformed = tuple(PiecewiseCdf.from_dict(f) for f in data["uninformed"])
+            uninformed = tuple(PiecewiseCdf(**f) for f in data["uninformed"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad strategy profile record: {exc}") from exc
         return StrategyProfile(informed=informed, uninformed=uninformed)

@@ -81,8 +81,7 @@ def blotto_deviation_gaps(
     # each type's payoff in profile, once; the first call checks the dimensions
     interim = [interim_payoff(profile, values, prior, i) for i in range(values.m)]
     value_u = -math.fsum(w * v for w, v in zip(prior.weights, interim))
-    x_i = params.budgets.informed
-    x_u = params.budgets.uninformed
+    x_i, x_u = params.budget_informed, params.budget_uninformed
 
     bps = set()
     for f1, f2 in profile.informed:
@@ -216,8 +215,7 @@ def blotto_budget_residuals(profile: StrategyProfile, params: blotto2.BlottoPara
     """Hard-budget check: battlefield 2 must be the exact budget complement
     of battlefield 1 for every player/type.  Location mismatches are
     fractions of X_U; mass mismatches are probabilities."""
-    x_i = params.budgets.informed
-    x_u = params.budgets.uninformed
+    x_i, x_u = params.budget_informed, params.budget_uninformed
     res_u = _reflection_mismatch(profile.uninformed[0], profile.uninformed[1], x_u, x_u)
     res_i = tuple(
         _reflection_mismatch(row[0], row[1], x_i, x_u) for row in profile.informed
@@ -339,12 +337,6 @@ class Certificate:
     budget_residuals_informed: tuple[float, ...]
     value_residual: float
     passed: bool
-
-    @staticmethod
-    def from_dict(data):
-        return Certificate(
-            **{key: tuple(v) if isinstance(v, list) else v for key, v in data.items()}
-        )
 
 
 def claimed_value(params):

@@ -1,6 +1,9 @@
+import dataclasses
 import math
+import random
 import sys
 from decimal import MAX_EMAX, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from infoblotto.blotto2 import (
     BlottoParams,
     _denominator,
     _geometric_sum,
+    _step_count,
     _weights,
     build_equilibrium,
     gross_wagner_payoff,
@@ -56,8 +60,42 @@ class TestIndex:
         assert steps.tolist() == [2, 3, 25]
 
     def test_equal_budgets_rejected(self):
-        with pytest.raises(ValueError):
-            BlottoParams(1.0, 0.5, Budgets(2.0, 1.0))
+        with pytest.raises(ValueError, match="0 < X_I <= X_U"):
+            BlottoParams(1.0, 0.5, 2.0, 1.0)
+
+    def test_fields_are_the_file_record(self):
+        p = params(gamma=0.7, x_u=10.0)
+        record = dataclasses.asdict(p)
+        assert list(record) == ["vbar", "vlow", "budget_informed", "budget_uninformed"]
+        assert BlottoParams(**record) == p
+        assert p.budgets == Budgets(p.budget_informed, 10.0)
+        assert p.gamma == p.budgets.gamma
+
+    def test_step_count_of_decimal_gammas(self):
+        # gamma = 1 - 1/n typed in decimal, for every terminating 1/n
+        # (n = 2^a 5^b) up to 2^26, where gamma's rounding moves the ratio
+        # by less than a quarter step: a 1e-9 cap lost a step above n ~ 1500
+        ns = sorted(2**a * 5**b for a in range(27) for b in range(12) if 2 < 2**a * 5**b <= 2**26)
+        assert len(ns) == 164
+        for n in ns:
+            with localcontext() as ctx:
+                ctx.prec = 60
+                gamma = float(1 - Decimal(1) / n)
+            assert _step_count(1.0 / (1.0 - gamma)) == n, gamma
+            assert BlottoIndex.from_params(params(gamma=gamma, x_u=1.0)).q == n, gamma
+
+    def test_step_count_of_random_decimal_gammas(self):
+        # seeded decimal gammas of 2 to 9 digits in (1/2, 1), against the
+        # floor of 1/(1 - gamma) as typed, in exact rationals
+        rng = random.Random(20)
+        for _ in range(20_000):
+            digits = rng.randint(2, 9)
+            text = f"0.{rng.randrange(5 * 10 ** (digits - 1) + 1, 10**digits):0{digits}d}"
+            exact = 1 / (1 - Fraction(text))
+            if exact > 2**26:
+                continue
+            gamma = float(text)
+            assert _step_count(1.0 / (1.0 - gamma)) == math.floor(exact), text
 
 
 class TestInformedPayoff:

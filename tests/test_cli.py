@@ -389,6 +389,14 @@ def test_step_count_not_raised_far_from_an_integer(capsys):
     assert out == ""
 
 
+def test_step_count_of_a_decimal_gamma_near_one(capsys):
+    # 1/(1 - 0.99998) = 50000 as typed; a slack capped at 1e-9 gave 49999
+    argv = ["--game", "blotto2", "--vbar", "1", "--vlow", "0.99999", "--gamma", "0.99998"]
+    code, out, err = run(capsys, "payoff", *argv)
+    assert code == 0, err
+    assert "q = 50000\n" in out
+
+
 _LARGEST_VALUES = ["--game", "blotto2", "--vbar", "1.7e308", "--vlow", "1.5e308"]
 
 
@@ -576,6 +584,14 @@ class TestStrategyAndVerify:
         assert code == 2
         assert "malformed" in err
 
+    def test_verify_deeply_nested_file_exits_two(self, capsys, tmp_path):
+        # the json decoder raised RecursionError out of main (exit 1)
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "verify", "--strategy", str(path))
+        assert code == 2
+        assert err.startswith("error: malformed strategy file") and out == ""
+
     def test_strategy_even_q_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "strategy", "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
@@ -661,6 +677,66 @@ def test_game_beside_strategy_checked(capsys, blotto_strategy_file):
     assert code == 0 and "passed = true" in out
     code, _, err = run(capsys, *argv, "lotto3")
     assert code == 2 and "conflicts" in err
+
+
+# strategy files written before BlottoParams held its budgets as fields,
+# with the strategy command that wrote each: the format is pinned to them
+_PINNED_FILES = {
+    "blotto2_q3.json": "--game blotto2 --vbar 1 --vlow 0.5 --gamma 0.7 --xu 10",
+    "lotto3_high.json": "--game lotto3 --alpha 0.6 --beta 0.3 --gamma 0.8",
+}
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_FILES))
+def test_pinned_strategy_file(capsys, tmp_path, name):
+    pinned = os.path.join(_DATA, name)
+    code, out, err = run(capsys, "verify", "--strategy", pinned)
+    assert code == 0, err
+    assert "passed = true" in out
+    path = tmp_path / name
+    code, _, err = run(capsys, "strategy", *_PINNED_FILES[name].split(), "--out", str(path))
+    assert code == 0, err
+    with open(pinned, "rb") as handle:
+        assert path.read_bytes() == handle.read()
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_FILES))
+@pytest.mark.parametrize("change", ["missing", "unknown"])
+def test_params_record_of_other_fields_exits_two(capsys, tmp_path, name, change):
+    # the params record must name exactly its class's fields; an unknown key
+    # was ignored before the constructors read the record
+    with open(os.path.join(_DATA, name)) as handle:
+        data = json.load(handle)
+    if change == "missing":
+        del data["params"]["budget_uninformed"]
+    else:
+        data["params"]["budget"] = 1.0
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    for command in ("verify", "simulate"):
+        code, out, err = run(capsys, command, "--strategy", str(path), *samples(command))
+        assert code == 2
+        assert err.startswith("error: malformed strategy file") and "budget" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("where", ["params", "profile"])
+def test_strategy_file_integer_too_large_for_a_float_exits_two(capsys, blotto_strategy_file, where):
+    # json reads 1e400 as inf but an integer literal of 401 digits as an int,
+    # which float() refuses with OverflowError
+    with open(blotto_strategy_file) as handle:
+        data = json.load(handle)
+    if where == "params":
+        data["params"]["vbar"] = 10**400
+    else:
+        data["profile"]["uninformed"][0]["atoms"][0][0] = 10**400
+    with open(blotto_strategy_file, "w") as handle:
+        json.dump(data, handle)
+    code, out, err = run(capsys, "verify", "--strategy", blotto_strategy_file)
+    assert code == 2
+    assert err.startswith("error: malformed strategy file") and "too large" in err
+    assert out == ""
 
 
 _POINT_FLAGS = {

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from infoblotto.blotto2 import BlottoParams, build_equilibrium
 from infoblotto.distributions import InvalidDistributionError, PiecewiseCdf
+from infoblotto.games import StrategyProfile
 
 
 def cdf_of(f, xs):
@@ -165,19 +166,34 @@ class TestTransforms:
 
 
 class TestSerialization:
+    # asdict writes a marginal's record and the constructor reads it back;
+    # a strategy file's reader, StrategyProfile.from_dict, refuses with ValueError
+
     def test_round_trip_exact(self):
         f = mixed_example()
         data = json.loads(json.dumps(asdict(f)))
-        g = PiecewiseCdf.from_dict(data)
+        assert isinstance(data["atoms"][0], list)
+        g = PiecewiseCdf(**data)
         assert g == f
+        assert StrategyProfile.from_dict({"informed": [[data]], "uninformed": [data]}) == (
+            StrategyProfile(informed=((f,),), uninformed=(f,))
+        )
 
     def test_bad_record(self):
-        with pytest.raises(InvalidDistributionError):
-            PiecewiseCdf.from_dict({"atoms": [[0.0, 1.0]], "junk": []})
+        # an unknown key, or a record that is not a mapping
+        for record in ({"atoms": [[0.0, 1.0]], "junk": []}, [[0.0, 1.0]], None, "atoms"):
+            with pytest.raises(TypeError):
+                PiecewiseCdf(**record)
+            profile = {"informed": [[record]], "uninformed": [record]}
+            with pytest.raises(ValueError, match="bad strategy profile record"):
+                StrategyProfile.from_dict(profile)
 
     def test_malformed_mass(self):
+        record = {"atoms": [[0.0, 0.7]], "segments": []}
         with pytest.raises(InvalidDistributionError):
-            PiecewiseCdf.from_dict({"atoms": [[0.0, 0.7]], "segments": []})
+            PiecewiseCdf(**record)
+        with pytest.raises(InvalidDistributionError):
+            StrategyProfile.from_dict({"informed": [[record]], "uninformed": [record]})
 
 
 @st.composite

@@ -24,7 +24,7 @@ from tests.test_distributions import piecewise_cdfs
 
 class TestTypes:
     def test_symmetric_pair_normalization(self):
-        v = BlottoParams(1.0, 0.5, Budgets(0.7, 1.0)).valuation_matrix
+        v = BlottoParams(1.0, 0.5, 0.7, 1.0).valuation_matrix
         assert v.values == ((2 / 3, 1 / 3), (1 / 3, 2 / 3))
 
     def test_cyclic_rows_sum_to_one(self):
@@ -209,7 +209,7 @@ class TestProfilePayoffs:
 
     def test_identical_strategies_are_worth_zero(self):
         profile = self._identical_profile()
-        v = BlottoParams(1.0, 0.25, Budgets(0.7, 1.0)).valuation_matrix
+        v = BlottoParams(1.0, 0.25, 0.7, 1.0).valuation_matrix
         assert ex_ante_payoff(profile, v, Prior.uniform(2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_state_deterministic_win(self):
@@ -243,7 +243,7 @@ class TestProfilePayoffs:
         v = ValuationMatrix.cyclic(0.5, 0.5)
         with pytest.raises(ValueError):
             ex_ante_payoff(profile, v, Prior.uniform(3))
-        v = BlottoParams(1.0, 0.5, Budgets(0.7, 1.0)).valuation_matrix
+        v = BlottoParams(1.0, 0.5, 0.7, 1.0).valuation_matrix
         with pytest.raises(ValueError):
             interim_payoff(profile, v, Prior.uniform(2), 5)
 
