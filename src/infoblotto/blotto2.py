@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .distributions import MASS_TOL, PiecewiseCdf
 from .games import (
@@ -103,12 +104,13 @@ class BlottoParams:
     def value_ratio(self):
         return self.vbar / self.vlow
 
-    @property
+    # built once per (immutable) instance, as every check reads them
+    @cached_property
     def valuation_matrix(self):
         high, low = _weights(self.vbar, self.vlow)
         return ValuationMatrix(((high, low), (low, high)))
 
-    @property
+    @cached_property
     def prior(self):
         return Prior.uniform(2)
 

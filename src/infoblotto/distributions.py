@@ -121,12 +121,17 @@ class PiecewiseCdf:
         )
 
     def breakpoints(self):
-        """Locations where the CDF changes slope or jumps, sorted."""
+        """Locations where the CDF changes slope or jumps, as a sorted tuple
+        built once per marginal."""
+        return self._breakpoints
+
+    @cached_property
+    def _breakpoints(self):
         pts = {loc for loc, _ in self.atoms}
         for l, r, _ in self.segments:
             pts.add(l)
             pts.add(r)
-        return sorted(pts)
+        return tuple(sorted(pts))
 
     # -- point query (plain floats, one bisection per point) ---------------
 
@@ -225,11 +230,18 @@ class PiecewiseCdf:
 
     def reflect(self, total):
         """Distribution of ``total - X``; used for the two-battlefield
-        complement allocation."""
+        complement allocation.  The rows are float tuples of the right width
+        already, so they are not converted again; the result is validated
+        as any marginal is (a location past ``total`` is refused)."""
+        total = float(total)
         # tuple() of a list allocates the exact length; resizing a guess for a
         # generator fills CPython's tuple free lists over many lattices (~3 MB)
         atoms = tuple([(total - loc, mass) for loc, mass in reversed(self.atoms)])
         segments = tuple(
             [(total - r, total - l, rho) for l, r, rho in reversed(self.segments)]
         )
-        return PiecewiseCdf(atoms=atoms, segments=segments)
+        mirrored = object.__new__(PiecewiseCdf)
+        object.__setattr__(mirrored, "atoms", atoms)
+        object.__setattr__(mirrored, "segments", segments)
+        mirrored._validate()
+        return mirrored

@@ -220,6 +220,14 @@ def _check_dimensions(profile: StrategyProfile, values: ValuationMatrix, prior: 
         )
 
 
+def _interim(profile, values, state, pay):
+    row = values.values[state]
+    marginals = profile.informed[state]
+    return math.fsum(
+        row[j] * pay(marginals[j], profile.uninformed[j]) for j in range(values.n)
+    )
+
+
 def interim_payoff(
     profile: StrategyProfile, values: ValuationMatrix, prior: Prior, state: int
 ) -> float:
@@ -227,23 +235,31 @@ def interim_payoff(
     _check_dimensions(profile, values, prior)
     if not 0 <= state < values.m:
         raise ValueError(f"state index {state} out of range [0, {values.m})")
-    row = values.values[state]
-    marginals = profile.informed[state]
-    return math.fsum(
-        row[j] * battlefield_payoff(marginals[j], profile.uninformed[j])
-        for j in range(values.n)
-    )
+    return _interim(profile, values, state, battlefield_payoff)
 
 
 def ex_ante_payoff(
     profile: StrategyProfile, values: ValuationMatrix, prior: Prior
 ) -> float:
     """Informed player's ex-ante expected payoff (prior-weighted interim
-    payoffs).  The game is zero-sum: the uninformed player gets the negative."""
+    payoffs).  The game is zero-sum: the uninformed player gets the negative.
+
+    Each (informed, uninformed) pair of marginal objects is priced once per
+    call: a built Lotto profile holds 3 distinct pairs in its 9 slots.  The
+    memo is keyed by identity, which the profile holds fixed for the call,
+    and a pair's payoff does not depend on its slot, so the value is the
+    one pricing every slot gives."""
     _check_dimensions(profile, values, prior)
+    priced = {}
+
+    def pay(f, g):
+        key = id(f), id(g)
+        if key not in priced:
+            priced[key] = battlefield_payoff(f, g)
+        return priced[key]
+
     return math.fsum(
-        prior.weights[i] * interim_payoff(profile, values, prior, i)
-        for i in range(values.m)
+        prior.weights[i] * _interim(profile, values, i, pay) for i in range(values.m)
     )
 
 

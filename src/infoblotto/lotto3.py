@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 from .distributions import PiecewiseCdf
@@ -88,11 +89,12 @@ class LottoParams:
     def budgets(self):
         return Budgets(self.gamma * self.budget_uninformed, self.budget_uninformed)
 
-    @property
+    # built once per (immutable) instance, as every check reads them
+    @cached_property
     def valuation_matrix(self):
         return ValuationMatrix.cyclic(self.alpha, self.beta)
 
-    @property
+    @cached_property
     def prior(self):
         return Prior.uniform(3)
 

@@ -13,6 +13,16 @@ tie rule; a Blotto scan pays each type's interim payoff once, so it takes
 O(q log q) for O(q) lattice atoms.  The seeded Monte Carlo
 estimate ``monte_carlo_value`` (``infoblotto simulate``) is the only part
 that loads numpy, and no verdict reads it.
+
+Each distinct quantity is evaluated once, and nothing is kept between
+calls.  The Lotto scan and ``games.ex_ante_payoff`` memo their work in
+dicts that live for the call, keyed by the identity of the marginals, which
+the profile holds for the call; params objects and marginals build their
+derived tables once (``functools.cached_property``).  Only immutability is
+trusted: both are frozen dataclasses, so a cached value is what a fresh
+evaluation gives.  The Blotto budget check trusts no reflection: it
+compares each battlefield-2 atom with X - x of its battlefield-1 atom, so
+an atom past the budget is a budget residual.
 """
 
 from __future__ import annotations
@@ -159,6 +169,12 @@ def lotto_support_optimality(
     would round every value at ulp(1/gamma).  Both are in budget units, so
     each slack is reported as a fraction of X_U: the game depends on the
     budgets only through gamma.
+
+    Each distinct (marginal, priced opponent terms) pair is scanned once per
+    call, keyed by the marginals' identity and the weights' values: a built
+    Lotto profile holds 4 distinct marginals in its 12 slots, so 6 scans
+    serve its 12 slots.  A scan reads nothing but its marginal and terms,
+    so each slot's slack is the one scanning that slot gives.
     """
     if lambdas is None:
         lambdas = lotto3.multipliers(
@@ -168,21 +184,27 @@ def lotto_support_optimality(
     if lam_i <= 0.0 or lam_u <= 0.0:
         raise ValueError("multipliers must be positive")
     vals = params.valuation_matrix.values
-    prior = params.prior
+    weights = params.prior.weights
+    scanned = {}
+
+    def slack(own, terms):
+        key = id(own), *((w, id(f)) for w, f in terms)
+        if key not in scanned:
+            scanned[key] = _support_slack(own, terms)
+        return scanned[key]
 
     slack_u = 0.0
     slacks_i = [0.0] * profile.m
     for j in range(profile.n):
         for i in range(profile.m):
-            terms = [(2.0 * vals[i][j] * prior.weights[i] / lam_i, profile.uninformed[j])]
-            slack = _support_slack(profile.informed[i][j], terms)
-            slacks_i[i] = max(slacks_i[i], slack)
+            terms = [(2.0 * vals[i][j] * weights[i] / lam_i, profile.uninformed[j])]
+            slacks_i[i] = max(slacks_i[i], slack(profile.informed[i][j], terms))
         terms = [
-            (2.0 * vals[i][j] * prior.weights[i] / lam_u, profile.informed[i][j])
+            (2.0 * vals[i][j] * weights[i] / lam_u, profile.informed[i][j])
             for i in range(profile.m)
         ]
-        slack_u = max(slack_u, _support_slack(profile.uninformed[j], terms))
-    x_u = params.budgets.uninformed
+        slack_u = max(slack_u, slack(profile.uninformed[j], terms))
+    x_u = params.budget_uninformed
     return DeviationGaps(slack_u / x_u, tuple(slack / x_u for slack in slacks_i))
 
 
@@ -201,20 +223,24 @@ def lotto_budget_residuals(profile: StrategyProfile, params: lotto3.LottoParams)
 
 
 def _reflection_mismatch(f_first, f_second, budget, unit):
-    # locations are compared in units of ``unit``, masses as they are
-    mirrored = f_first.reflect(budget)
-    if len(mirrored.atoms) != len(f_second.atoms) or f_second.segments:
+    # budget - x of each atom of f_first, read from the right, against the
+    # atoms of f_second; locations in units of ``unit``, masses as they are
+    if f_first.segments or f_second.segments or len(f_first.atoms) != len(f_second.atoms):
         return math.inf
     return max(
-        max(abs(la - lb) / unit, abs(ma - mb))
-        for (la, ma), (lb, mb) in zip(mirrored.atoms, f_second.atoms)
+        max(abs((budget - la) - lb) / unit, abs(ma - mb))
+        for (la, ma), (lb, mb) in zip(reversed(f_first.atoms), f_second.atoms)
     )
 
 
 def blotto_budget_residuals(profile: StrategyProfile, params: blotto2.BlottoParams):
     """Hard-budget check: battlefield 2 must be the exact budget complement
     of battlefield 1 for every player/type.  Location mismatches are
-    fractions of X_U; mass mismatches are probabilities."""
+    fractions of X_U; mass mismatches are probabilities.  Each battlefield-2
+    atom is compared with X - x of its battlefield-1 atom directly, so no
+    reflected marginal is built: a battlefield-1 atom past the budget X is a
+    residual like any other, not a malformed marginal.  A segment, or atom
+    counts that differ, is an infinite residual."""
     x_i, x_u = params.budget_informed, params.budget_uninformed
     res_u = _reflection_mismatch(profile.uninformed[0], profile.uninformed[1], x_u, x_u)
     res_i = tuple(
@@ -231,22 +257,32 @@ def blotto_budget_residuals(profile: StrategyProfile, params: blotto2.BlottoPara
 _CHUNK = 1 << 15  # samples scored at a time; 2^15 ran fastest of 2^13 to 2^16
 
 
-def _positioned(state, k):
-    """A Generator at the k-th 64-bit word after the Philox ``state`` dict.
+def _positioned(state, k, rng=None):
+    """``rng`` (a new Generator if None) moved to the k-th 64-bit word after
+    the Philox ``state`` dict by assigning its bit generator's state.
     Counter c yields words 4c to 4c + 3 and the next word is number
     4 * counter + buffer_pos, so a Philox one counter before word k's, with
-    the words before k in its block discarded, continues there."""
+    its buffer spent and the words before k in its block discarded,
+    continues there."""
     import numpy as np
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox())
     counter = sum(int(c) << 64 * i for i, c in enumerate(state["state"]["counter"]))
     block, skip = divmod(4 * counter + state["buffer_pos"] + k, 4)
-    bit_generator = np.random.Philox(counter=block - 1, key=state["state"]["key"])
-    bit_generator.random_raw(skip)
-    return np.random.Generator(bit_generator)
+    counter = [(block - 1) >> 64 * i & 2**64 - 1 for i in range(4)]
+    rng.bit_generator.state = dict(
+        state, state=dict(state["state"], counter=counter), buffer_pos=4, has_uint32=0, uinteger=0
+    )
+    rng.bit_generator.random_raw(skip)
+    return rng
 
 
-def _draws(f, state, k):
-    # a one-atom marginal's quantile is its location: it reads no draws
-    return _positioned(state, k) if f.segments or len(f.atoms) > 1 else None
+def _draws(f, state, k, rng, size):
+    # a one-atom marginal's quantile is its location: it reads no draws, and
+    # the uniform 0.0 stands for all of them
+    if f.segments or len(f.atoms) > 1:
+        return _positioned(state, k, rng).random(size)
+    return 0.0
 
 
 def monte_carlo_value(profile, values, prior, samples, seed):
@@ -254,10 +290,11 @@ def monte_carlo_value(profile, values, prior, samples, seed):
     ex-ante payoff.  Draws are exchangeable, so the state counts are drawn
     first; state i's allocations then take the next 2 * n * count_i uniforms
     as one ``(2, n, count_i)`` block holds them, each battlefield's range
-    read from a positioned Philox stream ``_CHUNK`` samples at a time (none
-    for a one-atom marginal), so only the payoff array grows with
-    ``samples``.  Battlefield j is scored ``v * ([x > y] - [x < y])``, the
-    floats ``v * sign(x - y)`` gave; between atoms-only marginals y is never
+    read ``_CHUNK`` samples at a time (none for a one-atom marginal) from the
+    call's one Philox, positioned at the chunk's first word by assigning
+    its state, so only the payoff array grows with ``samples``.
+    Battlefield j is scored ``v * ([x > y] - [x < y])``, the floats
+    ``v * sign(x - y)`` gave; between atoms-only marginals y is never
     sampled: its uniform is compared with the ``PiecewiseCdf.thresholds`` of
     x's atom.  A seed's numbers differ from the first 0.1.0 release, which
     drew a state per sample.  A sample count too large to allocate is
@@ -281,17 +318,15 @@ def monte_carlo_value(profile, values, prior, samples, seed):
         start, end = end, end + count
         # battlefield by battlefield, so each sample still adds j = 0 first
         for j, (v, f, g) in enumerate(zip(vals, row, profile.uninformed)):
-            draws_a = _draws(f, state, word + j * count)
-            draws_b = _draws(g, state, word + (n + j) * count)
             atoms_only = not (f.segments or g.segments)
             if atoms_only:
                 t_plus, t_minus = g.thresholds([loc for loc, _ in f.atoms])
             for lo in range(start, end, _CHUNK):
                 block = payoff[lo : min(lo + _CHUNK, end)]
-                a = draws_a.random(len(block)) if draws_a else 0.0
-                b = draws_b.random(len(block)) if draws_b else 0.0
+                a = _draws(f, state, word + j * count + lo - start, rng, len(block))
+                b = _draws(g, state, word + (n + j) * count + lo - start, rng, len(block))
                 if atoms_only:
-                    i = f.component(a) if draws_a else 0
+                    i = f.component(a) if len(f.atoms) > 1 else 0
                     above, below = np.less(b, t_plus[i]), np.greater_equal(b, t_minus[i])
                 else:
                     x, y = f.ppf(a), g.ppf(b)

@@ -436,6 +436,35 @@ def test_small_scale_malformed_strategy_exits_two(capsys, blotto_strategy_file, 
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "atoms,residual",
+    [
+        # type 1's top atom moved from 0.6 past X_I = 0.7
+        ([[0.3, 0.4], [0.75, 0.6]], 0.15),
+        # two atoms whose complements X_I - x round to one location
+        ([[1e-20, 0.4], [2e-20, 0.6]], 0.6),
+    ],
+)
+def test_verify_broken_complement_exits_one(capsys, blotto_strategy_file, atoms, residual):
+    # q = 3 at X_I = 0.7, battlefield 1 of informed type 1 replaced.  The
+    # complement check reflected the row first, and its validation refused a
+    # location the file does not hold (exit 2): "atom location -0.05 outside
+    # [0, inf)", "atom locations must be strictly increasing".  Both are
+    # budget violations, found as one
+    with open(blotto_strategy_file) as handle:
+        data = json.load(handle)
+    data["profile"]["informed"][0][0]["atoms"] = atoms
+    with open(blotto_strategy_file, "w") as handle:
+        json.dump(data, handle)
+    code, out, err = run(capsys, "verify", "--strategy", blotto_strategy_file)
+    assert code == 1, err
+    fields = dict(line.split(" = ") for line in out.splitlines())
+    assert fields["passed"] == "false"
+    assert float(fields["budget_residuals_informed[0]"]) == pytest.approx(residual)
+    assert float(fields["budget_residuals_informed[1]"]) <= oracle.EPS_BUDGET
+    assert float(fields["budget_residual_uninformed"]) <= oracle.EPS_BUDGET
+
+
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 @pytest.mark.parametrize("cut", ["state", "battlefield"])
 def test_strategy_of_other_dimensions_exits_two(capsys, blotto_strategy_file, command, cut):

@@ -113,7 +113,10 @@ class TestEvaluation:
         assert PiecewiseCdf.uniform(1e308, 1.6e308).mean() == pytest.approx(1.3e308, rel=1e-15)
 
     def test_support(self):
-        assert mixed_example().breakpoints() == [0.0, 2.0, 3.0]
+        f = mixed_example()
+        assert f.breakpoints() == (0.0, 2.0, 3.0)
+        # built once per marginal
+        assert f.breakpoints() is f.breakpoints()
 
 
 class TestPpf:
@@ -163,6 +166,14 @@ class TestTransforms:
         g = f.reflect(7.0).reflect(7.0)
         assert g.atoms == f.atoms
         assert g.segments == f.segments
+
+    def test_reflect_validates_and_holds_floats(self):
+        # the rows are not converted again, but the result is still checked
+        with pytest.raises(InvalidDistributionError, match="outside"):
+            PiecewiseCdf.point(0.75).reflect(0.7)
+        g = mixed_example().reflect(5)
+        assert g == PiecewiseCdf(atoms=g.atoms, segments=g.segments)
+        assert all(type(v) is float for row in g.atoms + g.segments for v in row)
 
 
 class TestSerialization:

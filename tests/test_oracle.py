@@ -128,6 +128,23 @@ class TestBlottoDeviations:
         res_u, _ = blotto_budget_residuals(broken, BLOTTO)
         assert res_u > 1e-3
 
+    def test_budget_residuals_of_other_shapes_are_infinite(self):
+        # atoms are paired from the two ends, so another atom count (zip
+        # would pair a prefix) or a segment on either side is no complement
+        profile = build_blotto(BLOTTO)
+        g1, g2 = profile.uninformed
+        fewer = PiecewiseCdf(atoms=tuple((loc, mass / (1.0 - g2.atoms[-1][1]))
+                                         for loc, mass in g2.atoms[:-1]))
+        x_u = BLOTTO.budgets.uninformed
+        ramp = PiecewiseCdf.uniform(0.0, x_u)
+        # g1's atoms at half their mass, and a ramp past the budget
+        half_ramp = PiecewiseCdf(atoms=tuple((loc, mass / 2.0) for loc, mass in g1.atoms),
+                                 segments=((x_u, 2.0 * x_u, 0.5 / x_u),))
+        for pair in [(g1, fewer), (fewer.reflect(x_u), g2),
+                     (ramp, ramp), (g1, ramp), (ramp, g2), (half_ramp, g2)]:
+            broken = StrategyProfile(informed=profile.informed, uninformed=pair)
+            assert blotto_budget_residuals(broken, BLOTTO)[0] == math.inf
+
 
 class TestLottoSupportOptimality:
     @pytest.mark.parametrize(
@@ -604,6 +621,157 @@ def test_perturbation_fails_named_check(case):
     cert = certify(make_profile(), params)
     assert not cert.passed
     assert failed_checks(cert) == failing
+
+
+# ---------------------------------------------------------------------------
+# Each distinct quantity once.  certify's Lotto scan and ex_ante_payoff memo
+# their work by the identity of the marginals, which a built profile shares
+# across slots.  A profile read back from its record holds equal values in
+# distinct objects, so there every slot is worked out on its own: the two
+# certificates must agree bit for bit, field for field.
+# ---------------------------------------------------------------------------
+
+
+def read_back(profile):
+    return StrategyProfile.from_dict(dataclasses.asdict(profile))
+
+
+def slot_by_slot_payoff(profile, values, prior):
+    """ex_ante_payoff with no memo: every slot priced, in the same order."""
+    return math.fsum(
+        w * math.fsum(v * games.battlefield_payoff(f, g)
+                      for v, f, g in zip(vals, row, profile.uninformed))
+        for w, vals, row in zip(prior.weights, values.values, profile.informed)
+    )
+
+
+def assert_each_slot_worked_out(params, profile):
+    again = read_back(profile)
+    assert again == profile
+    assert repr(certify(again, params)) == repr(certify(profile, params))
+    values, prior = params.valuation_matrix, params.prior
+    want = slot_by_slot_payoff(profile, values, prior).hex()
+    assert ex_ante_payoff(profile, values, prior).hex() == want
+    assert ex_ante_payoff(again, values, prior).hex() == want
+
+
+READ_BACK_CASES = {
+    "lotto3-low": LottoParams(0.6, 0.3, 0.2),
+    "lotto3-mid": LottoParams(0.6, 0.3, 0.5),
+    "lotto3-high": LottoParams(0.6, 0.3, 0.8, 10.0),
+    "lotto3-gamma-1": LottoParams(0.5, 0.5, 1.0),
+    "blotto2-q3": BlottoParams.from_ratio(1.0, 0.5, 0.7, 10.0),
+    "blotto2-q11": BlottoParams.from_ratio(1.0, 0.5, 0.91),
+    "blotto2-q33": BlottoParams.from_ratio(1.0, 0.9, 0.97, 100.0),
+}
+
+
+@pytest.mark.parametrize("case", list(READ_BACK_CASES))
+def test_read_back_profile_certifies_identically(case):
+    params = READ_BACK_CASES[case]
+    build = build_blotto if isinstance(params, BlottoParams) else build_lotto
+    assert_each_slot_worked_out(params, build(params))
+
+
+@st.composite
+def built_equilibria(draw):
+    """(params, profile) of either game over its buildable domain: Blotto at
+    an odd q up to 49 with gamma inside its step, Lotto in every regime."""
+    xu = draw(st.sampled_from([1e-3, 1.0, 10.0, 1e3]))
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 24)) * 2 + 1
+        gamma = 1.0 - 1.0 / (q + draw(st.floats(0.05, 0.95)))
+        params = BlottoParams.from_ratio(1.0, draw(st.floats(0.05, 0.95)), gamma, xu)
+        return params, build_blotto(params)
+    alpha, beta = sorted((draw(st.floats(0.01, 0.99)) for _ in range(2)), reverse=True)
+    params = LottoParams(alpha, beta, draw(st.floats(0.01, 1.0)), xu)
+    return params, build_lotto(params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(built_equilibria())
+def test_read_back_profile_certifies_identically_everywhere(point):
+    assert_each_slot_worked_out(*point)
+
+
+@st.composite
+def shared_marginal_games(draw):
+    """A 3x3 Lotto game whose slots hold a few marginal objects, each in
+    several slots: against several opponents and at several weights."""
+    pool = [draw(tied_marginals()) for _ in range(draw(st.integers(1, 3)))]
+    pick = st.sampled_from(pool)
+    profile = StrategyProfile(
+        informed=[[draw(pick) for _ in range(3)] for _ in range(3)],
+        uninformed=[draw(pick) for _ in range(3)],
+    )
+    alpha, beta = sorted((draw(st.floats(0.01, 0.99)) for _ in range(2)), reverse=True)
+    return profile, LottoParams(alpha, beta, draw(st.floats(0.01, 1.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_marginal_games())
+def test_memos_key_the_whole_slot(game):
+    # the read-back copy shares no object between slots
+    profile, params = game
+    again = read_back(profile)
+    assert repr(lotto_support_optimality(profile, params)) == repr(
+        lotto_support_optimality(again, params)
+    )
+    values, prior = params.valuation_matrix, params.prior
+    want = slot_by_slot_payoff(profile, values, prior).hex()
+    assert ex_ante_payoff(profile, values, prior).hex() == want
+
+
+def test_one_wrong_lotto_slot_is_seen():
+    # a memo keyed too coarsely (by battlefield, by value index) would read
+    # a shared slot's slack for the one slot that differs
+    params = LottoParams(0.6, 0.3, 0.8)
+    profile = build_lotto(params)
+    odd = PiecewiseCdf.uniform(0.0, 2.0 * profile.uninformed[0].breakpoints()[-1])
+    for i, j in [(0, 0), (1, 2), (2, 1)]:
+        informed = [list(row) for row in profile.informed]
+        informed[i][j] = odd
+        cert = certify(StrategyProfile(informed, profile.uninformed), params)
+        assert cert.deviation_gaps_informed[i] > 1e-3, (i, j)
+        others = [gap for k, gap in enumerate(cert.deviation_gaps_informed) if k != i]
+        assert max(others) <= oracle.EPS_DEVIATION, (i, j)
+
+
+def test_lotto_certify_works_out_each_distinct_pair_once(monkeypatch):
+    # 4 distinct marginals in 12 slots: 3 distinct (informed, uninformed)
+    # pairs priced instead of 9, and 6 support scans instead of 12, which
+    # query 48 points; 1 more query prices the one pair with an atom.  The
+    # slot-by-slot checks made 9 payoffs and 75 queries
+    params = LottoParams(0.6, 0.3, 0.8)
+    profile = build_lotto(params)
+    calls = {"battlefield_payoff": 0, "masses": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(games, "battlefield_payoff",
+                        counted("battlefield_payoff", games.battlefield_payoff))
+    monkeypatch.setattr(PiecewiseCdf, "masses", counted("masses", PiecewiseCdf.masses))
+    assert certify(profile, params).passed
+    assert calls == {"battlefield_payoff": 3, "masses": 49}
+    # the params build their matrix and prior once
+    assert params.valuation_matrix is params.valuation_matrix
+    assert params.prior is params.prior
+
+
+@pytest.mark.parametrize("gamma", [0.7, 0.91, 0.97])
+def test_blotto_certify_builds_no_marginal(monkeypatch, gamma):
+    # the complement check compares atoms directly; it reflected and
+    # validated one lattice per row (3 marginals)
+    params = BlottoParams.from_ratio(1.0, 0.5, gamma)
+    profile = build_blotto(params)
+    built = []
+    monkeypatch.setattr(PiecewiseCdf, "_validate", lambda self: built.append(self))
+    assert certify(profile, params).passed
+    assert built == []
 
 
 # alpha, beta in (0, 1) and gamma in (1e-300, 1e-8): a Monte Carlo verdict
