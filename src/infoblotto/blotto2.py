@@ -231,17 +231,6 @@ def value_of_information(params: BlottoParams) -> float:
     return informed_payoff(params) - gross_wagner_payoff(idx.q)
 
 
-def uninformed_guarantee_condition(n: int, gamma: float) -> bool:
-    """Sufficient condition on the budget ratio for the uninformed player to
-    guarantee a nonnegative payoff on n battlefields, any prior."""
-    if n < 1:
-        raise ValueError(f"battlefield count must be >= 1, got {n}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"budget ratio {gamma} outside (0, 1)")
-    threshold = 2.0 / n if n % 2 == 0 else 2.0 / (n + 1)
-    return gamma < threshold
-
-
 def build_equilibrium(params: BlottoParams, e: float | None = None) -> StrategyProfile:
     """Equilibrium mixed strategies for odd q.
 

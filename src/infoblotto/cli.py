@@ -212,16 +212,16 @@ def _lotto_columns(point, columns):
 
     alpha, gamma = point["alpha"], point["gamma"]
     beta = point.get("beta", alpha)
-    payoff = lotto3.informed_payoff_grid(alpha, beta, gamma)
+    payoff = lotto3.informed_payoff(alpha, beta, gamma)
     baseline = gamma - 1.0
     out = {"payoff": payoff, "baseline": baseline, "info_gain": payoff - baseline}
     for col in ("voi", "max_cost"):
         if col in columns and np.any(beta != alpha):
             raise ValueError(f"column {col} requires beta == alpha")
     if "voi" in columns:
-        out["voi"] = lotto3.voi_grid(alpha, gamma, point.get("cost", 0.0))
+        out["voi"] = lotto3.voi(alpha, gamma, point.get("cost", 0.0))
     if "max_cost" in columns:
-        out["max_cost"] = lotto3.max_cost_grid(alpha, gamma)
+        out["max_cost"] = lotto3.max_cost(alpha, gamma)
     return out
 
 
@@ -229,9 +229,9 @@ def sweep_table(spec: SweepSpec):
     """(header, rows) of the grid sweep, row-major over the axes in order.
 
     The grid is built once, and each column is evaluated over all of it:
-    by the array kernels of ``lotto3``, and by the scalar Blotto closed form
-    point by point.  Fixed values are checked at every point, and every cell
-    is the value of the scalar closed form at its point, bit for bit.  Each
+    by the ``lotto3`` closed forms over arrays, and by the scalar Blotto
+    closed form point by point.  Fixed values are checked at every point, and
+    every cell is the value of the closed form at its point, bit for bit.  Each
     row is one ``%.12g`` template, which prints every cell as ``_fmt`` does.
     """
     import numpy as np

@@ -29,13 +29,6 @@ def _require_finite(what, *values):
         raise ValueError(f"{what} must be finite, got {values}")
 
 
-def _require_all(ok, message, error=ValueError):
-    """Domain check of an array kernel: refuse unless ``ok`` holds at every
-    point of the grid."""
-    if not ok.all():
-        raise error(message)
-
-
 @dataclass(frozen=True)
 class ValuationMatrix:
     """State-by-battlefield values: ``values[i][j]`` is what battlefield j

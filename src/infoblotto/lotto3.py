@@ -18,13 +18,15 @@ The marginals decompose the game into independent per-battlefield all-pay
 auctions, which is what the oracle module certifies; the payoff branches
 above are exactly the values those marginals realize, agree at the regime
 boundaries, and the mid and high branches coincide when beta = alpha.
+``informed_payoff``, ``gamma_e``, ``max_cost`` and ``voi`` evaluate at a
+point or at every point of broadcast arrays, by the same IEEE operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 
 from .distributions import PiecewiseCdf
@@ -34,7 +36,6 @@ from .games import (
     Prior,
     StrategyProfile,
     ValuationMatrix,
-    _require_all,
     _require_finite,
 )
 
@@ -48,14 +49,49 @@ def _square(x):
     return x * x
 
 
+def _pick(cond, then, other):
+    """``then()`` where ``cond`` holds and ``other()`` elsewhere.  Over an
+    array both branches are evaluated at every point, and the one not taken
+    may overflow or divide by zero."""
+    if getattr(cond, "ndim", 0) == 0:
+        return then() if cond else other()
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        return np.where(cond, then(), other())
+
+
+def _check(ok, error, message, *values):
+    """Raise ``error`` unless ``ok`` holds, at every point of an array; the
+    message is ``message.format(*values)`` at the first point that fails."""
+    if getattr(ok, "ndim", 0):
+        if ok.all():
+            return
+        import numpy as np
+
+        first = np.unravel_index(np.argmin(ok), ok.shape)
+        values = [np.broadcast_to(v, ok.shape)[first] for v in values]
+    elif ok:
+        return
+    raise error(message.format(*values))
+
+
+def _sqrt(x):
+    if getattr(x, "ndim", 0):
+        import numpy as np
+
+        return np.sqrt(x)
+    return math.sqrt(x)
+
+
 def _validate_shape(alpha, beta):
-    if not 1.0 > alpha >= beta > 0.0:
-        raise ValueError(f"need 1 > alpha >= beta > 0, got alpha={alpha}, beta={beta}")
+    ok = (1.0 > alpha) & (alpha >= beta) & (beta > 0.0)
+    _check(ok, ValueError, "need 1 > alpha >= beta > 0, got alpha={}, beta={}", alpha, beta)
 
 
 def _validate_gamma(gamma):
-    if not 0.0 < gamma <= 1.0:
-        raise OutOfRegimeError(f"budget ratio {gamma} outside (0, 1]")
+    ok = (0.0 < gamma) & (gamma <= 1.0)
+    _check(ok, OutOfRegimeError, "budget ratio {} outside (0, 1]", gamma)
 
 
 @dataclass(frozen=True)
@@ -137,39 +173,16 @@ def payoff_high_branch(alpha, beta, gamma):
     return c * bracket - 1.0
 
 
-_BRANCHES = {
-    "low": payoff_low_branch,
-    "mid": payoff_mid_branch,
-    "high": payoff_high_branch,
-}
-
-
-def informed_payoff(alpha, beta, gamma) -> float:
-    """Equilibrium ex-ante payoff to the informed player."""
+def informed_payoff(alpha, beta, gamma):
+    """Equilibrium ex-ante payoff to the informed player, at a point or at
+    every point of broadcast arrays."""
     _validate_shape(alpha, beta)
-    return _BRANCHES[regime_of(gamma)](alpha, beta, gamma)
-
-
-def _require_gamma_grid(gamma):
-    _require_all(
-        (0.0 < gamma) & (gamma <= 1.0), "gamma must stay inside (0, 1]", OutOfRegimeError
+    _validate_gamma(gamma)
+    low, mid, high = (
+        partial(branch, alpha, beta, gamma)
+        for branch in (payoff_low_branch, payoff_mid_branch, payoff_high_branch)
     )
-
-
-def informed_payoff_grid(alpha, beta, gamma):
-    """``informed_payoff`` at every point of broadcast arrays: the same
-    branch functions on the same operands, so every value is bit-identical."""
-    import numpy as np
-
-    alpha, beta, gamma = np.broadcast_arrays(alpha, beta, gamma)
-    _require_all((0.0 < alpha) & (alpha < 1.0), "alpha must stay inside (0, 1)")
-    _require_all((0.0 < beta) & (beta <= alpha), "beta must stay inside (0, alpha]")
-    _require_gamma_grid(gamma)
-    # every branch is evaluated at every point; a branch that does not apply
-    # may overflow at a tiny gamma
-    with np.errstate(over="ignore", invalid="ignore"):
-        low, mid, high = (branch(alpha, beta, gamma) for branch in _BRANCHES.values())
-    return np.select([gamma <= 1.0 / 3.0, gamma <= 2.0 / 3.0], [low, mid], high)
+    return _pick(gamma <= 1.0 / 3.0, low, lambda: _pick(gamma <= 2.0 / 3.0, mid, high))
 
 
 def complete_info_baseline(gamma) -> float:
@@ -188,7 +201,6 @@ def multipliers(alpha, beta, gamma, budget_uninformed=1.0) -> tuple[float, float
     """Unique budget-constraint multipliers (lambda_informed, lambda_uninformed)
     closing both expected-budget constraints in the current regime."""
     _validate_shape(alpha, beta)
-    _validate_gamma(gamma)
     c = 1.0 / (1.0 + alpha + beta)
     regime = regime_of(gamma)
     if regime == "low":
@@ -276,88 +288,47 @@ def zero_crossing_alpha(gamma) -> float:
     return (1.0 / 3.0 - gamma) / (3.0 * gamma**2 - 4.0 * gamma + 1.0 / 3.0)
 
 
-def gamma_e(alpha, gamma) -> float:
+def gamma_e(alpha, gamma):
     """Reduced budget ratio at which the informed player's payoff equals the
-    uninformed baseline gamma - 1 (with beta = alpha).
+    uninformed baseline gamma - 1 (with beta = alpha), at a point or at
+    every point of broadcast arrays.
 
     Solves informed_payoff(alpha, alpha, x) = gamma - 1 for x.  The branch
     of the payoff that applies produces either a quadratic (x > 1/3) or a
     linear (x <= 1/3) equation; both are solved in closed form, the
     quadratic through a rationalized root stable down to alpha = 0.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha {alpha} outside [0, 1)")
+    _check((0.0 <= alpha) & (alpha < 1.0), ValueError, "alpha {} outside [0, 1)", alpha)
     _validate_gamma(gamma)
     c_a = 1.0 / (1.0 + 2.0 * alpha)
     a_term = 2.0 * (1.0 - alpha) * c_a - gamma
-    disc = math.sqrt(_square(a_term) + 4.0 * _square(c_a) * alpha * (1.0 - alpha))
-    if a_term > 0.0:
-        root = 2.0 * c_a * (1.0 - alpha) / (3.0 * (a_term + disc))
-    else:
-        root = (disc - a_term) / (6.0 * alpha * c_a)
-    if root >= 1.0 / 3.0:
-        return root
-    # equalization happens in the low-budget regime, where the payoff is
-    # linear in the ratio
-    return gamma * (1.0 + 2.0 * alpha) / 3.0
+    disc = _sqrt(_square(a_term) + 4.0 * _square(c_a) * alpha * (1.0 - alpha))
+    root = _pick(
+        a_term > 0.0,
+        lambda: 2.0 * c_a * (1.0 - alpha) / (3.0 * (a_term + disc)),
+        lambda: (disc - a_term) / (6.0 * alpha * c_a),
+    )
+    # a root below 1/3 means equalization happens in the low-budget regime,
+    # where the payoff is linear in the ratio
+    return _pick(root >= 1.0 / 3.0, lambda: root, lambda: gamma * (1.0 + 2.0 * alpha) / 3.0)
 
 
-def max_cost(alpha, gamma) -> float:
+def max_cost(alpha, gamma):
     """Largest budget fraction the informed player can trade for the state
-    observation without ending up below the uninformed baseline."""
+    observation without ending up below the uninformed baseline, at a point
+    or at every point of broadcast arrays."""
     ge = gamma_e(alpha, gamma)
-    if ge >= 1.0 / 3.0:
-        return (gamma - ge) / gamma
-    return 1.0 - (1.0 + 2.0 * alpha) / 3.0
+    return _pick(
+        ge >= 1.0 / 3.0, lambda: (gamma - ge) / gamma, lambda: 1.0 - (1.0 + 2.0 * alpha) / 3.0
+    )
 
 
-def gamma_e_grid(alpha, gamma):
-    """``gamma_e`` at every point of broadcast arrays, bit-identical."""
-    import numpy as np
-
-    alpha, gamma = np.broadcast_arrays(alpha, gamma)
-    _require_all((0.0 <= alpha) & (alpha < 1.0), "alpha must stay inside [0, 1)")
-    _require_gamma_grid(gamma)
-    c_a = 1.0 / (1.0 + 2.0 * alpha)
-    a_term = 2.0 * (1.0 - alpha) * c_a - gamma
-    disc = np.sqrt(_square(a_term) + 4.0 * _square(c_a) * alpha * (1.0 - alpha))
-    # both roots are evaluated at every point; the one not taken may divide
-    # by zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.where(
-            a_term > 0.0,
-            2.0 * c_a * (1.0 - alpha) / (3.0 * (a_term + disc)),
-            (disc - a_term) / (6.0 * alpha * c_a),
-        )
-    return np.where(root >= 1.0 / 3.0, root, gamma * (1.0 + 2.0 * alpha) / 3.0)
-
-
-def max_cost_grid(alpha, gamma):
-    """``max_cost`` at every point of broadcast arrays, bit-identical."""
-    import numpy as np
-
-    ge = gamma_e_grid(alpha, gamma)
-    return np.where(ge >= 1.0 / 3.0, (gamma - ge) / gamma, 1.0 - (1.0 + 2.0 * alpha) / 3.0)
-
-
-def voi(alpha, gamma, cost) -> float:
+def voi(alpha, gamma, cost):
     """Net payoff change from buying the state observation with a fraction
-    ``cost`` of the budget, relative to the uninformed baseline gamma - 1."""
-    if not 0.0 <= cost < 1.0:
-        raise ValueError(f"information cost {cost} outside [0, 1)")
+    ``cost`` of the budget, relative to the uninformed baseline gamma - 1,
+    at a point or at every point of broadcast arrays."""
+    _check((0.0 <= cost) & (cost < 1.0), ValueError, "information cost {} outside [0, 1)", cost)
+    _validate_gamma(gamma)
     reduced = (1.0 - cost) * gamma
-    if reduced <= 0.0:
-        raise ValueError("reduced budget ratio must be positive")
-    return informed_payoff(alpha, alpha, reduced) - complete_info_baseline(gamma)
-
-
-def voi_grid(alpha, gamma, cost):
-    """``voi`` at every point of broadcast arrays, bit-identical."""
-    import numpy as np
-
-    alpha, gamma, cost = np.broadcast_arrays(alpha, gamma, cost)
-    _require_all((0.0 <= cost) & (cost < 1.0), "cost must stay inside [0, 1)")
-    _require_gamma_grid(gamma)
-    reduced = (1.0 - cost) * gamma
-    _require_all(reduced > 0.0, "reduced budget ratio must be positive")
-    return informed_payoff_grid(alpha, alpha, reduced) - (gamma - 1.0)
+    _check(reduced > 0.0, ValueError, "reduced budget ratio must be positive")
+    return informed_payoff(alpha, alpha, reduced) - (gamma - 1.0)

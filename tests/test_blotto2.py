@@ -20,7 +20,6 @@ from infoblotto.blotto2 import (
     gross_wagner_payoff,
     informed_payoff,
     informed_payoff_grid,
-    uninformed_guarantee_condition,
     value_of_information,
 )
 from infoblotto.distributions import MASS_TOL
@@ -308,26 +307,6 @@ class TestValueOfInformation:
         for vlow in np.linspace(0.03, 0.97, 25):
             for gamma in np.linspace(0.52, 0.97, 25):
                 assert value_of_information(params(vlow=vlow, gamma=gamma, x_u=1.0)) > 0.0
-
-
-class TestGuaranteeCondition:
-    def test_two_battlefields_always(self):
-        assert uninformed_guarantee_condition(2, 0.4)
-        assert uninformed_guarantee_condition(2, 0.99)
-
-    def test_odd_uses_n_plus_one(self):
-        assert not uninformed_guarantee_condition(3, 0.6)
-        assert uninformed_guarantee_condition(3, 0.49)
-
-    def test_even_threshold(self):
-        assert uninformed_guarantee_condition(4, 0.49)
-        assert not uninformed_guarantee_condition(4, 0.5)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            uninformed_guarantee_condition(0, 0.5)
-        with pytest.raises(ValueError):
-            uninformed_guarantee_condition(3, 1.5)
 
 
 class TestConstruction:

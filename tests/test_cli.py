@@ -157,6 +157,17 @@ class TestSweep:
         assert stdout == ""
         assert not out.exists()
 
+    def test_refusal_names_first_offending_point(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(
+            capsys, "sweep", "--game", "lotto3", "--axis", "alpha=0.5:1.5:3",
+            "--gamma", "0.5", "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "alpha=1.0" in err
+        assert not out.exists()
+
     def test_bad_axis_syntax(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sweep", "--game", "lotto3", "--axis", "alpha=nope",
@@ -1209,6 +1220,7 @@ def test_numpy_loaded_only_for_array_work(tmp_path):
         ["strategy", *lotto, "--out", lotto_json],
         ["strategy", *blotto, "--out", blotto_json],
         ["payoff", "--game", "lotto3", "--alpha", "0.5", "--gamma", "nan"],
+        ["payoff", *lotto, "--cost", "0.2"],
         ["strategy", "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
          "--gamma", "0.78", "--out", str(tmp_path / "even.json")],
         ["sweep", "--game", "lotto3", "--axis", "gamma=0.5:0.1:3", "--alpha", "0.5",
@@ -1219,7 +1231,7 @@ def test_numpy_loaded_only_for_array_work(tmp_path):
     ]
     report = _numpy_probe(*scalar)
     assert report == [("import", None, False)] + [
-        (argv[0], code, False) for argv, code in zip(scalar, [0, 0, 0, 0, 2, 2, 2, 2, 0, 0])
+        (argv[0], code, False) for argv, code in zip(scalar, [0, 0, 0, 0, 2, 0, 2, 2, 2, 0, 0])
     ]
     simulate = ["simulate", "--strategy", blotto_json, "--samples", "1000"]
     assert _numpy_probe(simulate) == [("import", None, False), ("simulate", 0, True)]

@@ -17,18 +17,14 @@ from infoblotto.lotto3 import (
     build_equilibrium,
     complete_info_baseline,
     gamma_e,
-    gamma_e_grid,
     informed_payoff,
-    informed_payoff_grid,
     max_cost,
-    max_cost_grid,
     multipliers,
     payoff_high_branch,
     payoff_low_branch,
     payoff_mid_branch,
     regime_of,
     voi,
-    voi_grid,
     zero_crossing_alpha,
 )
 
@@ -422,49 +418,98 @@ class TestValueOfInformation:
 
 
 class TestGridKernels:
-    """The array kernels that ``sweep`` uses, against the scalar closed forms."""
+    """The closed forms over arrays, as ``sweep`` calls them, against the same
+    forms at each point."""
 
     def test_bit_identical_to_scalar(self):
         # random points: their bit patterns are more varied than a grid's
         rng = np.random.default_rng(0)
         alpha, gamma = rng.uniform(0.001, 0.999, 3000), rng.uniform(0.001, 1.0, 3000)
         beta = 0.7 * alpha
-        kernels = [
-            (informed_payoff_grid(alpha, beta, gamma), informed_payoff),
-            (gamma_e_grid(alpha, gamma), lambda a, b, g: gamma_e(a, g)),
-            (max_cost_grid(alpha, gamma), lambda a, b, g: max_cost(a, g)),
-            (voi_grid(alpha, gamma, 0.3), lambda a, b, g: voi(a, g, 0.3)),
+        cases = [
+            (informed_payoff(alpha, beta, gamma), informed_payoff),
+            (gamma_e(alpha, gamma), lambda a, b, g: gamma_e(a, g)),
+            (max_cost(alpha, gamma), lambda a, b, g: max_cost(a, g)),
+            (voi(alpha, gamma, 0.3), lambda a, b, g: voi(a, g, 0.3)),
+            # mixed operands, as sweep passes a fixed value next to an axis
+            (voi(0.4, gamma, 0.3), lambda a, b, g: voi(0.4, g, 0.3)),
+            (max_cost(0.4, gamma), lambda a, b, g: max_cost(0.4, g)),
+            (informed_payoff(alpha, beta, 0.5), lambda a, b, g: informed_payoff(a, b, 0.5)),
         ]
-        for values, scalar in kernels:
+        for values, scalar in cases:
             expected = [
                 scalar(a, b, g) for a, b, g in zip(alpha.tolist(), beta.tolist(), gamma.tolist())
             ]
             assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected]
 
+    def test_numpy_scalar_point_stays_scalar(self):
+        # a point given as numpy scalars is a point: np.float64 in and out,
+        # never a 0-d array
+        a, g, cost = np.float64(0.5), np.float64(0.8), np.float64(0.2)
+        values = [informed_payoff(a, a, g), gamma_e(a, g), max_cost(a, g), voi(a, g, cost)]
+        expected = [informed_payoff(0.5, 0.5, 0.8), gamma_e(0.5, 0.8), max_cost(0.5, 0.8),
+                    voi(0.5, 0.8, 0.2)]
+        assert [type(v) for v in values] == [np.float64] * 4
+        assert [v.hex() for v in values] == [v.hex() for v in expected]
+
     def test_branch_not_taken_has_no_warning(self):
         # at gamma = 1e-310 the mid and high branches overflow; the value
         # comes from the low branch
-        assert informed_payoff_grid(0.5, 0.5, np.array([1e-310, 0.5]))[0] == -1.0
+        assert informed_payoff(0.5, 0.5, np.array([1e-310, 0.5]))[0] == -1.0
         # at alpha = 0 the root that is not taken is 0 / 0
-        assert gamma_e_grid(0.0, np.array([1.0]))[0] == gamma_e(0.0, 1.0)
+        assert gamma_e(0.0, np.array([1.0]))[0] == gamma_e(0.0, 1.0)
 
+    # each case refuses its last value; ``at`` makes its operands an array
+    # or that value alone
     @pytest.mark.parametrize(
         "call,error",
         [
-            (lambda: informed_payoff_grid(np.array([0.5, 1.0]), 0.4, 0.5), ValueError),
-            (lambda: informed_payoff_grid(0.5, np.array([0.3, 0.6]), 0.5), ValueError),
-            (lambda: informed_payoff_grid(0.5, 0.5, np.array([0.5, 1.2])), OutOfRegimeError),
-            (lambda: informed_payoff_grid(0.5, 0.5, np.array([np.nan])), OutOfRegimeError),
-            (lambda: gamma_e_grid(np.array([-0.1, 0.5]), 0.5), ValueError),
-            (lambda: max_cost_grid(0.5, np.array([0.0, 0.5])), OutOfRegimeError),
-            (lambda: voi_grid(0.5, np.array([0.5]), 1.0), ValueError),
-            (lambda: voi_grid(0.5, np.array([1.5]), 0.5), OutOfRegimeError),
-            (lambda: voi_grid(0.5, np.array([5e-324]), 0.6), ValueError),
+            (lambda at: informed_payoff(at(0.5, 1.0), 0.4, 0.5), ValueError),
+            (lambda at: informed_payoff(0.5, at(0.3, 0.6), 0.5), ValueError),
+            (lambda at: informed_payoff(0.5, 0.5, at(0.5, 1.2)), OutOfRegimeError),
+            (lambda at: informed_payoff(0.5, 0.5, at(np.nan)), OutOfRegimeError),
+            (lambda at: gamma_e(at(0.5, -0.1), 0.5), ValueError),
+            (lambda at: max_cost(0.5, at(0.5, 0.0)), OutOfRegimeError),
+            (lambda at: voi(0.5, 0.5, at(0.3, 1.0)), ValueError),
+            (lambda at: voi(0.5, at(0.5, 1.5), 0.5), OutOfRegimeError),
+            (lambda at: voi(0.5, at(0.5, 5e-324), 0.6), ValueError),
+            # gamma is checked before the reduced ratio (1 - cost) * gamma
+            (lambda at: voi(0.5, at(0.5, np.nan), 0.5), OutOfRegimeError),
         ],
     )
     def test_domain_refused(self, call, error):
-        with pytest.raises(error):
+        # the array is refused with the error, and the message, of its first
+        # offending point
+        with pytest.raises(error) as over_array:
+            call(lambda *values: np.array(values))
+        with pytest.raises(error) as at_point:
+            call(lambda *values: values[-1])
+        assert over_array.type is at_point.type is error
+        assert str(over_array.value) == str(at_point.value)
+
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda: informed_payoff(1.5, 0.5, 0.5), ValueError,
+             "need 1 > alpha >= beta > 0, got alpha=1.5, beta=0.5"),
+            (lambda: informed_payoff(0.5, 0.6, 0.5), ValueError,
+             "need 1 > alpha >= beta > 0, got alpha=0.5, beta=0.6"),
+            (lambda: informed_payoff(0.5, 0.5, 1.2), OutOfRegimeError,
+             "budget ratio 1.2 outside (0, 1]"),
+            (lambda: informed_payoff(0.5, 0.5, np.nan), OutOfRegimeError,
+             "budget ratio nan outside (0, 1]"),
+            (lambda: gamma_e(-0.1, 0.5), ValueError, "alpha -0.1 outside [0, 1)"),
+            (lambda: max_cost(0.5, 0.0), OutOfRegimeError, "budget ratio 0.0 outside (0, 1]"),
+            (lambda: voi(0.5, 0.5, 1.0), ValueError, "information cost 1.0 outside [0, 1)"),
+            (lambda: voi(0.5, 1.5, 0.5), OutOfRegimeError, "budget ratio 1.5 outside (0, 1]"),
+            (lambda: voi(0.5, 5e-324, 0.6), ValueError, "reduced budget ratio must be positive"),
+            (lambda: voi(0.5, np.nan, 0.5), OutOfRegimeError, "budget ratio nan outside (0, 1]"),
+        ],
+    )
+    def test_point_refusal_message(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
             call()
+        assert refused.type is error
 
 
 class TestMaxCost:
