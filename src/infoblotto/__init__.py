@@ -5,7 +5,6 @@ only the prior."""
 from . import blotto2, lotto3, oracle
 from .distributions import InvalidDistributionError, PiecewiseCdf
 from .games import (
-    Budgets,
     OutOfRegimeError,
     Prior,
     StrategyProfile,
@@ -20,7 +19,6 @@ from .games import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Budgets",
     "InvalidDistributionError",
     "OutOfRegimeError",
     "PiecewiseCdf",

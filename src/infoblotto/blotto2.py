@@ -26,12 +26,12 @@ from functools import cached_property
 
 from .distributions import MASS_TOL, PiecewiseCdf
 from .games import (
-    Budgets,
     OutOfRegimeError,
     Prior,
     StrategyProfile,
     UnsupportedCaseError,
     ValuationMatrix,
+    _require_finite,
 )
 
 
@@ -70,8 +70,8 @@ def _step_count(ratio):
 class BlottoParams:
     """Instance of the two-battlefield game with symmetric 2x2 valuations.
     The fields are a strategy file's ``params`` record, in order: ``asdict``
-    writes it and ``BlottoParams(**record)`` reads it; ``Budgets`` checks
-    the budgets."""
+    writes it and ``BlottoParams(**record)`` reads it.  The budgets are
+    checked first: finite, with 0 < X_I <= X_U."""
 
     vbar: float
     vlow: float
@@ -79,9 +79,12 @@ class BlottoParams:
     budget_uninformed: float
 
     def __post_init__(self):
-        budgets = Budgets(self.budget_informed, self.budget_uninformed)
-        object.__setattr__(self, "budget_informed", budgets.informed)
-        object.__setattr__(self, "budget_uninformed", budgets.uninformed)
+        x_i, x_u = float(self.budget_informed), float(self.budget_uninformed)
+        _require_finite("budgets", x_i, x_u)
+        if not 0.0 < x_i <= x_u:
+            raise ValueError(f"budgets must satisfy 0 < X_I <= X_U, got {x_i}, {x_u}")
+        object.__setattr__(self, "budget_informed", x_i)
+        object.__setattr__(self, "budget_uninformed", x_u)
         object.__setattr__(self, "vbar", float(self.vbar))
         object.__setattr__(self, "vlow", float(self.vlow))
         _require_values(self.vbar, self.vlow)
@@ -91,10 +94,6 @@ class BlottoParams:
         if not 0.0 < gamma < 1.0:
             raise OutOfRegimeError(f"budget ratio {gamma} outside (0, 1)")
         return BlottoParams(vbar, vlow, gamma * x_uninformed, x_uninformed)
-
-    @property
-    def budgets(self):
-        return Budgets(self.budget_informed, self.budget_uninformed)
 
     @property
     def gamma(self):

@@ -96,31 +96,6 @@ class Prior:
 
 
 @dataclass(frozen=True)
-class Budgets:
-    """Force budgets; ``gamma`` is the informed player's relative strength.
-
-    Equality of the two budgets (gamma = 1) is meaningful only for the
-    Lotto game; the two-battlefield Blotto results need gamma < 1.
-    """
-
-    informed: float
-    uninformed: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "informed", float(self.informed))
-        object.__setattr__(self, "uninformed", float(self.uninformed))
-        _require_finite("budgets", self.informed, self.uninformed)
-        if not 0.0 < self.informed <= self.uninformed:
-            raise ValueError(
-                f"budgets must satisfy 0 < X_I <= X_U, got {self.informed}, {self.uninformed}"
-            )
-
-    @property
-    def gamma(self):
-        return self.informed / self.uninformed
-
-
-@dataclass(frozen=True)
 class StrategyProfile:
     """Marginal allocation distributions: one per battlefield for each
     informed type, and one per battlefield for the uninformed player."""

@@ -31,7 +31,6 @@ from itertools import accumulate
 
 from .distributions import PiecewiseCdf
 from .games import (
-    Budgets,
     OutOfRegimeError,
     Prior,
     StrategyProfile,
@@ -120,10 +119,6 @@ class LottoParams:
     def scale(self):
         """Row normalization constant c = 1/(1+alpha+beta)."""
         return 1.0 / (1.0 + self.alpha + self.beta)
-
-    @property
-    def budgets(self):
-        return Budgets(self.gamma * self.budget_uninformed, self.budget_uninformed)
 
     # built once per (immutable) instance, as every check reads them
     @cached_property

@@ -216,7 +216,8 @@ def lotto_support_optimality(
 def lotto_budget_residuals(profile: StrategyProfile, params: lotto3.LottoParams):
     """(uninformed residual, per-type informed residuals) of the
     expected-budget constraints, as fractions of X_U."""
-    x_i, x_u = params.budgets.informed, params.budgets.uninformed
+    x_u = params.budget_uninformed
+    x_i = params.gamma * x_u
     res_u = abs(expected_budget(profile.uninformed) - x_u) / x_u
     res_i = tuple(abs(expected_budget(row) - x_i) / x_u for row in profile.informed)
     return res_u, res_i
@@ -257,16 +258,13 @@ def blotto_budget_residuals(profile: StrategyProfile, params: blotto2.BlottoPara
 _CHUNK = 1 << 15  # samples scored at a time; 2^15 ran fastest of 2^13 to 2^16
 
 
-def _positioned(state, k, rng=None):
-    """``rng`` (a new Generator if None) moved to the k-th 64-bit word after
-    the Philox ``state`` dict by assigning its bit generator's state.
+def _positioned(state, k, rng):
+    """``rng``, a Philox Generator, moved to the k-th 64-bit word after the
+    Philox ``state`` dict by assigning its bit generator's state.
     Counter c yields words 4c to 4c + 3 and the next word is number
     4 * counter + buffer_pos, so a Philox one counter before word k's, with
     its buffer spent and the words before k in its block discarded,
     continues there."""
-    import numpy as np
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox())
     counter = sum(int(c) << 64 * i for i, c in enumerate(state["state"]["counter"]))
     block, skip = divmod(4 * counter + state["buffer_pos"] + k, 4)
     counter = [(block - 1) >> 64 * i & 2**64 - 1 for i in range(4)]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from infoblotto import Budgets, OutOfRegimeError, UnsupportedCaseError, ex_ante_payoff
+from infoblotto import OutOfRegimeError, UnsupportedCaseError, ex_ante_payoff
 from infoblotto.blotto2 import (
     BlottoIndex,
     BlottoParams,
@@ -67,8 +67,7 @@ class TestIndex:
         record = dataclasses.asdict(p)
         assert list(record) == ["vbar", "vlow", "budget_informed", "budget_uninformed"]
         assert BlottoParams(**record) == p
-        assert p.budgets == Budgets(p.budget_informed, 10.0)
-        assert p.gamma == p.budgets.gamma
+        assert (p.budget_uninformed, p.gamma) == (10.0, p.budget_informed / 10.0)
 
     def test_step_count_of_decimal_gammas(self):
         # gamma = 1 - 1/n typed in decimal, for every terminating 1/n
@@ -353,15 +352,15 @@ class TestConstruction:
         half = (idx.q - 1) // 2
         lo = e + (half - 1) * idx.d
         for loc, _ in profile.informed[0][0].atoms:
-            assert lo < loc <= p.budgets.informed
+            assert lo < loc <= p.budget_informed
 
     def test_budget_complement_structure(self):
         p = params()
         profile = build_equilibrium(p)
         for row, budget in [
-            (profile.informed[0], p.budgets.informed),
-            (profile.informed[1], p.budgets.informed),
-            ((profile.uninformed), p.budgets.uninformed),
+            (profile.informed[0], p.budget_informed),
+            (profile.informed[1], p.budget_informed),
+            ((profile.uninformed), p.budget_uninformed),
         ]:
             mirrored = row[0].reflect(budget)
             np.testing.assert_allclose(mirrored.atoms, row[1].atoms, atol=1e-12)

@@ -909,6 +909,22 @@ def test_small_finite_budget_builds(capsys, tmp_path):
     assert code == 0, err
 
 
+def test_verify_strategy_where_informed_budget_underflows(capsys, tmp_path):
+    # gamma * X_U underflows to 0: strategy writes the file, and verify
+    # certifies it, with the informed residuals reading 0 against X_I = 0
+    path = tmp_path / "s.json"
+    code, _, err = run(
+        capsys, "strategy", "--game", "lotto3", "--alpha", "0.5", "--gamma", "1e-300",
+        "--xu", "1e-300", "--out", str(path),
+    )
+    assert code == 0, err
+    code, out, err = run(capsys, "verify", "--strategy", str(path))
+    assert code == 0, out + err
+    assert "passed = true" in out
+    for i in range(3):
+        assert f"budget_residuals_informed[{i}] = 0\n" in out
+
+
 class TestSimulate:
     def test_simulate_reports_z_score(self, capsys):
         code, out, _ = run(

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import infoblotto
 from infoblotto import (
-    Budgets,
     PiecewiseCdf,
     Prior,
     StrategyProfile,
@@ -52,13 +53,19 @@ class TestTypes:
             Prior((1.5, -0.5))
 
     def test_budgets(self):
-        b = Budgets(0.7, 1.0)
-        assert b.gamma == pytest.approx(0.7)
-        Budgets(1.0, 1.0)  # equality is allowed (Lotto-only)
-        with pytest.raises(ValueError):
-            Budgets(2.0, 1.0)
-        with pytest.raises(ValueError):
-            Budgets(0.0, 1.0)
+        p = BlottoParams(1.0, 0.5, 7, 10)
+        assert (p.budget_informed, p.budget_uninformed) == (7.0, 10.0)
+        assert type(p.budget_informed) is type(p.budget_uninformed) is float
+        assert p.gamma == pytest.approx(0.7)
+        assert BlottoParams(1.0, 0.5, 1.0, 1.0).gamma == 1.0  # equality is allowed
+        order = "budgets must satisfy 0 < X_I <= X_U, got {}, {}"
+        with pytest.raises(ValueError, match=re.escape(order.format(2.0, 1.0))):
+            BlottoParams(1.0, 0.5, 2.0, 1.0)
+        with pytest.raises(ValueError, match=re.escape(order.format(0.0, 1.0))):
+            BlottoParams(1.0, 0.5, 0.0, 1.0)
+        # the budgets are checked before the values
+        with pytest.raises(ValueError, match=re.escape(order.format(2.0, 1.0))):
+            BlottoParams(0.5, 1.0, 2.0, 1.0)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_rejected(self, bad):
@@ -66,13 +73,20 @@ class TestTypes:
             ValuationMatrix(((1.0, bad),))
         with pytest.raises(ValueError, match="finite"):
             Prior((bad, 0.5))
-        with pytest.raises(ValueError, match="finite"):
-            Budgets(0.5, bad)
+        for x_i, x_u in [(0.5, bad), (bad, 1.0)]:
+            message = f"budgets must be finite, got {(x_i, x_u)}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                BlottoParams(1.0, 0.5, x_i, x_u)
 
     def test_profile_shape_checked(self):
         f = PiecewiseCdf.point(1.0)
         with pytest.raises(ValueError):
             StrategyProfile(informed=((f,),), uninformed=(f, f))
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in infoblotto.__all__ if not hasattr(infoblotto, name)]
+    assert infoblotto.__all__ and missing == []
 
 
 class TestBattlefieldPayoff:

@@ -250,9 +250,9 @@ class TestConstruction:
                 profile = build_equilibrium(params)
                 for i in range(3):
                     spend = expected_budget(profile.informed[i])
-                    assert spend == pytest.approx(params.budgets.informed, abs=1e-9)
+                    assert spend == pytest.approx(params.gamma * params.budget_uninformed, abs=1e-9)
                 spend_u = expected_budget(profile.uninformed)
-                assert spend_u == pytest.approx(params.budgets.uninformed, abs=1e-9)
+                assert spend_u == pytest.approx(params.budget_uninformed, abs=1e-9)
 
     def test_value_matches_closed_form_all_regimes(self):
         for a, b in ordered_pairs(5):

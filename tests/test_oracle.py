@@ -51,7 +51,7 @@ def shifted_uninformed(params, delta=0.05):
     profile = build_blotto(params)
     g = shifted(profile.uninformed[0], 0, delta)
     return StrategyProfile(
-        informed=profile.informed, uninformed=(g, g.reflect(params.budgets.uninformed))
+        informed=profile.informed, uninformed=(g, g.reflect(params.budget_uninformed))
     )
 
 
@@ -68,10 +68,10 @@ class TestBlottoDeviations:
         # strategies: gaps stay nonnegative, and the informed side now has a
         # profitable deviation because the opponent is predictable
         profile = build_blotto(BLOTTO)
-        half = PiecewiseCdf.point(BLOTTO.budgets.uninformed / 2.0)
+        half = PiecewiseCdf.point(BLOTTO.budget_uninformed / 2.0)
         atom_profile = StrategyProfile(
             informed=profile.informed,
-            uninformed=(half, half.reflect(BLOTTO.budgets.uninformed)),
+            uninformed=(half, half.reflect(BLOTTO.budget_uninformed)),
         )
         gaps = blotto_deviation_gaps(atom_profile, BLOTTO)
         assert gaps.uninformed >= -1e-12
@@ -135,7 +135,7 @@ class TestBlottoDeviations:
         g1, g2 = profile.uninformed
         fewer = PiecewiseCdf(atoms=tuple((loc, mass / (1.0 - g2.atoms[-1][1]))
                                          for loc, mass in g2.atoms[:-1]))
-        x_u = BLOTTO.budgets.uninformed
+        x_u = BLOTTO.budget_uninformed
         ramp = PiecewiseCdf.uniform(0.0, x_u)
         # g1's atoms at half their mass, and a ramp past the budget
         half_ramp = PiecewiseCdf(atoms=tuple((loc, mass / 2.0) for loc, mass in g1.atoms),
@@ -416,9 +416,7 @@ MC_EXAMPLES = 50
 MC_FALSE_ALARM = 1e-6
 
 
-@settings(max_examples=MC_EXAMPLES, deadline=None)
-@given(tied_games(), st.integers(0, 2**32 - 1))
-def test_monte_carlo_agrees_with_exact_payoff(game, seed):
+def assert_monte_carlo_agrees(game, seed):
     exact = ex_ante_payoff(*game)
     mean, _ = monte_carlo_value(*game, MC_SAMPLES, seed)
     profile, values, prior = game
@@ -430,6 +428,12 @@ def test_monte_carlo_agrees_with_exact_payoff(game, seed):
     range_term = spread * log_term / (3.0 * MC_SAMPLES)
     bound = range_term + math.sqrt(range_term**2 + 2.0 * sigma**2 * log_term / MC_SAMPLES)
     assert abs(mean - exact) <= bound, (mean, exact, sigma)
+
+
+@settings(max_examples=MC_EXAMPLES, deadline=None)
+@given(tied_games(), st.integers(0, 2**32 - 1))
+def test_monte_carlo_agrees_with_exact_payoff(game, seed):
+    assert_monte_carlo_agrees(game, seed)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -469,8 +473,9 @@ def test_positioned_stream_at_every_buffer_position(buffer_pos):
     bit_generator.random_raw(9)  # counter 3, its block in the buffer
     state = bit_generator.state
     state["buffer_pos"] = buffer_pos
+    rng = np.random.Generator(np.random.Philox())
     for skip in _SKIPS:
-        got = oracle._positioned(state, skip).bit_generator.random_raw(9)
+        got = oracle._positioned(state, skip, rng).bit_generator.random_raw(9)
         assert np.array_equal(got, _raw_after(state, skip, 9)), skip
 
 
@@ -478,8 +483,9 @@ def test_positioned_stream_across_counter_carry():
     # the next words come from counter 2**64 - 1, so a skip of 4 or more
     # carries the counter into its second 64-bit limb
     state = np.random.Philox(counter=2**64 - 2, key=5).state
+    rng = np.random.Generator(np.random.Philox())
     for skip in _SKIPS:
-        got = oracle._positioned(state, skip).bit_generator.random_raw(9)
+        got = oracle._positioned(state, skip, rng).bit_generator.random_raw(9)
         assert np.array_equal(got, _raw_after(state, skip, 9)), skip
 
 
@@ -490,8 +496,9 @@ def test_positioned_stream_after_multinomial(seed):
     rng.multinomial(200_000, [0.2, 0.3, 0.5])
     state = rng.bit_generator.state
     block = rng.random(1200)
+    positioned = np.random.Generator(np.random.Philox())
     for skip in _SKIPS:
-        got = oracle._positioned(state, skip).random(100)
+        got = oracle._positioned(state, skip, positioned).random(100)
         assert np.array_equal(got, block[skip : skip + 100]), skip
 
 
@@ -531,9 +538,9 @@ class TestCertify:
         assert claimed_value(BLOTTO) == informed_payoff_blotto(BLOTTO)
         assert claimed_value(lotto) == informed_payoff_lotto(0.55, 0.35, 0.5)
         with pytest.raises(TypeError, match="unsupported params type"):
-            claimed_value(BLOTTO.budgets)
+            claimed_value(BLOTTO.valuation_matrix)
         with pytest.raises(TypeError, match="unsupported params type"):
-            certify(build_blotto(BLOTTO), BLOTTO.budgets)
+            certify(build_blotto(BLOTTO), BLOTTO.valuation_matrix)
 
     def test_pure_deviation_payoff_matches_sign_expectation(self):
         f = PiecewiseCdf(atoms=((1.0, 0.5), (3.0, 0.5)))
@@ -551,7 +558,7 @@ def shifted_type_1_top(delta):
     profile = build_blotto(BLOTTO_Q9)
     f = shifted(profile.informed[0][0], -1, delta)
     return StrategyProfile(
-        informed=((f, f.reflect(BLOTTO_Q9.budgets.informed)), profile.informed[1]),
+        informed=((f, f.reflect(BLOTTO_Q9.budget_informed)), profile.informed[1]),
         uninformed=profile.uninformed,
     )
 
@@ -565,7 +572,7 @@ def moved_uninformed_mass():
     g = PiecewiseCdf(atoms=tuple(map(tuple, atoms)))
     return StrategyProfile(
         informed=build_blotto(BLOTTO).informed,
-        uninformed=(g, g.reflect(BLOTTO.budgets.uninformed)),
+        uninformed=(g, g.reflect(BLOTTO.budget_uninformed)),
     )
 
 
@@ -664,6 +671,17 @@ READ_BACK_CASES = {
     "blotto2-q11": BlottoParams.from_ratio(1.0, 0.5, 0.91),
     "blotto2-q33": BlottoParams.from_ratio(1.0, 0.9, 0.97, 100.0),
 }
+
+
+def test_shared_marginal_priced_against_each_opponent():
+    # one informed object against two different uninformed marginals: the
+    # memo must key each pair, not the informed marginal alone
+    f = PiecewiseCdf(atoms=((1.0, 0.5), (2.0, 0.5)))
+    g, h = PiecewiseCdf.point(1.5), PiecewiseCdf.point(0.5)
+    profile = StrategyProfile(informed=((f, f),), uninformed=(g, h))
+    values, prior = ValuationMatrix(((1.0, 1.0),)), Prior((1.0,))
+    pay = games.ex_ante_payoff(profile, values, prior)
+    assert pay == slot_by_slot_payoff(profile, values, prior) == 1.0
 
 
 @pytest.mark.parametrize("case", list(READ_BACK_CASES))
@@ -830,7 +848,7 @@ def dense_blotto_gaps(profile, params):
             2.0 * ref_cdf(bf2, budget - xs, 0.5) - 1.0
         )
 
-    x_u, x_i = params.budgets.uninformed, params.budgets.informed
+    x_u, x_i = params.budget_uninformed, params.budget_informed
     xs = dense_grid(x_u)
     pay_u = sum(
         prior.weights[i] * pay(xs, x_u, vals[i], *profile.informed[i])
@@ -875,23 +893,24 @@ def dense_lotto_slacks(profile, params, lambdas):
         ]
         slack_u = max(slack_u, dense_support_slack(profile.uninformed[j], terms))
     # as fractions of X_U, like the oracle's
-    x_u = params.budgets.uninformed
+    x_u = params.budget_uninformed
     return slack_u / x_u, [slack / x_u for slack in slacks_i]
 
 
 def centered_blotto_profile():
     profile = build_blotto(BLOTTO)
-    half = PiecewiseCdf.point(BLOTTO.budgets.uninformed / 2.0)
+    half = PiecewiseCdf.point(BLOTTO.budget_uninformed / 2.0)
     return StrategyProfile(
         informed=profile.informed,
-        uninformed=(half, half.reflect(BLOTTO.budgets.uninformed)),
+        uninformed=(half, half.reflect(BLOTTO.budget_uninformed)),
     )
 
 
 def centered_lotto_profile(params):
     # every player puts a third of its budget on every battlefield for sure;
     # each priced payoff then peaks at a one-sided limit off the support
-    x_i, x_u = params.budgets.informed, params.budgets.uninformed
+    x_u = params.budget_uninformed
+    x_i = params.gamma * x_u
     informed = tuple((PiecewiseCdf.point(x_i / 3.0),) * 3 for _ in range(3))
     uninformed = (PiecewiseCdf.point(x_u / 3.0),) * 3
     return StrategyProfile(informed=informed, uninformed=uninformed)
