@@ -6,18 +6,21 @@ certificate, 2 on invalid parameters or malformed input.  ``main`` prints
 each record once every value is computed and every file written, so exit
 2 leaves stdout empty.  Numbers are printed with 12 significant digits and
 sweeps are byte-identical across runs for identical flags.
+
+Each command imports only what it runs, inside the functions that run it:
+the module of its game, ``oracle`` for ``verify`` and ``simulate``, json
+where a file is read or written, numpy for array work.  So ``payoff`` loads
+``distributions``, ``games`` and its game's module, and a refusal from the
+parser or of a malformed ``--axis`` loads no game module.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 
-from . import blotto2, lotto3, oracle
-from .games import StrategyProfile
+# the Monte Carlo seed of ``simulate`` when --seed is not given
+DEFAULT_SEED = 20240801
 
 
 def _fmt(x):
@@ -79,12 +82,14 @@ def _require(args, names):
 
 
 def _blotto_params(args):
+    from . import blotto2
     _require(args, ["vbar", "vlow", "gamma"])
     xu = args.xu if args.xu is not None else 1.0
     return blotto2.BlottoParams.from_ratio(args.vbar, args.vlow, args.gamma, xu)
 
 
 def _lotto_params(args):
+    from . import lotto3
     _require(args, ["alpha", "gamma"])
     beta = args.beta if args.beta is not None else args.alpha
     xu = args.xu if args.xu is not None else 1.0
@@ -93,19 +98,21 @@ def _lotto_params(args):
 
 def _build_profile(args):
     if args.game == "blotto2":
+        from . import blotto2
         params = _blotto_params(args)
         return params, blotto2.build_equilibrium(params, e=args.e)
+    from . import lotto3
     params = _lotto_params(args)
     return params, lotto3.build_equilibrium(params)
-
-
-_PARAMS = {"blotto2": blotto2.BlottoParams, "lotto3": lotto3.LottoParams}
 
 
 def _load_strategy(path):
     """(game, params, profile) of a strategy file.  Its ``params`` record must
     hold exactly the fields of the game's params class, whose constructor
     reads it; ``StrategyProfile.from_dict`` reads the profile."""
+    import json
+    from dataclasses import fields
+    from .games import StrategyProfile
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -114,12 +121,16 @@ def _load_strategy(path):
         raise ValueError(f"malformed strategy file {path}: {exc}") from exc
     try:
         game = data["game"]
-        if game not in _PARAMS:
+        if game not in _GAME_FLAGS:
             raise ValueError(f"unknown game {game!r}")
-        record, names = data["params"], [field.name for field in fields(_PARAMS[game])]
+        if game == "blotto2":
+            from .blotto2 import BlottoParams as params_class
+        else:
+            from .lotto3 import LottoParams as params_class
+        record, names = data["params"], [field.name for field in fields(params_class)]
         if set(record) != set(names):
             raise TypeError(f"params {sorted(record)}, expected {names}")
-        params = _PARAMS[game](**record)
+        params = params_class(**record)
         profile = StrategyProfile.from_dict(data["profile"])
     # an integer literal too large for a float raises OverflowError
     except (KeyError, TypeError, OverflowError) as exc:
@@ -134,6 +145,7 @@ def _load_strategy(path):
 
 def cmd_payoff(args):
     if args.game == "blotto2":
+        from . import blotto2
         params = _blotto_params(args)
         idx = blotto2.BlottoIndex.from_params(params)
         value = blotto2.informed_payoff(params)
@@ -141,6 +153,7 @@ def cmd_payoff(args):
         record = {"game": "blotto2", "pi_informed": value, "q": idx.q, "d": idx.d, "r": idx.r,
                   "baseline": baseline, "voi": value - baseline}
     else:
+        from . import lotto3
         params = _lotto_params(args)
         a, b, g = params.alpha, params.beta, params.gamma
         value = lotto3.informed_payoff(a, b, g)
@@ -163,20 +176,10 @@ def cmd_payoff(args):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepAxis:
-    name: str
-    lo: float
-    hi: float
-    steps: int
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    game: str
-    axes: tuple[SweepAxis, ...]
-    fixed: dict
-    columns: tuple[str, ...]
+# an axis: its parameter name, lo and hi (floats) and steps (an int); a spec:
+# the game, a tuple of axes, a dict of fixed values and a tuple of columns
+SweepAxis = namedtuple("SweepAxis", "name lo hi steps")
+SweepSpec = namedtuple("SweepSpec", "game axes fixed columns")
 
 
 _BLOTTO_AXES = {"vlow", "alpha", "gamma"}
@@ -202,6 +205,7 @@ def _parse_axis(text):
 
 
 def _blotto_columns(point, columns):
+    from . import blotto2
     payoff, q = blotto2.informed_payoff_grid(point["vbar"], point["vlow"], point["gamma"])
     baseline = -1.0 / q
     return {"payoff": payoff, "baseline": baseline, "voi": payoff - baseline}
@@ -209,7 +213,7 @@ def _blotto_columns(point, columns):
 
 def _lotto_columns(point, columns):
     import numpy as np
-
+    from . import lotto3
     alpha, gamma = point["alpha"], point["gamma"]
     beta = point.get("beta", alpha)
     payoff = lotto3.informed_payoff(alpha, beta, gamma)
@@ -300,6 +304,8 @@ def cmd_sweep(args):
 
 
 def cmd_strategy(args):
+    import json
+    from dataclasses import asdict
     params, profile = _build_profile(args)
     record = {"game": args.game, "params": asdict(params), "profile": asdict(profile)}
     _write(args.out, json.dumps(record, indent=2) + "\n")
@@ -318,14 +324,18 @@ def _resolve_profile(args):
 
 
 def cmd_verify(args):
+    from dataclasses import asdict
+    from . import oracle
     params, profile = _resolve_profile(args)
     record = asdict(oracle.certify(profile, params))
     if args.out is not None:
+        import json
         _write(args.out, json.dumps(record, indent=2) + "\n")
     return record, 0 if record["passed"] else 1
 
 
 def cmd_simulate(args):
+    from . import oracle
     params, profile = _resolve_profile(args)
     mean, std_error = oracle.monte_carlo_value(
         profile, params.valuation_matrix, params.prior, args.samples, args.seed
@@ -393,7 +403,7 @@ def _build_parser():
     p.add_argument("--e", type=float, default=None)
     p.add_argument("--strategy", default=None)
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_simulate)
 
     return parser

@@ -113,8 +113,13 @@ class PiecewiseCdf:
         )
 
     def mean(self):
-        """Expected value, exact.  A segment adds its mass times its midpoint,
-        so no location is squared and no term overflows before the sum."""
+        """Expected value, exact, summed once per marginal.  A segment adds its
+        mass times its midpoint, so no location is squared and no term
+        overflows before the sum."""
+        return self._mean
+
+    @cached_property
+    def _mean(self):
         return math.fsum(
             [loc * m for loc, m in self.atoms]
             + [rho * (r - l) * (0.5 * l + 0.5 * r) for l, r, rho in self.segments]

@@ -34,7 +34,6 @@ from . import blotto2, games, lotto3
 from .distributions import MASS_TOL
 from .games import StrategyProfile, expected_budget, interim_payoff, pure_deviation_payoff
 
-DEFAULT_SEED = 20240801
 EPS_DEVIATION = 1e-6
 EPS_BUDGET = 1e-9
 
@@ -215,7 +214,8 @@ def lotto_support_optimality(
 
 def lotto_budget_residuals(profile: StrategyProfile, params: lotto3.LottoParams):
     """(uninformed residual, per-type informed residuals) of the
-    expected-budget constraints, as fractions of X_U."""
+    expected-budget constraints, as fractions of X_U.  A marginal keeps its
+    mean, so a built profile sums 4 means for its 12 slots."""
     x_u = params.budget_uninformed
     x_i = params.gamma * x_u
     res_u = abs(expected_budget(profile.uninformed) - x_u) / x_u

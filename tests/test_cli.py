@@ -1208,13 +1208,17 @@ print(json.dumps(report))
 """
 
 
-def _fresh_interpreter(script, argument):
+def _child_env():
+    # the sources under test first on the path of a child interpreter
     src = os.path.dirname(os.path.dirname(infoblotto.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def _fresh_interpreter(script, argument):
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", script, json.dumps(argument)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return [tuple(step) for step in json.loads(proc.stdout.splitlines()[-1])]
@@ -1262,3 +1266,149 @@ def test_exact_oracle_needs_no_numpy():
         assert residual <= oracle.EPS_BUDGET
         assert not numpy_loaded
 
+
+# Each command loads only the modules it runs: ``import infoblotto`` and
+# ``import infoblotto.cli`` load no game module, a game's payoff, strategy
+# and sweep load that game's module over ``games`` and ``distributions``,
+# and only verify and simulate load ``oracle``.  One fresh interpreter per
+# command reports the ``infoblotto`` modules and which of dataclasses, json
+# and numpy it loaded; the probe reads its argument with ``ast``, so its own
+# json import comes after the report is taken.
+_MODULE_PROBE = """
+import ast, contextlib, importlib, io, sys
+command = ast.literal_eval(sys.argv[1])
+code = None
+if isinstance(command, str):
+    importlib.import_module(command)
+else:
+    from infoblotto.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(command)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "infoblotto")
+extra = [m for m in ("dataclasses", "json", "numpy") if m in sys.modules]
+import json
+print(json.dumps([[code, loaded, extra]]))
+"""
+
+_LOTTO = ["--game", "lotto3", "--alpha", "0.5", "--gamma", "0.5"]
+_BLOTTO = ["--game", "blotto2", "--vbar", "1", "--vlow", "0.5", "--gamma", "0.7"]
+_GAME_ARGS = {"lotto3": _LOTTO, "blotto2": _BLOTTO}
+_SWEEPS = {
+    "lotto3": ["sweep", "--game", "lotto3", "--alpha", "0.5", "--axis", "gamma=0.1:0.9:3"],
+    "blotto2": ["sweep", "--game", "blotto2", "--vlow", "0.5", "--axis", "gamma=0.6:0.9:3"],
+}
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+_ALL_MODULES = ["infoblotto"] + [
+    f"infoblotto.{name}"
+    for name in ("blotto2", "cli", "distributions", "games", "lotto3", "oracle")
+]
+
+
+def _game_modules(game):
+    return sorted(["infoblotto", "infoblotto.cli", "infoblotto.distributions",
+                   "infoblotto.games", f"infoblotto.{game}"])
+
+
+def _module_cases():
+    yield "import-package", "infoblotto", (None, ["infoblotto"], [])
+    yield "import-cli", "infoblotto.cli", (None, ["infoblotto", "infoblotto.cli"], [])
+    for game, args in _GAME_ARGS.items():
+        modules = _game_modules(game)
+        yield f"payoff-{game}", ["payoff", *args], (0, modules, ["dataclasses"])
+        yield (f"strategy-{game}", ["strategy", *args, "--out", "{tmp}/s.json"],
+               (0, modules, ["dataclasses", "json"]))
+        yield (f"sweep-{game}", [*_SWEEPS[game], "--out", "{tmp}/s.csv"],
+               (0, modules, ["dataclasses", "numpy"]))
+    yield ("bad-axis", ["sweep", "--game", "lotto3", "--axis", "gamma=0.5:0.1:3", "--alpha",
+                        "0.5", "--out", "{tmp}/bad.csv"], (2, ["infoblotto", "infoblotto.cli"], []))
+    for name in ("blotto2_q3", "lotto3_high"):
+        yield (f"verify-{name}", ["verify", "--strategy", os.path.join(_DATA, f"{name}.json")],
+               (0, _ALL_MODULES, ["dataclasses", "json"]))
+    yield "verify-lotto3", ["verify", *_LOTTO], (0, _ALL_MODULES, ["dataclasses"])
+    yield ("simulate-blotto2", ["simulate", *_BLOTTO, "--samples", "1000"],
+           (0, _ALL_MODULES, ["dataclasses", "numpy"]))
+
+
+@pytest.mark.parametrize(
+    "command,expected", [case[1:] for case in _module_cases()],
+    ids=[case[0] for case in _module_cases()],
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, command, expected):
+    if isinstance(command, list):
+        command = [arg.replace("{tmp}", str(tmp_path)) for arg in command]
+    code, loaded, extra = _fresh_interpreter(_MODULE_PROBE, command)[0]
+    assert (code, loaded, extra) == expected
+
+
+# Public names resolve on first access, and each loads only its home module
+# and what that module imports
+_LAZY_PROBE = """
+import json, sys
+import infoblotto
+report = []
+for name in json.loads(sys.argv[1]):
+    getattr(infoblotto, name)
+    report.append([name, sorted(m for m in sys.modules if m.startswith("infoblotto"))])
+print(json.dumps(report))
+"""
+
+
+def test_public_names_resolve_lazily():
+    for name in infoblotto.__all__:
+        value = getattr(infoblotto, name)
+        if name in ("blotto2", "lotto3", "oracle"):
+            assert value is sys.modules[f"infoblotto.{name}"]
+        else:
+            assert value.__module__ in ("infoblotto.distributions", "infoblotto.games")
+            assert value is getattr(sys.modules[value.__module__], name)
+    assert set(infoblotto.__all__) <= set(dir(infoblotto))
+    namespace = {}
+    exec("from infoblotto import *", namespace)
+    assert {name: namespace[name] for name in infoblotto.__all__} == {
+        name: getattr(infoblotto, name) for name in infoblotto.__all__
+    }
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        infoblotto.no_such_name
+    report = _fresh_interpreter(_LAZY_PROBE, ["PiecewiseCdf", "Prior", "lotto3", "oracle"])
+    assert report == [
+        ("PiecewiseCdf", ["infoblotto", "infoblotto.distributions"]),
+        ("Prior", ["infoblotto", "infoblotto.distributions", "infoblotto.games"]),
+        ("lotto3", ["infoblotto", "infoblotto.distributions", "infoblotto.games",
+                    "infoblotto.lotto3"]),
+        ("oracle", [m for m in _ALL_MODULES if m != "infoblotto.cli"]),
+    ]
+
+
+# The perfbench ``cli`` workload runs ``python -m infoblotto.cli``, where
+# ``cli`` is ``__main__`` and every function-local import goes through its
+# ``__package__``: each run there prints, writes and exits as ``main`` does
+# in process on the same argv.
+_ENTRY_POINT_RUNS = {
+    "payoff-lotto3": [["payoff", *_LOTTO]],
+    "payoff-blotto2": [["payoff", *_BLOTTO]],
+    "strategy-verify": [["strategy", *_BLOTTO, "--xu", "10", "--out", "{tmp}/s.json"],
+                        ["verify", "--strategy", "{tmp}/s.json"]],
+    "sweep": [["sweep", "--game", "lotto3", "--axis", "alpha=0.1:0.9:4", "--gamma", "0.5",
+               "--columns", "payoff,max_cost", "--out", "{tmp}/s.csv"]],
+    "simulate": [["simulate", *_LOTTO, "--samples", "1000"]],
+    "refusal": [["payoff", "--game", "lotto3", "--alpha", "0.5", "--gamma", "nan"]],
+}
+
+
+@pytest.mark.parametrize("runs", list(_ENTRY_POINT_RUNS.values()), ids=list(_ENTRY_POINT_RUNS))
+def test_module_entry_point_matches_main(capsys, tmp_path, runs):
+    written = {}
+    for argv in runs:
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "infoblotto.cli", *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        written.update(files)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+    if runs[0][0] == "simulate":
+        # the default seed of simulate
+        assert "seed = 20240801\n" in proc.stdout
+    assert len(written) == sum("--out" in argv for argv in runs)

@@ -16,7 +16,7 @@ from infoblotto import (
     ex_ante_payoff,
     interim_payoff,
 )
-from infoblotto import games, oracle
+from infoblotto import distributions, games, oracle
 from infoblotto.blotto2 import BlottoIndex, BlottoParams, build_equilibrium as build_blotto
 from infoblotto.blotto2 import informed_payoff as informed_payoff_blotto
 from infoblotto.lotto3 import LottoParams, build_equilibrium as build_lotto, multipliers
@@ -778,6 +778,47 @@ def test_lotto_certify_works_out_each_distinct_pair_once(monkeypatch):
     # the params build their matrix and prior once
     assert params.valuation_matrix is params.valuation_matrix
     assert params.prior is params.prior
+
+
+def test_lotto_budget_residuals_sum_each_distinct_mean_once(monkeypatch):
+    # 4 distinct marginals in 12 slots: each marginal sums its mean once
+    # and keeps it; the slot-by-slot residuals summed 12 means
+    params = LottoParams(0.6, 0.3, 0.8)
+    profile = build_lotto(params)
+    sums = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def fsum(self, terms):
+            sums.append(terms)
+            return math.fsum(terms)
+
+    monkeypatch.setattr(distributions, "math", CountingMath())
+    slots = [*profile.uninformed, *(f for row in profile.informed for f in row)]
+    assert len(slots) == 12 and len({id(f) for f in slots}) == 4
+    lotto_budget_residuals(profile, params)
+    assert len(sums) == 4
+    lotto_budget_residuals(profile, params)
+    assert len(sums) == 4
+
+
+@pytest.mark.parametrize("case", list(READ_BACK_CASES))
+def test_kept_means_give_the_residuals_bit_for_bit(case):
+    # a read-back profile sums each slot's mean on its own object
+    params = READ_BACK_CASES[case]
+    build = build_blotto if isinstance(params, BlottoParams) else build_lotto
+    profile = build(params)
+    again = read_back(profile)
+    rows = [profile.uninformed, *profile.informed]
+    rows_again = [again.uninformed, *again.informed]
+    for row, row_again in zip(rows, rows_again):
+        assert games.expected_budget(row).hex() == games.expected_budget(row_again).hex()
+    if isinstance(params, LottoParams):
+        res_u, res_i = lotto_budget_residuals(profile, params)
+        again_u, again_i = lotto_budget_residuals(again, params)
+        assert [r.hex() for r in (res_u, *res_i)] == [r.hex() for r in (again_u, *again_i)]
 
 
 @pytest.mark.parametrize("gamma", [0.7, 0.91, 0.97])
