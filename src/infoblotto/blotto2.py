@@ -14,8 +14,8 @@ spaced d = X_U - X_I apart with geometrically weighted masses; this module
 constructs them for q up to 10^5.  Below gamma = 1/2 the stronger player
 secures both battlefields and the game is trivial; the even-q strategy
 construction is not provided (the payoff formula still is).  The step count q, the
-normalised values and the payoff at a point each have one private function,
-shared by the payoff, the sweep grid and the builder.
+normalised values and the payoff with its gain over -1/q at a point each have
+one private function, shared by the public forms, the sweep grid and the builder.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .distributions import MASS_TOL, PiecewiseCdf
 from .games import (
@@ -178,9 +179,10 @@ def _denominator(c, q):
     return total
 
 
-def _payoff(vbar, vlow, q):
-    """The closed form at step count q.  OutOfRegimeError where its
-    denominator is not a finite float, or where (even q only) it underflows."""
+def _point(vbar, vlow, q):
+    """(informed_payoff, gross_wagner_payoff, value_of_information) at step
+    count q.  OutOfRegimeError where the denominator of the payoff is not a
+    finite float, or where (even q only) the payoff underflows."""
     weight = 1.0 if q % 2 else _weights(vbar, vlow)[1]
     payoff = -weight / _denominator(vbar / vlow, q)
     if payoff == 0.0:
@@ -188,19 +190,20 @@ def _payoff(vbar, vlow, q):
             f"the even-q payoff -(vlow/(vbar+vlow))/S_{{q/2}} at vbar = {vbar!r}, "
             f"vlow = {vlow!r}, q = {q} underflows to 0"
         )
-    return payoff
+    baseline = gross_wagner_payoff(q)
+    return payoff, baseline, payoff - baseline
 
 
 def informed_payoff(params: BlottoParams) -> float:
     """Ex-ante equilibrium payoff to the informed player; always in (-1, 0)."""
     _require_payoff_regime(params.gamma)
-    return _payoff(params.vbar, params.vlow, BlottoIndex.from_params(params).q)
+    return _point(params.vbar, params.vlow, BlottoIndex.from_params(params).q)[0]
 
 
 def informed_payoff_grid(vbar, vlow, gamma):
-    """(informed_payoff, q) at every point of broadcast arrays, for budgets
-    (gamma, 1): the scalar closed form per point, so each value, and each
-    refusal, is the scalar path's."""
+    """(informed_payoff, q, gross_wagner_payoff, value_of_information) at
+    every point of broadcast arrays, for budgets (gamma, 1): the scalar
+    forms per point, so each value, and each refusal, is the scalar path's."""
     import numpy as np
 
     vbar, vlow, gamma = np.broadcast_arrays(vbar, vlow, gamma)
@@ -212,7 +215,8 @@ def informed_payoff_grid(vbar, vlow, gamma):
     for g in gamma:
         _require_payoff_regime(g)
     q = [_step_count(1.0 / (1.0 - g)) for g in gamma]
-    return np.reshape(list(map(_payoff, vbar, vlow, q)), shape), np.reshape(q, shape)
+    points = np.fromiter(chain.from_iterable(map(_point, vbar, vlow, q)), float).reshape(*shape, 3)
+    return points[..., 0], np.reshape(q, shape), points[..., 1], points[..., 2]
 
 
 def gross_wagner_payoff(q: int) -> float:
@@ -226,8 +230,8 @@ def gross_wagner_payoff(q: int) -> float:
 def value_of_information(params: BlottoParams) -> float:
     """Payoff gain from observing the state relative to the uninformed
     benchmark with the same budgets; strictly positive in regime."""
-    idx = BlottoIndex.from_params(params)
-    return informed_payoff(params) - gross_wagner_payoff(idx.q)
+    _require_payoff_regime(params.gamma)
+    return _point(params.vbar, params.vlow, BlottoIndex.from_params(params).q)[2]
 
 
 def build_equilibrium(params: BlottoParams, e: float | None = None) -> StrategyProfile:

@@ -148,20 +148,18 @@ def cmd_payoff(args):
         from . import blotto2
         params = _blotto_params(args)
         idx = blotto2.BlottoIndex.from_params(params)
-        value = blotto2.informed_payoff(params)
-        baseline = blotto2.gross_wagner_payoff(idx.q)
-        record = {"game": "blotto2", "pi_informed": value, "q": idx.q, "d": idx.d, "r": idx.r,
-                  "baseline": baseline, "voi": value - baseline}
+        record = {"game": "blotto2", "pi_informed": blotto2.informed_payoff(params), "q": idx.q,
+                  "d": idx.d, "r": idx.r, "baseline": blotto2.gross_wagner_payoff(idx.q),
+                  "voi": blotto2.value_of_information(params)}
     else:
         from . import lotto3
         params = _lotto_params(args)
         a, b, g = params.alpha, params.beta, params.gamma
-        value = lotto3.informed_payoff(a, b, g)
         lam_i, lam_u = lotto3.multipliers(a, b, g, params.budget_uninformed)
-        baseline = lotto3.complete_info_baseline(g)
-        record = {"game": "lotto3", "pi_informed": value, "regime": lotto3.regime_of(g),
-                  "lambda_informed": lam_i, "lambda_uninformed": lam_u,
-                  "baseline": baseline, "info_gain": value - baseline}
+        record = {"game": "lotto3", "pi_informed": lotto3.informed_payoff(a, b, g),
+                  "regime": lotto3.regime_of(g), "lambda_informed": lam_i,
+                  "lambda_uninformed": lam_u, "baseline": lotto3.complete_info_baseline(g),
+                  "info_gain": lotto3.info_gain(a, b, g)}
         if a == b:
             record["max_cost"] = lotto3.max_cost(a, g)
             if args.cost is not None:
@@ -206,9 +204,8 @@ def _parse_axis(text):
 
 def _blotto_columns(point, columns):
     from . import blotto2
-    payoff, q = blotto2.informed_payoff_grid(point["vbar"], point["vlow"], point["gamma"])
-    baseline = -1.0 / q
-    return {"payoff": payoff, "baseline": baseline, "voi": payoff - baseline}
+    grid = blotto2.informed_payoff_grid(point["vbar"], point["vlow"], point["gamma"])
+    return dict(zip(("payoff", "q", "baseline", "voi"), grid))
 
 
 def _lotto_columns(point, columns):
@@ -216,17 +213,15 @@ def _lotto_columns(point, columns):
     from . import lotto3
     alpha, gamma = point["alpha"], point["gamma"]
     beta = point.get("beta", alpha)
-    payoff = lotto3.informed_payoff(alpha, beta, gamma)
-    baseline = gamma - 1.0
-    out = {"payoff": payoff, "baseline": baseline, "info_gain": payoff - baseline}
+    out = {"payoff": lotto3.informed_payoff(alpha, beta, gamma)}
     for col in ("voi", "max_cost"):
         if col in columns and np.any(beta != alpha):
             raise ValueError(f"column {col} requires beta == alpha")
-    if "voi" in columns:
-        out["voi"] = lotto3.voi(alpha, gamma, point.get("cost", 0.0))
-    if "max_cost" in columns:
-        out["max_cost"] = lotto3.max_cost(alpha, gamma)
-    return out
+    forms = {"baseline": lambda: lotto3.complete_info_baseline(gamma),
+             "info_gain": lambda: lotto3.info_gain(alpha, beta, gamma),
+             "voi": lambda: lotto3.voi(alpha, gamma, point.get("cost", 0.0)),
+             "max_cost": lambda: lotto3.max_cost(alpha, gamma)}
+    return dict(out, **{col: form() for col, form in forms.items() if col in columns})
 
 
 def sweep_table(spec: SweepSpec):

@@ -18,8 +18,8 @@ The marginals decompose the game into independent per-battlefield all-pay
 auctions, which is what the oracle module certifies; the payoff branches
 above are exactly the values those marginals realize, agree at the regime
 boundaries, and the mid and high branches coincide when beta = alpha.
-``informed_payoff``, ``gamma_e``, ``max_cost`` and ``voi`` evaluate at a
-point or at every point of broadcast arrays, by the same IEEE operations.
+The payoff, gain and value-of-information forms evaluate at a point or at
+every point of broadcast arrays, by the same IEEE operations.
 """
 
 from __future__ import annotations
@@ -180,11 +180,17 @@ def informed_payoff(alpha, beta, gamma):
     return _pick(gamma <= 1.0 / 3.0, low, lambda: _pick(gamma <= 2.0 / 3.0, mid, high))
 
 
-def complete_info_baseline(gamma) -> float:
+def complete_info_baseline(gamma):
     """Equilibrium payoff gamma - 1 of the budget-poor player when neither
-    side observes the state."""
+    side observes the state, at a point or at every point of arrays."""
     _validate_gamma(gamma)
     return gamma - 1.0
+
+
+def info_gain(alpha, beta, gamma):
+    """Payoff gain from observing the state over ``complete_info_baseline``,
+    at a point or at every point of broadcast arrays."""
+    return informed_payoff(alpha, beta, gamma) - complete_info_baseline(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +329,7 @@ def voi(alpha, gamma, cost):
     ``cost`` of the budget, relative to the uninformed baseline gamma - 1,
     at a point or at every point of broadcast arrays."""
     _check((0.0 <= cost) & (cost < 1.0), ValueError, "information cost {} outside [0, 1)", cost)
-    _validate_gamma(gamma)
+    baseline = complete_info_baseline(gamma)
     reduced = (1.0 - cost) * gamma
     _check(reduced > 0.0, ValueError, "reduced budget ratio must be positive")
-    return informed_payoff(alpha, alpha, reduced) - (gamma - 1.0)
+    return informed_payoff(alpha, alpha, reduced) - baseline

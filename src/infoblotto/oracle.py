@@ -28,9 +28,10 @@ an atom past the budget is a budget residual.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from . import blotto2, games, lotto3
+from . import games
 from .distributions import MASS_TOL
 from .games import StrategyProfile, expected_budget, interim_payoff, pure_deviation_payoff
 
@@ -176,7 +177,7 @@ def lotto_support_optimality(
     so each slot's slack is the one scanning that slot gives.
     """
     if lambdas is None:
-        lambdas = lotto3.multipliers(
+        lambdas = _game_of(params)[1].multipliers(
             params.alpha, params.beta, params.gamma, params.budget_uninformed
         )
     lam_i, lam_u = lambdas
@@ -372,23 +373,31 @@ class Certificate:
     passed: bool
 
 
+def _game_of(params):
+    """(name, module) of the game of ``params``.  The module of its class is
+    loaded, so only loaded games are asked, and no game is imported here."""
+    for game, params_class in (("blotto2", "BlottoParams"), ("lotto3", "LottoParams")):
+        module = sys.modules.get(f"{__package__}.{game}")
+        if isinstance(params, getattr(module, params_class, ())):
+            return game, module
+    raise TypeError(f"unsupported params type: {type(params).__name__}")
+
+
 def claimed_value(params):
     """The informed player's closed-form ex-ante payoff for ``params``."""
-    if isinstance(params, blotto2.BlottoParams):
-        return blotto2.informed_payoff(params)
-    if isinstance(params, lotto3.LottoParams):
-        return lotto3.informed_payoff(params.alpha, params.beta, params.gamma)
-    raise TypeError(f"unsupported params type: {type(params).__name__}")
+    game, module = _game_of(params)
+    if game == "blotto2":
+        return module.informed_payoff(params)
+    return module.informed_payoff(params.alpha, params.beta, params.gamma)
 
 
 def certify(profile: StrategyProfile, params) -> Certificate:
     """Run every exact check for ``profile`` against the closed-form value
     implied by ``params`` and assemble a Certificate."""
     claimed = claimed_value(params)
-    if isinstance(params, blotto2.BlottoParams):
-        game, scan, residuals = "blotto2", blotto_deviation_gaps, blotto_budget_residuals
-    else:
-        game, scan, residuals = "lotto3", lotto_support_optimality, lotto_budget_residuals
+    game = _game_of(params)[0]
+    scan, residuals = {"blotto2": (blotto_deviation_gaps, blotto_budget_residuals),
+                       "lotto3": (lotto_support_optimality, lotto_budget_residuals)}[game]
     gaps = scan(profile, params)
     res_u, res_i = residuals(profile, params)
     value = games.ex_ante_payoff(profile, params.valuation_matrix, params.prior)

@@ -55,7 +55,7 @@ class TestIndex:
         # moves it; the float 2/3 is 4e-16 short and 0.96 lands just below 25
         for gamma, q in ((0.6666666666, 2), (2 / 3, 3), (0.96, 25)):
             assert BlottoIndex.from_params(params(gamma=gamma, x_u=x_u)).q == q
-        _, steps = informed_payoff_grid(2.0, 1.0, np.array([0.6666666666, 2 / 3, 0.96]))
+        steps = informed_payoff_grid(2.0, 1.0, np.array([0.6666666666, 2 / 3, 0.96]))[1]
         assert steps.tolist() == [2, 3, 25]
 
     def test_equal_budgets_rejected(self):
@@ -241,11 +241,14 @@ class TestGrid:
         vlow, gamma = np.meshgrid(
             np.linspace(0.3, 1.9, 17), np.linspace(0.51, 0.99, 40), indexing="ij"
         )
-        payoff, q = informed_payoff_grid(2.0, vlow, gamma)
-        for v, g, value, steps in zip(vlow.flat, gamma.flat, payoff.flat, q.flat):
+        grid = informed_payoff_grid(2.0, vlow, gamma)
+        assert all(column.shape == vlow.shape for column in grid)
+        for v, g, value, steps, baseline, voi in zip(vlow.flat, gamma.flat, *(c.flat for c in grid)):
             p = params(vbar=2.0, vlow=float(v), gamma=float(g), x_u=1.0)
             assert value.hex() == informed_payoff(p).hex()
             assert steps == BlottoIndex.from_params(p).q
+            assert baseline.hex() == gross_wagner_payoff(steps).hex()
+            assert voi.hex() == value_of_information(p).hex()
 
     @pytest.mark.parametrize(
         "vbar,vlow,gamma",

@@ -290,15 +290,17 @@ def sweep_specs(draw):
 def _scalar_row(spec, point):
     if spec.game == "blotto2":
         params = BlottoParams.from_ratio(point["vbar"], point["vlow"], point["gamma"])
-        payoff = blotto2.informed_payoff(params)
-        baseline = blotto2.gross_wagner_payoff(blotto2.BlottoIndex.from_params(params).q)
-        out = {"payoff": payoff, "baseline": baseline, "voi": payoff - baseline}
+        q = blotto2.BlottoIndex.from_params(params).q
+        out = {"payoff": blotto2.informed_payoff(params),
+               "baseline": blotto2.gross_wagner_payoff(q),
+               "voi": blotto2.value_of_information(params)}
     else:
         alpha, gamma = point["alpha"], point["gamma"]
-        payoff = lotto3.informed_payoff(alpha, point.get("beta", alpha), gamma)
-        baseline = lotto3.complete_info_baseline(gamma)
-        out = {"payoff": payoff, "baseline": baseline, "info_gain": payoff - baseline}
-        if point.get("beta", alpha) == alpha:
+        beta = point.get("beta", alpha)
+        out = {"payoff": lotto3.informed_payoff(alpha, beta, gamma),
+               "baseline": lotto3.complete_info_baseline(gamma),
+               "info_gain": lotto3.info_gain(alpha, beta, gamma)}
+        if beta == alpha:
             out["voi"] = lotto3.voi(alpha, gamma, point["cost"])
             out["max_cost"] = lotto3.max_cost(alpha, gamma)
     return out
@@ -1298,15 +1300,15 @@ _SWEEPS = {
     "blotto2": ["sweep", "--game", "blotto2", "--vlow", "0.5", "--axis", "gamma=0.6:0.9:3"],
 }
 _DATA = os.path.join(os.path.dirname(__file__), "data")
-_ALL_MODULES = ["infoblotto"] + [
-    f"infoblotto.{name}"
-    for name in ("blotto2", "cli", "distributions", "games", "lotto3", "oracle")
-]
 
 
 def _game_modules(game):
     return sorted(["infoblotto", "infoblotto.cli", "infoblotto.distributions",
                    "infoblotto.games", f"infoblotto.{game}"])
+
+
+def _checked_modules(game):
+    return sorted(_game_modules(game) + ["infoblotto.oracle"])
 
 
 def _module_cases():
@@ -1321,12 +1323,13 @@ def _module_cases():
                (0, modules, ["dataclasses", "numpy"]))
     yield ("bad-axis", ["sweep", "--game", "lotto3", "--axis", "gamma=0.5:0.1:3", "--alpha",
                         "0.5", "--out", "{tmp}/bad.csv"], (2, ["infoblotto", "infoblotto.cli"], []))
-    for name in ("blotto2_q3", "lotto3_high"):
+    # verify and simulate add only the oracle to their game's modules
+    for game, name in (("blotto2", "blotto2_q3"), ("lotto3", "lotto3_high")):
         yield (f"verify-{name}", ["verify", "--strategy", os.path.join(_DATA, f"{name}.json")],
-               (0, _ALL_MODULES, ["dataclasses", "json"]))
-    yield "verify-lotto3", ["verify", *_LOTTO], (0, _ALL_MODULES, ["dataclasses"])
+               (0, _checked_modules(game), ["dataclasses", "json"]))
+    yield "verify-lotto3", ["verify", *_LOTTO], (0, _checked_modules("lotto3"), ["dataclasses"])
     yield ("simulate-blotto2", ["simulate", *_BLOTTO, "--samples", "1000"],
-           (0, _ALL_MODULES, ["dataclasses", "numpy"]))
+           (0, _checked_modules("blotto2"), ["dataclasses", "numpy"]))
 
 
 @pytest.mark.parametrize(
@@ -1375,7 +1378,8 @@ def test_public_names_resolve_lazily():
         ("Prior", ["infoblotto", "infoblotto.distributions", "infoblotto.games"]),
         ("lotto3", ["infoblotto", "infoblotto.distributions", "infoblotto.games",
                     "infoblotto.lotto3"]),
-        ("oracle", [m for m in _ALL_MODULES if m != "infoblotto.cli"]),
+        ("oracle", ["infoblotto", "infoblotto.distributions", "infoblotto.games",
+                    "infoblotto.lotto3", "infoblotto.oracle"]),
     ]
 
 

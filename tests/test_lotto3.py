@@ -17,6 +17,7 @@ from infoblotto.lotto3 import (
     build_equilibrium,
     complete_info_baseline,
     gamma_e,
+    info_gain,
     informed_payoff,
     max_cost,
     multipliers,
@@ -112,6 +113,7 @@ class TestPayoff:
         for a, b in ordered_pairs(8):
             for g in np.linspace(0.08, 1.0, 8):
                 assert informed_payoff(a, b, g) > complete_info_baseline(g)
+                assert info_gain(a, b, g) > 0.0
 
     def test_monotone_in_each_parameter(self):
         h = 0.02
@@ -123,6 +125,11 @@ class TestPayoff:
                     assert informed_payoff(a, b + h, g) < base
                 if g - h > 0:
                     assert informed_payoff(a, b, g - h) < base
+
+    def test_info_gain_values(self):
+        # low regime: gamma * (2 - alpha - beta) / (1 + alpha + beta)
+        assert info_gain(0.5, 0.5, 0.2) == pytest.approx(0.1, abs=1e-15)
+        assert info_gain(0.5, 0.5, 1.0) == informed_payoff(0.5, 0.5, 1.0)
 
     def test_baseline_values(self):
         assert complete_info_baseline(1.0) == 0.0
@@ -428,6 +435,8 @@ class TestGridKernels:
         beta = 0.7 * alpha
         cases = [
             (informed_payoff(alpha, beta, gamma), informed_payoff),
+            (info_gain(alpha, beta, gamma), info_gain),
+            (complete_info_baseline(gamma), lambda a, b, g: complete_info_baseline(g)),
             (gamma_e(alpha, gamma), lambda a, b, g: gamma_e(a, g)),
             (max_cost(alpha, gamma), lambda a, b, g: max_cost(a, g)),
             (voi(alpha, gamma, 0.3), lambda a, b, g: voi(a, g, 0.3)),
@@ -435,6 +444,7 @@ class TestGridKernels:
             (voi(0.4, gamma, 0.3), lambda a, b, g: voi(0.4, g, 0.3)),
             (max_cost(0.4, gamma), lambda a, b, g: max_cost(0.4, g)),
             (informed_payoff(alpha, beta, 0.5), lambda a, b, g: informed_payoff(a, b, 0.5)),
+            (info_gain(alpha, beta, 0.5), lambda a, b, g: info_gain(a, b, 0.5)),
         ]
         for values, scalar in cases:
             expected = [
@@ -446,10 +456,11 @@ class TestGridKernels:
         # a point given as numpy scalars is a point: np.float64 in and out,
         # never a 0-d array
         a, g, cost = np.float64(0.5), np.float64(0.8), np.float64(0.2)
-        values = [informed_payoff(a, a, g), gamma_e(a, g), max_cost(a, g), voi(a, g, cost)]
+        values = [informed_payoff(a, a, g), gamma_e(a, g), max_cost(a, g), voi(a, g, cost),
+                  info_gain(a, a, g)]
         expected = [informed_payoff(0.5, 0.5, 0.8), gamma_e(0.5, 0.8), max_cost(0.5, 0.8),
-                    voi(0.5, 0.8, 0.2)]
-        assert [type(v) for v in values] == [np.float64] * 4
+                    voi(0.5, 0.8, 0.2), info_gain(0.5, 0.5, 0.8)]
+        assert [type(v) for v in values] == [np.float64] * 5
         assert [v.hex() for v in values] == [v.hex() for v in expected]
 
     def test_branch_not_taken_has_no_warning(self):
@@ -475,6 +486,8 @@ class TestGridKernels:
             (lambda at: voi(0.5, at(0.5, 5e-324), 0.6), ValueError),
             # gamma is checked before the reduced ratio (1 - cost) * gamma
             (lambda at: voi(0.5, at(0.5, np.nan), 0.5), OutOfRegimeError),
+            (lambda at: info_gain(0.5, at(0.3, 0.6), 0.5), ValueError),
+            (lambda at: info_gain(0.5, 0.5, at(0.5, 0.0)), OutOfRegimeError),
         ],
     )
     def test_domain_refused(self, call, error):
