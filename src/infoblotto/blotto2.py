@@ -21,11 +21,11 @@ one private function, shared by the public forms, the sweep grid and the builder
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain
 
-from .distributions import MASS_TOL, PiecewiseCdf
+from .distributions import MASS_TOL, PiecewiseCdf, _Frozen
 from .games import (
     OutOfRegimeError,
     Prior,
@@ -67,27 +67,23 @@ def _step_count(ratio):
     return math.floor(ratio + (slack if slack < 0.25 else 0.25))
 
 
-@dataclass(frozen=True)
-class BlottoParams:
+class BlottoParams(_Frozen):
     """Instance of the two-battlefield game with symmetric 2x2 valuations.
-    The fields are a strategy file's ``params`` record, in order: ``asdict``
+    The fields are a strategy file's ``params`` record, in order: ``_asdict``
     writes it and ``BlottoParams(**record)`` reads it.  The budgets are
     checked first: finite, with 0 < X_I <= X_U."""
 
-    vbar: float
-    vlow: float
-    budget_informed: float
-    budget_uninformed: float
+    _fields = ("vbar", "vlow", "budget_informed", "budget_uninformed")
 
-    def __post_init__(self):
-        x_i, x_u = float(self.budget_informed), float(self.budget_uninformed)
+    def __init__(self, vbar, vlow, budget_informed, budget_uninformed):
+        x_i, x_u = float(budget_informed), float(budget_uninformed)
         _require_finite("budgets", x_i, x_u)
         if not 0.0 < x_i <= x_u:
             raise ValueError(f"budgets must satisfy 0 < X_I <= X_U, got {x_i}, {x_u}")
         object.__setattr__(self, "budget_informed", x_i)
         object.__setattr__(self, "budget_uninformed", x_u)
-        object.__setattr__(self, "vbar", float(self.vbar))
-        object.__setattr__(self, "vlow", float(self.vlow))
+        object.__setattr__(self, "vbar", float(vbar))
+        object.__setattr__(self, "vlow", float(vlow))
         _require_values(self.vbar, self.vlow)
 
     @staticmethod
@@ -115,14 +111,11 @@ class BlottoParams:
         return Prior.uniform(2)
 
 
-@dataclass(frozen=True)
-class BlottoIndex:
+class BlottoIndex(namedtuple("BlottoIndex", "d q r")):
     """Budget geometry: gap d = X_U - X_I, step count q = floor(X_U/d) and
     remainder r with X_U = q*d + r, 0 <= r < d."""
 
-    d: float
-    q: int
-    r: float
+    __slots__ = ()
 
     @staticmethod
     def from_params(params: BlottoParams):
@@ -190,7 +183,8 @@ def _point(vbar, vlow, q):
             f"the even-q payoff -(vlow/(vbar+vlow))/S_{{q/2}} at vbar = {vbar!r}, "
             f"vlow = {vlow!r}, q = {q} underflows to 0"
         )
-    baseline = gross_wagner_payoff(q)
+    # gross_wagner_payoff(q) without its check: every caller has q >= 1
+    baseline = -1.0 / q
     return payoff, baseline, payoff - baseline
 
 

@@ -111,7 +111,6 @@ def _load_strategy(path):
     hold exactly the fields of the game's params class, whose constructor
     reads it; ``StrategyProfile.from_dict`` reads the profile."""
     import json
-    from dataclasses import fields
     from .games import StrategyProfile
     try:
         with open(path) as handle:
@@ -127,7 +126,7 @@ def _load_strategy(path):
             from .blotto2 import BlottoParams as params_class
         else:
             from .lotto3 import LottoParams as params_class
-        record, names = data["params"], [field.name for field in fields(params_class)]
+        record, names = data["params"], list(params_class._fields)
         if set(record) != set(names):
             raise TypeError(f"params {sorted(record)}, expected {names}")
         params = params_class(**record)
@@ -300,9 +299,8 @@ def cmd_sweep(args):
 
 def cmd_strategy(args):
     import json
-    from dataclasses import asdict
     params, profile = _build_profile(args)
-    record = {"game": args.game, "params": asdict(params), "profile": asdict(profile)}
+    record = {"game": args.game, "params": params._asdict(), "profile": profile.to_dict()}
     _write(args.out, json.dumps(record, indent=2) + "\n")
     return f"wrote strategy profile to {args.out}", 0
 
@@ -319,10 +317,9 @@ def _resolve_profile(args):
 
 
 def cmd_verify(args):
-    from dataclasses import asdict
     from . import oracle
     params, profile = _resolve_profile(args)
-    record = asdict(oracle.certify(profile, params))
+    record = oracle.certify(profile, params)._asdict()
     if args.out is not None:
         import json
         _write(args.out, json.dumps(record, indent=2) + "\n")

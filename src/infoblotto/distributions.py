@@ -7,14 +7,15 @@ integrals be evaluated in closed form (no quadrature, no binning) and makes
 inverse-transform sampling exact.
 
 Everything but sampling is plain Python floats: only the sampling methods
-import numpy, so the exact payoff and oracle checks never load it.
+import numpy, so the exact payoff and oracle checks never load it.  The
+validated types of the package share ``_Frozen``: each ``__init__`` checks
+its fields and sets them once.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -36,24 +37,46 @@ def _as_float_rows(rows, width):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PiecewiseCdf:
+class _Frozen:
+    """A record whose ``__init__`` sets its ``_fields`` once, through
+    ``object.__setattr__``, so ``cached_property`` tables built from them
+    stay right.  Equal only to a record of its own class."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is set once, by the constructor")
+
+    __delattr__ = __setattr__
+
+    def _asdict(self):
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._asdict() == other._asdict()
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class PiecewiseCdf(_Frozen):
     """Distribution on [0, inf) given by atoms and uniform segments.
 
     atoms: ``(location, mass)`` pairs, locations strictly increasing.
     segments: ``(left, right, density)`` triples, disjoint, left < right.
     Atom locations may touch segment endpoints but never lie in a segment
     interior, to within ``MASS_TOL`` of the largest location.  Total mass
-    must equal 1 to within ``MASS_TOL``.  ``dataclasses.asdict`` writes the
-    record of a marginal and ``PiecewiseCdf(**record)`` reads it back.
+    must equal 1 to within ``MASS_TOL``.  ``_asdict`` writes the record of a
+    marginal and ``PiecewiseCdf(**record)`` reads it back.
     """
 
-    atoms: tuple[tuple[float, float], ...] = ()
-    segments: tuple[tuple[float, float, float], ...] = ()
+    _fields = ("atoms", "segments")
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", _as_float_rows(self.atoms, 2))
-        object.__setattr__(self, "segments", _as_float_rows(self.segments, 3))
+    def __init__(self, atoms=(), segments=()):
+        object.__setattr__(self, "atoms", _as_float_rows(atoms, 2))
+        object.__setattr__(self, "segments", _as_float_rows(segments, 3))
         self._validate()
 
     def _validate(self):

@@ -11,9 +11,8 @@ independent draws, ties worth zero, in closed form from the marginals'
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .distributions import MASS_TOL, PiecewiseCdf
+from .distributions import MASS_TOL, PiecewiseCdf, _Frozen
 
 
 class OutOfRegimeError(ValueError):
@@ -29,15 +28,14 @@ def _require_finite(what, *values):
         raise ValueError(f"{what} must be finite, got {values}")
 
 
-@dataclass(frozen=True)
-class ValuationMatrix:
+class ValuationMatrix(_Frozen):
     """State-by-battlefield values: ``values[i][j]`` is what battlefield j
     pays the winner when state i is realized.  All entries positive."""
 
-    values: tuple[tuple[float, ...], ...]
+    _fields = ("values",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(float(v) for v in row) for row in self.values)
+    def __init__(self, values):
+        rows = tuple(tuple(float(v) for v in row) for row in values)
         object.__setattr__(self, "values", rows)
         if not rows or not rows[0]:
             raise ValueError("valuation matrix must be nonempty")
@@ -71,14 +69,13 @@ class ValuationMatrix:
         return ValuationMatrix(rows)
 
 
-@dataclass(frozen=True)
-class Prior:
+class Prior(_Frozen):
     """Probability vector over states."""
 
-    weights: tuple[float, ...]
+    _fields = ("weights",)
 
-    def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
+    def __init__(self, weights):
+        w = tuple(float(v) for v in weights)
         object.__setattr__(self, "weights", w)
         _require_finite("prior weights", *w)
         if not w or any(v <= 0.0 for v in w):
@@ -95,17 +92,20 @@ class Prior:
         return Prior((1.0 / m,) * m)
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(_Frozen):
     """Marginal allocation distributions: one per battlefield for each
-    informed type, and one per battlefield for the uninformed player."""
+    informed type, and one per battlefield for the uninformed player.
+    ValueError unless ``informed`` is rows of ``PiecewiseCdf`` slots and
+    ``uninformed`` one row of the same length."""
 
-    informed: tuple[tuple[PiecewiseCdf, ...], ...]
-    uninformed: tuple[PiecewiseCdf, ...]
+    _fields = ("informed", "uninformed")
 
-    def __post_init__(self):
-        informed = tuple(tuple(row) for row in self.informed)
-        uninformed = tuple(self.uninformed)
+    def __init__(self, informed, uninformed):
+        try:
+            informed = tuple(tuple(row) for row in informed)
+            uninformed = tuple(uninformed)
+        except TypeError as exc:
+            raise ValueError(f"profile rows must be sequences of marginals: {exc}") from exc
         object.__setattr__(self, "informed", informed)
         object.__setattr__(self, "uninformed", uninformed)
         if not informed or not uninformed:
@@ -114,6 +114,10 @@ class StrategyProfile:
         for row in informed:
             if len(row) != n:
                 raise ValueError("informed marginals do not match battlefield count")
+        for row in (uninformed, *informed):
+            for f in row:
+                if not isinstance(f, PiecewiseCdf):
+                    raise ValueError(f"profile slot {f!r} is not a PiecewiseCdf")
 
     @property
     def m(self):
@@ -123,9 +127,15 @@ class StrategyProfile:
     def n(self):
         return len(self.uninformed)
 
+    def to_dict(self):
+        """The record of the profile in a strategy file: the ``_asdict``
+        record of each marginal, in the profile's rows."""
+        return {"informed": [[f._asdict() for f in row] for row in self.informed],
+                "uninformed": [f._asdict() for f in self.uninformed]}
+
     @staticmethod
     def from_dict(data):
-        """The profile of an ``asdict`` record, each marginal read back by
+        """The profile of a ``to_dict`` record, each marginal read back by
         ``PiecewiseCdf(**record)``.  ValueError on a malformed record."""
         try:
             informed = tuple(

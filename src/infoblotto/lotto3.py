@@ -25,11 +25,10 @@ every point of broadcast arrays, by the same IEEE operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate
 
-from .distributions import PiecewiseCdf
+from .distributions import PiecewiseCdf, _Frozen
 from .games import (
     OutOfRegimeError,
     Prior,
@@ -93,20 +92,17 @@ def _validate_gamma(gamma):
     _check(ok, OutOfRegimeError, "budget ratio {} outside (0, 1]", gamma)
 
 
-@dataclass(frozen=True)
-class LottoParams:
-    """Instance of the cyclic three-battlefield game."""
+class LottoParams(_Frozen):
+    """Instance of the cyclic three-battlefield game.  The fields are a
+    strategy file's ``params`` record, in order."""
 
-    alpha: float
-    beta: float
-    gamma: float
-    budget_uninformed: float = 1.0
+    _fields = ("alpha", "beta", "gamma", "budget_uninformed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "budget_uninformed", float(self.budget_uninformed))
+    def __init__(self, alpha, beta, gamma, budget_uninformed=1.0):
+        object.__setattr__(self, "alpha", float(alpha))
+        object.__setattr__(self, "beta", float(beta))
+        object.__setattr__(self, "gamma", float(gamma))
+        object.__setattr__(self, "budget_uninformed", float(budget_uninformed))
         _require_finite(
             "parameters", self.alpha, self.beta, self.gamma, self.budget_uninformed
         )
@@ -223,9 +219,11 @@ def multipliers(alpha, beta, gamma, budget_uninformed=1.0) -> tuple[float, float
     return lam_i, lam_u
 
 
-def _with_zero_atom(mass, segments):
+def _marginal(mass, segments):
+    """An atom of ``mass`` at zero and the ``segments``, less an atom or a
+    piece that vanishes, up to rounding, at a regime edge."""
     atoms = ((0.0, mass),) if mass > _ATOM_DROP_TOL else ()
-    return PiecewiseCdf(atoms=atoms, segments=segments)
+    return PiecewiseCdf(atoms=atoms, segments=[s for s in segments if s[1] > s[0]])
 
 
 def build_equilibrium(params: LottoParams) -> StrategyProfile:
@@ -255,16 +253,22 @@ def build_equilibrium(params: LottoParams) -> StrategyProfile:
     s_u = [(lo, hi, 3.0 * lam_i / (2.0 * v * c)) for (lo, hi), v in zip(pieces, values)]
     s_i = [(lo, hi, 3.0 * lam_u / (2.0 * v * c)) for (lo, hi), v in zip(pieces, values)]
     if not all(math.isfinite(x) for seg in s_u + s_i for x in seg):
+        # a density is 3 lambda/(2 v c), and lambda X_U does not depend on
+        # X_U: a valuation is at fault where its density overflows at X_U = 1
+        x_u = params.budget_uninformed
+        lam = max(lam_i, lam_u) * x_u
+        fault = next((f"valuation {name} = {v!r}" for name, v in zip(("alpha", "beta"), values[1:])
+                      if 3.0 * lam / (2.0 * v * c) == math.inf), f"uninformed budget {x_u!r}")
         raise OutOfRegimeError(
-            f"uninformed budget {params.budget_uninformed!r} is out of range: a "
-            "density or a location of the equilibrium marginals is not finite"
+            f"{fault} is out of range: a density or a location of the equilibrium "
+            "marginals is not finite"
         )
     zero_mass = [0.0] * (k - 1) + [k - lam_u / lam_i]
-    by_value = [_with_zero_atom(m, [seg]) for m, seg in zip(zero_mass, s_i)]
-    by_value += [_with_zero_atom(1.0, [])] * (3 - k)
+    by_value = [_marginal(m, [seg]) for m, seg in zip(zero_mass, s_i)]
+    by_value += [_marginal(1.0, [])] * (3 - k)
     return StrategyProfile(
         informed=tuple(tuple(by_value[(j - i) % 3] for j in range(3)) for i in range(3)),
-        uninformed=(PiecewiseCdf(segments=s_u[::-1]),) * 3,
+        uninformed=(_marginal(0.0, s_u[::-1]),) * 3,
     )
 
 

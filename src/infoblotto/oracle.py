@@ -19,8 +19,8 @@ calls.  The Lotto scan and ``games.ex_ante_payoff`` memo their work in
 dicts that live for the call, keyed by the identity of the marginals, which
 the profile holds for the call; params objects and marginals build their
 derived tables once (``functools.cached_property``).  Only immutability is
-trusted: both are frozen dataclasses, so a cached value is what a fresh
-evaluation gives.  The Blotto budget check trusts no reflection: it
+trusted: no field of either is assigned after its constructor, so a cached
+value is what a fresh evaluation gives.  The Blotto budget check trusts no reflection: it
 compares each battlefield-2 atom with X - x of its battlefield-1 atom, so
 an atom past the budget is a budget residual.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import games
 from .distributions import MASS_TOL
@@ -39,13 +39,11 @@ EPS_DEVIATION = 1e-6
 EPS_BUDGET = 1e-9
 
 
-@dataclass(frozen=True)
-class DeviationGaps:
+class DeviationGaps(namedtuple("DeviationGaps", "uninformed informed")):
     """Best deviation improvement (Blotto) or support slack (Lotto) of the
     uninformed player and of each informed type; ~0 at equilibrium."""
 
-    uninformed: float
-    informed: tuple[float, ...]
+    __slots__ = ()
 
     def worst(self):
         return max(self.uninformed, *self.informed)
@@ -347,8 +345,12 @@ def monte_carlo_value(profile, values, prior, samples, seed):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", [
+    "game", "claimed_value", "eps_deviation", "eps_budget",
+    "deviation_gap_uninformed", "deviation_gaps_informed",
+    "budget_residual_uninformed", "budget_residuals_informed",
+    "value_residual", "passed",
+])):
     """Outcome of all oracle checks on one profile.
 
     ``passed`` is true iff every deviation gap and the value residual
@@ -361,16 +363,7 @@ class Certificate:
     prints and writes to ``--out``, in this order.
     """
 
-    game: str
-    claimed_value: float
-    eps_deviation: float
-    eps_budget: float
-    deviation_gap_uninformed: float
-    deviation_gaps_informed: tuple[float, ...]
-    budget_residual_uninformed: float
-    budget_residuals_informed: tuple[float, ...]
-    value_residual: float
-    passed: bool
+    __slots__ = ()
 
 
 def _game_of(params):

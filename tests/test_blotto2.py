@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -64,8 +63,9 @@ class TestIndex:
 
     def test_fields_are_the_file_record(self):
         p = params(gamma=0.7, x_u=10.0)
-        record = dataclasses.asdict(p)
+        record = p._asdict()
         assert list(record) == ["vbar", "vlow", "budget_informed", "budget_uninformed"]
+        assert list(record) == list(BlottoParams._fields)
         assert BlottoParams(**record) == p
         assert (p.budget_uninformed, p.gamma) == (10.0, p.budget_informed / 10.0)
 

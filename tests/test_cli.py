@@ -1,7 +1,8 @@
-import dataclasses
 import itertools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 
@@ -732,10 +733,14 @@ _DATA = os.path.join(os.path.dirname(__file__), "data")
 
 @pytest.mark.parametrize("name", sorted(_PINNED_FILES))
 def test_pinned_strategy_file(capsys, tmp_path, name):
+    # and the certificate that verify --out wrote of it, pinned with it
     pinned = os.path.join(_DATA, name)
-    code, out, err = run(capsys, "verify", "--strategy", pinned)
+    cert = tmp_path / "certificate.json"
+    code, out, err = run(capsys, "verify", "--strategy", pinned, "--out", str(cert))
     assert code == 0, err
     assert "passed = true" in out
+    with open(pinned.replace(".json", "_certificate.json"), "rb") as handle:
+        assert cert.read_bytes() == handle.read()
     path = tmp_path / name
     code, _, err = run(capsys, "strategy", *_PINNED_FILES[name].split(), "--out", str(path))
     assert code == 0, err
@@ -1045,7 +1050,7 @@ def test_verify_stdout_is_the_certificate(capsys, tmp_path, source):
     code, out, _ = run(capsys, "verify", *argv, "--out", str(cert_path))
     assert code == (1 if source == "perturbed" else 0)
     cert = json.loads(cert_path.read_text())
-    fields = [field.name for field in dataclasses.fields(oracle.Certificate)]
+    fields = list(oracle.Certificate._fields)
     assert list(cert) == fields
     expected = []
     for name in fields:
@@ -1133,6 +1138,52 @@ def test_multiplier_underflow_exits_two(capsys, tmp_path, command):
     assert code == 2
     assert err.startswith("error:") and "multiplier lambda_uninformed is 0.0" in err
     assert out == "" and not out_path.exists()
+
+
+# Just above a regime edge the least valued piece of a Lotto marginal has
+# length 0 up to rounding; it was built as a segment [0.0, 0.0], which
+# PiecewiseCdf refuses, so strategy, verify and simulate exited 2.
+def _above_regime_edges():
+    rng = random.Random(26)
+    for edge in (1.0 / 3.0, 2.0 / 3.0):
+        gamma = edge
+        for _ in range(6):
+            gamma = math.nextafter(gamma, 1.0)
+            for _ in range(3):
+                alpha = rng.uniform(0.01, 0.99)
+                yield alpha, rng.uniform(0.01, alpha), gamma
+                yield alpha, alpha, gamma
+
+
+def test_verify_just_above_regime_edges(capsys):
+    for alpha, beta, gamma in _above_regime_edges():
+        argv = ["--alpha", repr(alpha), "--beta", repr(beta), "--gamma", repr(gamma)]
+        code, out, err = run(capsys, "verify", "--game", "lotto3", *argv)
+        assert (code, err) == (0, ""), argv
+        assert "passed = true" in out.splitlines(), argv
+
+
+@pytest.mark.parametrize("command", ["strategy", "verify", "simulate"])
+@pytest.mark.parametrize("gamma", ["0.33333333333333337", "0.6666666666666667"])
+def test_one_float_above_regime_edge_exits_zero(capsys, tmp_path, command, gamma):
+    extra = {"strategy": ["--out", str(tmp_path / "s.json")], "simulate": ["--samples", "1000"]}
+    argv = [command, "--game", "lotto3", "--alpha", "0.5", "--gamma", gamma]
+    code, _, err = run(capsys, *argv, *extra.get(command, []))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "flags,fault",
+    [(["--alpha", "0.5", "--beta", "1e-309", "--gamma", "0.9"], "valuation beta = 1e-309"),
+     (["--alpha", "1e-309", "--gamma", "0.5"], "valuation alpha = 1e-309"),
+     (["--alpha", "0.5", "--gamma", "0.9", "--xu", "1e-308"], "uninformed budget 1e-308")],
+)
+def test_non_finite_density_names_its_parameter(capsys, flags, fault):
+    # a subnormal valuation makes its piece's density overflow, and the
+    # refusal blamed the uninformed budget 1.0
+    code, out, err = run(capsys, "verify", "--game", "lotto3", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {fault} ") and "not finite" in err
 
 
 # The Blotto lattice is refused past q = 10^5 before any atom is built.
@@ -1273,9 +1324,11 @@ def test_exact_oracle_needs_no_numpy():
 # ``import infoblotto.cli`` load no game module, a game's payoff, strategy
 # and sweep load that game's module over ``games`` and ``distributions``,
 # and only verify and simulate load ``oracle``.  One fresh interpreter per
-# command reports the ``infoblotto`` modules and which of dataclasses, json
-# and numpy it loaded; the probe reads its argument with ``ast``, so its own
-# json import comes after the report is taken.
+# command reports the ``infoblotto`` modules and which of dataclasses,
+# inspect, json and numpy it loaded; the probe reads its argument with
+# ``ast``, so its own json import comes after the report is taken.  No
+# command loads dataclasses, and only numpy, for sweep and simulate, loads
+# inspect.
 _MODULE_PROBE = """
 import ast, contextlib, importlib, io, sys
 command = ast.literal_eval(sys.argv[1])
@@ -1287,7 +1340,7 @@ else:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(command)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "infoblotto")
-extra = [m for m in ("dataclasses", "json", "numpy") if m in sys.modules]
+extra = [m for m in ("dataclasses", "inspect", "json", "numpy") if m in sys.modules]
 import json
 print(json.dumps([[code, loaded, extra]]))
 """
@@ -1316,20 +1369,20 @@ def _module_cases():
     yield "import-cli", "infoblotto.cli", (None, ["infoblotto", "infoblotto.cli"], [])
     for game, args in _GAME_ARGS.items():
         modules = _game_modules(game)
-        yield f"payoff-{game}", ["payoff", *args], (0, modules, ["dataclasses"])
+        yield f"payoff-{game}", ["payoff", *args], (0, modules, [])
         yield (f"strategy-{game}", ["strategy", *args, "--out", "{tmp}/s.json"],
-               (0, modules, ["dataclasses", "json"]))
+               (0, modules, ["json"]))
         yield (f"sweep-{game}", [*_SWEEPS[game], "--out", "{tmp}/s.csv"],
-               (0, modules, ["dataclasses", "numpy"]))
+               (0, modules, ["inspect", "numpy"]))
     yield ("bad-axis", ["sweep", "--game", "lotto3", "--axis", "gamma=0.5:0.1:3", "--alpha",
                         "0.5", "--out", "{tmp}/bad.csv"], (2, ["infoblotto", "infoblotto.cli"], []))
     # verify and simulate add only the oracle to their game's modules
     for game, name in (("blotto2", "blotto2_q3"), ("lotto3", "lotto3_high")):
         yield (f"verify-{name}", ["verify", "--strategy", os.path.join(_DATA, f"{name}.json")],
-               (0, _checked_modules(game), ["dataclasses", "json"]))
-    yield "verify-lotto3", ["verify", *_LOTTO], (0, _checked_modules("lotto3"), ["dataclasses"])
+               (0, _checked_modules(game), ["json"]))
+    yield "verify-lotto3", ["verify", *_LOTTO], (0, _checked_modules("lotto3"), [])
     yield ("simulate-blotto2", ["simulate", *_BLOTTO, "--samples", "1000"],
-           (0, _checked_modules("blotto2"), ["dataclasses", "numpy"]))
+           (0, _checked_modules("blotto2"), ["inspect", "numpy"]))
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,8 @@ from infoblotto import (
     expected_budget,
     interim_payoff,
 )
-from infoblotto.blotto2 import BlottoParams
+from infoblotto.blotto2 import BlottoIndex, BlottoParams
+from infoblotto.lotto3 import LottoParams
 from infoblotto.games import _clamp_integral, pure_deviation_payoff
 from tests.test_distributions import piecewise_cdfs
 
@@ -82,6 +83,45 @@ class TestTypes:
         f = PiecewiseCdf.point(1.0)
         with pytest.raises(ValueError):
             StrategyProfile(informed=((f,),), uninformed=(f, f))
+
+    def test_profile_slots_are_marginals(self):
+        # a flat row raised TypeError from tuple(row), a number was let in
+        f = PiecewiseCdf.point(1.0)
+        with pytest.raises(ValueError, match="sequences of marginals"):
+            StrategyProfile(informed=(f, f), uninformed=(f, f))
+        with pytest.raises(ValueError, match="sequences of marginals"):
+            StrategyProfile(informed=((f, f),), uninformed=f)
+        for informed, uninformed in [(((f, 1.0),), (f, f)), (((f, f),), (f, 0.5))]:
+            with pytest.raises(ValueError, match="is not a PiecewiseCdf"):
+                StrategyProfile(informed=informed, uninformed=uninformed)
+
+    def test_params_of_two_games_never_equal(self):
+        blotto, lotto = BlottoParams(0.5, 0.4, 0.3, 1.0), LottoParams(0.5, 0.4, 0.3, 1.0)
+        # the same four values, in order, of two different games
+        assert list(blotto._asdict().values()) == list(lotto._asdict().values())
+        assert blotto != lotto and lotto != blotto and len({blotto, lotto}) == 2
+        assert blotto == BlottoParams(0.5, 0.4, 0.3, 1) and lotto == LottoParams(0.5, 0.4, 0.3)
+        assert hash(blotto) == hash(BlottoParams(0.5, 0.4, 0.3, 1))
+        assert repr(lotto) == "LottoParams(alpha=0.5, beta=0.4, gamma=0.3, budget_uninformed=1.0)"
+
+    def test_fields_are_set_once(self):
+        # cached tables (valuation_matrix, prior, ...) are read from the
+        # fields, so no field, and no table, is assigned after construction
+        f = PiecewiseCdf.point(1.0)
+        blotto = BlottoParams(1.0, 0.5, 0.7, 1.0)
+        records = [f, ValuationMatrix(((1.0,),)), Prior((1.0,)), blotto,
+                   LottoParams(0.5, 0.4, 0.3), StrategyProfile(((f,),), (f,)),
+                   BlottoIndex.from_params(blotto)]
+        for record in records:
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
+        matrix = blotto.valuation_matrix
+        with pytest.raises(AttributeError):
+            blotto.valuation_matrix = ValuationMatrix(((1.0, 1.0), (1.0, 1.0)))
+        assert blotto.valuation_matrix is matrix
 
 
 def test_every_public_name_resolves():

@@ -146,18 +146,18 @@ def lotto_residual_reads_xu(monkeypatch):
 
 def blotto_params_accept_informed_above(monkeypatch):
     # the budget check lost its upper half: 0 < X_I, with X_I > X_U let in
-    def mutant(self):
-        x_i, x_u = float(self.budget_informed), float(self.budget_uninformed)
+    def mutant(self, vbar, vlow, budget_informed, budget_uninformed):
+        x_i, x_u = float(budget_informed), float(budget_uninformed)
         _require_finite("budgets", x_i, x_u)
         if not 0.0 < x_i:
             raise ValueError(f"budgets must satisfy 0 < X_I <= X_U, got {x_i}, {x_u}")
         object.__setattr__(self, "budget_informed", x_i)
         object.__setattr__(self, "budget_uninformed", x_u)
-        object.__setattr__(self, "vbar", float(self.vbar))
-        object.__setattr__(self, "vlow", float(self.vlow))
+        object.__setattr__(self, "vbar", float(vbar))
+        object.__setattr__(self, "vlow", float(vlow))
         blotto2._require_values(self.vbar, self.vlow)
 
-    monkeypatch.setattr(BlottoParams, "__post_init__", mutant)
+    monkeypatch.setattr(BlottoParams, "__init__", mutant)
 
 
 # mutant -> (what catches it, the check itself)
