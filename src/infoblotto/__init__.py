@@ -16,7 +16,7 @@ _HOME = {
     **dict.fromkeys(
         ("OutOfRegimeError", "Prior", "StrategyProfile", "UnsupportedCaseError",
          "ValuationMatrix", "battlefield_payoff", "ex_ante_payoff", "expected_budget",
-         "interim_payoff"),
+         "interim_payoffs"),
         "games",
     ),
     **{name: name for name in ("blotto2", "lotto3", "oracle")},

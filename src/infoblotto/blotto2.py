@@ -25,7 +25,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import chain
 
-from .distributions import MASS_TOL, PiecewiseCdf, _Frozen
+from .distributions import MASS_TOL, PiecewiseCdf, _as_float_rows, _Frozen
 from .games import (
     OutOfRegimeError,
     Prior,
@@ -74,17 +74,20 @@ class BlottoParams(_Frozen):
     checked first: finite, with 0 < X_I <= X_U."""
 
     _fields = ("vbar", "vlow", "budget_informed", "budget_uninformed")
+    prior = Prior.uniform(2)
 
     def __init__(self, vbar, vlow, budget_informed, budget_uninformed):
-        x_i, x_u = float(budget_informed), float(budget_uninformed)
+        ((vbar, vlow, x_i, x_u),) = _as_float_rows(
+            ((vbar, vlow, budget_informed, budget_uninformed),), error=ValueError
+        )
         _require_finite("budgets", x_i, x_u)
         if not 0.0 < x_i <= x_u:
             raise ValueError(f"budgets must satisfy 0 < X_I <= X_U, got {x_i}, {x_u}")
         object.__setattr__(self, "budget_informed", x_i)
         object.__setattr__(self, "budget_uninformed", x_u)
-        object.__setattr__(self, "vbar", float(vbar))
-        object.__setattr__(self, "vlow", float(vlow))
-        _require_values(self.vbar, self.vlow)
+        object.__setattr__(self, "vbar", vbar)
+        object.__setattr__(self, "vlow", vlow)
+        _require_values(vbar, vlow)
 
     @staticmethod
     def from_ratio(vbar, vlow, gamma, x_uninformed=1.0):
@@ -105,10 +108,6 @@ class BlottoParams(_Frozen):
     def valuation_matrix(self):
         high, low = _weights(self.vbar, self.vlow)
         return ValuationMatrix(((high, low), (low, high)))
-
-    @cached_property
-    def prior(self):
-        return Prior.uniform(2)
 
 
 class BlottoIndex(namedtuple("BlottoIndex", "d q r")):

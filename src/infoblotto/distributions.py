@@ -27,13 +27,18 @@ class InvalidDistributionError(ValueError):
     """Atoms/segments that do not describe a probability distribution."""
 
 
-def _as_float_rows(rows, width):
+def _as_float_rows(rows, width=None, error=InvalidDistributionError):
+    """``rows`` as a tuple of float tuples, each ``width`` long unless
+    ``width`` is None; ``error`` where a row or an entry is not one."""
     out = []
-    for row in rows:
-        row = tuple(float(v) for v in row)
-        if len(row) != width:
-            raise InvalidDistributionError(f"expected {width}-tuples, got {row!r}")
-        out.append(row)
+    try:
+        for row in rows:
+            row = tuple(float(v) for v in row)
+            if width is not None and len(row) != width:
+                raise error(f"expected {width}-tuples, got {row!r}")
+            out.append(row)
+    except TypeError as exc:
+        raise error(f"expected numbers: {exc}") from exc
     return tuple(out)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .distributions import MASS_TOL, PiecewiseCdf, _Frozen
+from .distributions import MASS_TOL, PiecewiseCdf, _as_float_rows, _Frozen
 
 
 class OutOfRegimeError(ValueError):
@@ -35,7 +35,7 @@ class ValuationMatrix(_Frozen):
     _fields = ("values",)
 
     def __init__(self, values):
-        rows = tuple(tuple(float(v) for v in row) for row in values)
+        rows = _as_float_rows(values, error=ValueError)
         object.__setattr__(self, "values", rows)
         if not rows or not rows[0]:
             raise ValueError("valuation matrix must be nonempty")
@@ -55,19 +55,6 @@ class ValuationMatrix(_Frozen):
     def n(self):
         return len(self.values[0])
 
-    @staticmethod
-    def cyclic(alpha, beta):
-        """3x3 matrix whose rows are cyclic shifts of (1, alpha, beta),
-        each normalized to sum to one."""
-        if not 1.0 > alpha >= beta > 0.0:
-            raise ValueError(f"need 1 > alpha >= beta > 0, got {alpha}, {beta}")
-        c = 1.0 / (1.0 + alpha + beta)
-        base = (1.0, alpha, beta)
-        rows = tuple(
-            tuple(c * base[(j - i) % 3] for j in range(3)) for i in range(3)
-        )
-        return ValuationMatrix(rows)
-
 
 class Prior(_Frozen):
     """Probability vector over states."""
@@ -75,7 +62,7 @@ class Prior(_Frozen):
     _fields = ("weights",)
 
     def __init__(self, weights):
-        w = tuple(float(v) for v in weights)
+        (w,) = _as_float_rows((weights,), error=ValueError)
         object.__setattr__(self, "weights", w)
         _require_finite("prior weights", *w)
         if not w or any(v <= 0.0 for v in w):
@@ -198,29 +185,12 @@ def _check_dimensions(profile: StrategyProfile, values: ValuationMatrix, prior: 
         )
 
 
-def _interim(profile, values, state, pay):
-    row = values.values[state]
-    marginals = profile.informed[state]
-    return math.fsum(
-        row[j] * pay(marginals[j], profile.uninformed[j]) for j in range(values.n)
-    )
-
-
-def interim_payoff(
-    profile: StrategyProfile, values: ValuationMatrix, prior: Prior, state: int
-) -> float:
-    """Informed player's expected payoff conditional on state ``state``."""
-    _check_dimensions(profile, values, prior)
-    if not 0 <= state < values.m:
-        raise ValueError(f"state index {state} out of range [0, {values.m})")
-    return _interim(profile, values, state, battlefield_payoff)
-
-
-def ex_ante_payoff(
+def interim_payoffs(
     profile: StrategyProfile, values: ValuationMatrix, prior: Prior
-) -> float:
-    """Informed player's ex-ante expected payoff (prior-weighted interim
-    payoffs).  The game is zero-sum: the uninformed player gets the negative.
+) -> tuple:
+    """Informed player's expected payoff conditional on each state, in state
+    order: the ``math.fsum`` of ``values[i][j] * battlefield_payoff`` over
+    the battlefields j of state i.
 
     Each (informed, uninformed) pair of marginal objects is priced once per
     call: a built Lotto profile holds 3 distinct pairs in its 9 slots.  The
@@ -229,16 +199,26 @@ def ex_ante_payoff(
     one pricing every slot gives."""
     _check_dimensions(profile, values, prior)
     priced = {}
+    payoffs = []
+    for row, marginals in zip(values.values, profile.informed):
+        terms = []
+        for v, f, g in zip(row, marginals, profile.uninformed):
+            key = id(f), id(g)
+            if key not in priced:
+                priced[key] = battlefield_payoff(f, g)
+            terms.append(v * priced[key])
+        payoffs.append(math.fsum(terms))
+    return tuple(payoffs)
 
-    def pay(f, g):
-        key = id(f), id(g)
-        if key not in priced:
-            priced[key] = battlefield_payoff(f, g)
-        return priced[key]
 
-    return math.fsum(
-        prior.weights[i] * _interim(profile, values, i, pay) for i in range(values.m)
-    )
+def ex_ante_payoff(
+    profile: StrategyProfile, values: ValuationMatrix, prior: Prior
+) -> float:
+    """Informed player's ex-ante expected payoff: the prior-weighted
+    ``math.fsum`` of its ``interim_payoffs``.  The game is zero-sum: the
+    uninformed player gets the negative."""
+    interim = interim_payoffs(profile, values, prior)
+    return math.fsum(w * v for w, v in zip(prior.weights, interim))
 
 
 def expected_budget(marginals) -> float:

@@ -28,7 +28,7 @@ import math
 from functools import cached_property, partial
 from itertools import accumulate
 
-from .distributions import PiecewiseCdf, _Frozen
+from .distributions import PiecewiseCdf, _as_float_rows, _Frozen
 from .games import (
     OutOfRegimeError,
     Prior,
@@ -97,15 +97,13 @@ class LottoParams(_Frozen):
     strategy file's ``params`` record, in order."""
 
     _fields = ("alpha", "beta", "gamma", "budget_uninformed")
+    prior = Prior.uniform(3)
 
     def __init__(self, alpha, beta, gamma, budget_uninformed=1.0):
-        object.__setattr__(self, "alpha", float(alpha))
-        object.__setattr__(self, "beta", float(beta))
-        object.__setattr__(self, "gamma", float(gamma))
-        object.__setattr__(self, "budget_uninformed", float(budget_uninformed))
-        _require_finite(
-            "parameters", self.alpha, self.beta, self.gamma, self.budget_uninformed
-        )
+        (fields,) = _as_float_rows(((alpha, beta, gamma, budget_uninformed),), error=ValueError)
+        for name, value in zip(self._fields, fields):
+            object.__setattr__(self, name, value)
+        _require_finite("parameters", *fields)
         _validate_shape(self.alpha, self.beta)
         _validate_gamma(self.gamma)
         if self.budget_uninformed <= 0.0:
@@ -116,14 +114,13 @@ class LottoParams(_Frozen):
         """Row normalization constant c = 1/(1+alpha+beta)."""
         return 1.0 / (1.0 + self.alpha + self.beta)
 
-    # built once per (immutable) instance, as every check reads them
+    # built once per (immutable) instance, as every check reads it: row i is
+    # (1, alpha, beta) shifted i places to the right, times the scale c
     @cached_property
     def valuation_matrix(self):
-        return ValuationMatrix.cyclic(self.alpha, self.beta)
-
-    @cached_property
-    def prior(self):
-        return Prior.uniform(3)
+        c = self.scale
+        base = (c, c * self.alpha, c * self.beta)
+        return ValuationMatrix(tuple(base[-i:] + base[:-i] for i in range(3)))
 
 
 def regime_of(gamma) -> str:

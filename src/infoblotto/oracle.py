@@ -9,18 +9,19 @@ CDFs are steps plus ramps, so every deviation payoff is piecewise constant
 its supremum is found exactly by evaluating a finite list of points: no
 grid, no tuning.  Every payoff reads the one point query
 ``PiecewiseCdf.masses`` in plain Python floats, each caller with its own
-tie rule; a Blotto scan pays each type's interim payoff once, so it takes
-O(q log q) for O(q) lattice atoms.  The seeded Monte Carlo
-estimate ``monte_carlo_value`` (``infoblotto simulate``) is the only part
-that loads numpy, and no verdict reads it.
+tie rule; a Blotto scan takes every type's interim payoff from one
+``games.interim_payoffs`` call, so it takes O(q log q) for O(q) lattice
+atoms.  The seeded Monte Carlo estimate ``monte_carlo_value`` (``infoblotto
+simulate``) is the only part that loads numpy, and no verdict reads it.
 
 Each distinct quantity is evaluated once, and nothing is kept between
-calls.  The Lotto scan and ``games.ex_ante_payoff`` memo their work in
-dicts that live for the call, keyed by the identity of the marginals, which
-the profile holds for the call; params objects and marginals build their
-derived tables once (``functools.cached_property``).  Only immutability is
-trusted: no field of either is assigned after its constructor, so a cached
-value is what a fresh evaluation gives.  The Blotto budget check trusts no reflection: it
+calls.  The Lotto scan and ``games.interim_payoffs`` (which
+``ex_ante_payoff`` sums) memo their work in dicts that live for the call,
+keyed by the identity of the marginals, which the profile holds for the
+call; params objects and marginals build their derived tables once
+(``functools.cached_property``).  Only immutability is trusted: no field
+of either is assigned after its constructor, so a cached value is what a
+fresh evaluation gives.  The Blotto budget check trusts no reflection: it
 compares each battlefield-2 atom with X - x of its battlefield-1 atom, so
 an atom past the budget is a budget residual.
 """
@@ -33,7 +34,7 @@ from collections import namedtuple
 
 from . import games
 from .distributions import MASS_TOL
-from .games import StrategyProfile, expected_budget, interim_payoff, pure_deviation_payoff
+from .games import StrategyProfile, expected_budget, pure_deviation_payoff
 
 EPS_DEVIATION = 1e-6
 EPS_BUDGET = 1e-9
@@ -86,8 +87,8 @@ def blotto_deviation_gaps(
 
     values = params.valuation_matrix
     prior = params.prior
-    # each type's payoff in profile, once; the first call checks the dimensions
-    interim = [interim_payoff(profile, values, prior, i) for i in range(values.m)]
+    # each type's payoff in profile, in one call that checks the dimensions
+    interim = games.interim_payoffs(profile, values, prior)
     value_u = -math.fsum(w * v for w, v in zip(prior.weights, interim))
     x_i, x_u = params.budget_informed, params.budget_uninformed
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import infoblotto
 from infoblotto import (
+    InvalidDistributionError,
     PiecewiseCdf,
     Prior,
     StrategyProfile,
@@ -16,8 +17,9 @@ from infoblotto import (
     battlefield_payoff,
     ex_ante_payoff,
     expected_budget,
-    interim_payoff,
+    interim_payoffs,
 )
+from infoblotto import games
 from infoblotto.blotto2 import BlottoIndex, BlottoParams
 from infoblotto.lotto3 import LottoParams
 from infoblotto.games import _clamp_integral, pure_deviation_payoff
@@ -30,7 +32,7 @@ class TestTypes:
         assert v.values == ((2 / 3, 1 / 3), (1 / 3, 2 / 3))
 
     def test_cyclic_rows_sum_to_one(self):
-        v = ValuationMatrix.cyclic(0.6, 0.3)
+        v = LottoParams(0.6, 0.3, 0.5).valuation_matrix
         for row in v.values:
             assert sum(row) == pytest.approx(1.0, abs=1e-12)
         # rows are cyclic shifts of (1, alpha, beta) / (1 + alpha + beta)
@@ -39,8 +41,8 @@ class TestTypes:
         assert v.values[2] == pytest.approx((0.6 * c, 0.3 * c, c))
 
     def test_cyclic_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            ValuationMatrix.cyclic(0.3, 0.6)
+        with pytest.raises(ValueError, match=re.escape("need 1 > alpha >= beta > 0")):
+            LottoParams(0.3, 0.6, 0.5)
 
     def test_nonpositive_value_rejected(self):
         with pytest.raises(ValueError):
@@ -48,6 +50,11 @@ class TestTypes:
 
     def test_prior(self):
         assert Prior.uniform(3).weights == pytest.approx((1 / 3,) * 3)
+        # each params class holds one uniform prior over its states
+        for params in (BlottoParams(1.0, 0.5, 0.7, 1.0), LottoParams(0.6, 0.3, 0.5)):
+            m = params.valuation_matrix.m
+            assert params.prior is type(params).prior
+            assert params.prior == Prior.uniform(m) and params.prior.weights == (1 / m,) * m
         with pytest.raises(ValueError):
             Prior((0.5, 0.4))
         with pytest.raises(ValueError):
@@ -78,6 +85,23 @@ class TestTypes:
             message = f"budgets must be finite, got {(x_i, x_u)}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 BlottoParams(1.0, 0.5, x_i, x_u)
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: ValuationMatrix(5), ValueError),
+        (lambda: ValuationMatrix([[1, None]]), ValueError),
+        (lambda: Prior(5), ValueError),
+        (lambda: Prior([None]), ValueError),
+        (lambda: PiecewiseCdf(atoms=5), InvalidDistributionError),
+        (lambda: PiecewiseCdf(atoms=[5]), InvalidDistributionError),
+        (lambda: PiecewiseCdf(atoms=[(None, 1.0)]), InvalidDistributionError),
+        (lambda: BlottoParams(None, 0.5, 0.7, 1.0), ValueError),
+        (lambda: LottoParams(0.6, None, 0.5), ValueError),
+    ], ids=["matrix-number", "matrix-none", "prior-number", "prior-none", "atoms-number",
+            "atom-number", "atom-none", "blotto-none", "lotto-none"])
+    def test_malformed_input_refused(self, build, error):
+        # each raised a bare TypeError from its float conversion
+        with pytest.raises(error, match="expected numbers"):
+            build()
 
     def test_profile_shape_checked(self):
         f = PiecewiseCdf.point(1.0)
@@ -273,7 +297,7 @@ class TestProfilePayoffs:
         )
         v = ValuationMatrix(((1.0,),))
         assert ex_ante_payoff(profile, v, Prior.uniform(1)) == 1.0
-        assert interim_payoff(profile, v, Prior.uniform(1), 0) == 1.0
+        assert interim_payoffs(profile, v, Prior.uniform(1)) == (1.0,)
 
     def test_interim_equals_ex_ante_for_single_state(self):
         f = PiecewiseCdf.uniform(0.0, 1.0)
@@ -281,7 +305,7 @@ class TestProfilePayoffs:
         profile = StrategyProfile(informed=((g,),), uninformed=(f,))
         v = ValuationMatrix(((1.0,),))
         p = Prior.uniform(1)
-        assert interim_payoff(profile, v, p, 0) == ex_ante_payoff(profile, v, p)
+        assert interim_payoffs(profile, v, p) == (ex_ante_payoff(profile, v, p),)
 
     def test_deterministic_win_on_all_battlefields(self):
         win = PiecewiseCdf.point(3.0)
@@ -289,17 +313,20 @@ class TestProfilePayoffs:
         profile = StrategyProfile(
             informed=((win, win, win),) * 3, uninformed=(lose, lose, lose)
         )
-        v = ValuationMatrix.cyclic(0.5, 0.5)
-        assert interim_payoff(profile, v, Prior.uniform(3), 0) == pytest.approx(1.0)
+        v = LottoParams(0.5, 0.5, 0.5).valuation_matrix
+        assert interim_payoffs(profile, v, Prior.uniform(3)) == pytest.approx((1.0,) * 3)
 
     def test_dimension_mismatch(self):
         profile = self._identical_profile()
-        v = ValuationMatrix.cyclic(0.5, 0.5)
-        with pytest.raises(ValueError):
-            ex_ante_payoff(profile, v, Prior.uniform(3))
-        v = BlottoParams(1.0, 0.5, 0.7, 1.0).valuation_matrix
-        with pytest.raises(ValueError):
-            interim_payoff(profile, v, Prior.uniform(2), 5)
+        cyclic = LottoParams(0.5, 0.5, 0.5).valuation_matrix
+        pair = BlottoParams(1.0, 0.5, 0.7, 1.0).valuation_matrix
+        wide = ValuationMatrix(((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)))
+        # 3 states in the values, 2 in the profile; 3 in the prior; 3 battlefields
+        for values, prior in [(cyclic, Prior.uniform(3)), (pair, Prior.uniform(3)),
+                              (wide, Prior.uniform(2))]:
+            for payoff in (ex_ante_payoff, interim_payoffs):
+                with pytest.raises(ValueError, match="counts disagree"):
+                    payoff(profile, values, prior)
 
 
 class TestExpectedBudget:
@@ -354,13 +381,119 @@ def test_sums_round_once(cdfs, alpha, weights):
 
     informed = (cdfs[0:3], cdfs[3:6], cdfs[6:9])
     profile = StrategyProfile(informed=informed, uninformed=cdfs[9:12])
-    values = ValuationMatrix.cyclic(alpha, alpha / 2.0)
+    values = LottoParams(alpha, alpha / 2.0, 0.5).valuation_matrix
     prior = Prior(tuple(w / sum(weights) for w in weights))
-    interim = []
+    interim = interim_payoffs(profile, values, prior)
     for i, row in enumerate(values.values):
         terms = [v * battlefield_payoff(f, g) for v, f, g in zip(row, informed[i], cdfs[9:])]
-        interim.append(interim_payoff(profile, values, prior, i))
-        assert interim[-1] == rounded_once(terms)
+        assert interim[i] == rounded_once(terms)
     assert ex_ante_payoff(profile, values, prior) == rounded_once(
         [w * v for w, v in zip(prior.weights, interim)]
     )
+
+
+def exact_battlefield_payoff(f_a, f_b):
+    """E[sgn(x_a - x_b)], ties worth zero, in exact rationals of the two
+    marginals' float fields.  Between atoms it is sum m_a m_b sgn(x_a - x_b);
+    a segment is integrated exactly against the other side's piecewise-linear
+    CDF, by the midpoint rule on each piece between its breakpoints."""
+    atoms_a, atoms_b = ([tuple(map(Fraction, a)) for a in f.atoms] for f in (f_a, f_b))
+    segs_a, segs_b = ([tuple(map(Fraction, s)) for s in f.segments] for f in (f_a, f_b))
+
+    def below_less_above(segs, x):
+        # P(X < x) - P(X > x) over the segments alone, which have no atom at x
+        return sum((rho * (2 * min(max(x, l), r) - l - r) for l, r, rho in segs), Fraction(0))
+
+    total = sum(
+        (ma * mb * ((xa > xb) - (xa < xb)) for xa, ma in atoms_a for xb, mb in atoms_b),
+        Fraction(0),
+    )
+    total += sum(ma * below_less_above(segs_b, xa) for xa, ma in atoms_a)
+    total -= sum(mb * below_less_above(segs_a, xb) for xb, mb in atoms_b)
+    for la, ra, rho_a in segs_a:
+        cuts = sorted({la, ra, *(p for l, r, _ in segs_b for p in (l, r) if la < p < ra)})
+        for p, q in zip(cuts, cuts[1:]):
+            total += rho_a * (q - p) * below_less_above(segs_b, (p + q) / 2)
+    return total
+
+
+# a grid shared by every drawn marginal, so that atoms of two marginals
+# coincide, and sit on each other's segment ends, often
+TIE_GRID = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
+
+
+@st.composite
+def grid_marginals(draw):
+    """A marginal with an atom at some points of ``TIE_GRID`` and a segment
+    between some consecutive points, of integer-weighted masses."""
+    points = sorted(draw(st.lists(st.sampled_from(TIE_GRID), min_size=1, max_size=4,
+                                  unique=True)))
+    atoms = [p for p in points if draw(st.booleans())]
+    segments = [(l, r) for l, r in zip(points, points[1:]) if draw(st.booleans())]
+    if not atoms and not segments:
+        atoms = points[:1]
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(atoms) + len(segments),
+                            max_size=len(atoms) + len(segments)))
+    masses = [w / sum(weights) for w in weights]
+    return PiecewiseCdf(
+        atoms=tuple(zip(atoms, masses)),
+        segments=tuple((l, r, m / (r - l)) for (l, r), m in zip(segments, masses[len(atoms):])),
+    )
+
+
+@st.composite
+def tied_games(draw):
+    """(profile, values, prior) with 1-3 states and battlefields, whose slots
+    are drawn from a pool of 3 grid marginals, so one object fills several
+    slots and faces several opponents."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pool = draw(st.lists(grid_marginals(), min_size=3, max_size=3))
+    slot = st.sampled_from(pool)
+    informed = [[draw(slot) for _ in range(n)] for _ in range(m)]
+    uninformed = [draw(slot) for _ in range(n)]
+    value = st.sampled_from((0.25, 1 / 3, 0.5, 1.0, 2.0))
+    values = ValuationMatrix([[draw(value) for _ in range(n)] for _ in range(m)])
+    weights = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    prior = Prior([w / sum(weights) for w in weights])
+    return StrategyProfile(informed=informed, uninformed=uninformed), values, prior
+
+
+def assert_matches_exact_reference(game):
+    """``battlefield_payoff`` of every slot, ``interim_payoffs`` and
+    ``ex_ante_payoff`` of ``game`` to within 4 ulps of 1 per unit of
+    valuation and weight of the exact reference."""
+    profile, values, prior = game
+    ulps = 4 * Fraction(math.ulp(1.0))
+    exact = []
+    for row, marginals in zip(values.values, profile.informed):
+        terms = []
+        for v, f, g in zip(row, marginals, profile.uninformed):
+            pay = exact_battlefield_payoff(f, g)
+            assert abs(Fraction(games.battlefield_payoff(f, g)) - pay) <= ulps
+            terms.append(Fraction(v) * pay)
+        exact.append(sum(terms))
+    for got, want, row in zip(games.interim_payoffs(profile, values, prior), exact,
+                              values.values):
+        assert abs(Fraction(got) - want) <= ulps * sum(map(Fraction, row))
+    want = sum(Fraction(w) * e for w, e in zip(prior.weights, exact))
+    scale = sum(Fraction(w) * sum(map(Fraction, row))
+                for w, row in zip(prior.weights, values.values))
+    assert abs(Fraction(games.ex_ante_payoff(profile, values, prior)) - want) <= ulps * scale
+
+
+# atoms shared at 1 and 2, one at the end of a segment, each marginal on
+# both sides of the profile
+_F = PiecewiseCdf(atoms=((1.0, 0.25), (2.0, 0.25)), segments=((2.0, 3.0, 0.5),))
+_G = PiecewiseCdf(atoms=((1.0, 0.25), (2.0, 0.75)))
+TIE_EXAMPLE = (
+    StrategyProfile(informed=((_F, _G),), uninformed=(_G, _F)),
+    ValuationMatrix(((1.0, 0.5),)),
+    Prior((1.0,)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_games())
+@example(TIE_EXAMPLE)
+def test_payoffs_match_exact_reference(game):
+    assert_matches_exact_reference(game)

@@ -10,7 +10,7 @@ from infoblotto import (
     PiecewiseCdf,
     ex_ante_payoff,
     expected_budget,
-    interim_payoff,
+    interim_payoffs,
 )
 from infoblotto.lotto3 import (
     LottoParams,
@@ -37,7 +37,7 @@ def interim_equivalence_check(alpha, beta, gamma, budget_uninformed=1.0, tol=1e-
     params = LottoParams(alpha, beta, gamma, budget_uninformed)
     profile = build_equilibrium(params)
     values, prior = params.valuation_matrix, params.prior
-    payoffs = [interim_payoff(profile, values, prior, i) for i in range(3)]
+    payoffs = interim_payoffs(profile, values, prior)
     return max(payoffs) - min(payoffs) <= tol
 
 
@@ -306,8 +306,10 @@ class TestConstruction:
         profile = build_equilibrium(params)
         v, p = params.valuation_matrix, params.prior
         full = ex_ante_payoff(profile, v, p)
-        for i in range(3):
-            assert interim_payoff(profile, v, p, i) == pytest.approx(full, abs=1e-12)
+        payoffs = interim_payoffs(profile, v, p)
+        assert len(payoffs) == 3
+        for payoff in payoffs:
+            assert payoff == pytest.approx(full, abs=1e-12)
 
 
 def per_regime_marginals(params):

@@ -10,9 +10,10 @@ import pytest
 from infoblotto import PiecewiseCdf, Prior, StrategyProfile, ValuationMatrix
 from infoblotto import blotto2, games, lotto3, oracle
 from infoblotto.blotto2 import BlottoParams
+from infoblotto.distributions import _as_float_rows
 from infoblotto.games import _require_finite, expected_budget
 from infoblotto.lotto3 import LottoParams
-from tests import test_distributions, test_games, test_oracle
+from tests import test_games, test_oracle
 
 BLOTTO = BlottoParams.from_ratio(1.0, 0.5, 0.7, 10.0)
 LOTTO = LottoParams(0.6, 0.3, 0.5)
@@ -41,6 +42,12 @@ def monte_carlo_check():
     """tests/test_oracle.py::test_monte_carlo_agrees_with_exact_payoff on
     the tied game above, at one seed."""
     test_oracle.assert_monte_carlo_agrees(TIED, seed=1)
+
+
+def exact_reference_check():
+    """tests/test_games.py::test_payoffs_match_exact_reference on its
+    explicit example, whose two marginals tie at two atoms."""
+    test_games.assert_matches_exact_reference(test_games.TIE_EXAMPLE)
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +124,20 @@ def payoff_tie_as_win(monkeypatch):
 
 
 def memo_keyed_by_informed(monkeypatch):
-    # ex_ante_payoff's memo keyed by the informed marginal alone
+    # interim_payoffs' memo keyed by the informed marginal alone
     def mutant(profile, values, prior):
         priced = {}
+        payoffs = []
+        for row, marginals in zip(values.values, profile.informed):
+            terms = []
+            for v, f, g in zip(row, marginals, profile.uninformed):
+                if id(f) not in priced:
+                    priced[id(f)] = games.battlefield_payoff(f, g)
+                terms.append(v * priced[id(f)])
+            payoffs.append(math.fsum(terms))
+        return tuple(payoffs)
 
-        def pay(f, g):
-            if id(f) not in priced:
-                priced[id(f)] = games.battlefield_payoff(f, g)
-            return priced[id(f)]
-
-        return math.fsum(
-            prior.weights[i] * games._interim(profile, values, i, pay)
-            for i in range(values.m)
-        )
-
-    monkeypatch.setattr(games, "ex_ante_payoff", mutant)
+    monkeypatch.setattr(games, "interim_payoffs", mutant)
 
 
 def lotto_residual_reads_xu(monkeypatch):
@@ -147,15 +153,17 @@ def lotto_residual_reads_xu(monkeypatch):
 def blotto_params_accept_informed_above(monkeypatch):
     # the budget check lost its upper half: 0 < X_I, with X_I > X_U let in
     def mutant(self, vbar, vlow, budget_informed, budget_uninformed):
-        x_i, x_u = float(budget_informed), float(budget_uninformed)
+        ((vbar, vlow, x_i, x_u),) = _as_float_rows(
+            ((vbar, vlow, budget_informed, budget_uninformed),), error=ValueError
+        )
         _require_finite("budgets", x_i, x_u)
         if not 0.0 < x_i:
             raise ValueError(f"budgets must satisfy 0 < X_I <= X_U, got {x_i}, {x_u}")
         object.__setattr__(self, "budget_informed", x_i)
         object.__setattr__(self, "budget_uninformed", x_u)
-        object.__setattr__(self, "vbar", float(vbar))
-        object.__setattr__(self, "vlow", float(vlow))
-        blotto2._require_values(self.vbar, self.vlow)
+        object.__setattr__(self, "vbar", vbar)
+        object.__setattr__(self, "vlow", vlow)
+        blotto2._require_values(vbar, vlow)
 
     monkeypatch.setattr(BlottoParams, "__init__", mutant)
 
@@ -175,8 +183,8 @@ MUTANTS = {
     # every certificate of the package's equilibria passes under this one
     "PiecewiseCdf.masses tie below": (
         masses_tie_below,
-        "tests/test_distributions.py::TestEvaluation::test_cdf_steps_and_ramps",
-        lambda: test_distributions.TestEvaluation().test_cdf_steps_and_ramps(),
+        "tests/test_games.py::test_payoffs_match_exact_reference",
+        exact_reference_check,
     ),
     "PiecewiseCdf.masses tie above": (
         masses_tie_above,
@@ -193,16 +201,16 @@ MUTANTS = {
         "oracle.certify: value",
         lambda: certificate_check(BLOTTO, "value"),
     ),
-    # passes every certificate: only Monte Carlo, which scores its sampled
-    # ties without battlefield_payoff, sees it
+    # passes every certificate: the exact reference, and Monte Carlo, which
+    # scores its sampled ties without battlefield_payoff, see it
     "games.battlefield_payoff tie as win": (
         payoff_tie_as_win,
-        "tests/test_oracle.py::test_monte_carlo_agrees_with_exact_payoff",
-        monte_carlo_check,
+        "tests/test_games.py::test_payoffs_match_exact_reference",
+        exact_reference_check,
     ),
     # equivalent on every built profile, whose marginals each face one
     # opponent marginal
-    "games.ex_ante_payoff memo keyed by informed marginal": (
+    "games.interim_payoffs memo keyed by informed marginal": (
         memo_keyed_by_informed,
         "tests/test_oracle.py::test_shared_marginal_priced_against_each_opponent",
         test_oracle.test_shared_marginal_priced_against_each_opponent,

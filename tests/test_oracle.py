@@ -13,7 +13,7 @@ from infoblotto import (
     StrategyProfile,
     ValuationMatrix,
     ex_ante_payoff,
-    interim_payoff,
+    interim_payoffs,
 )
 from infoblotto import distributions, games, oracle
 from infoblotto.blotto2 import BlottoIndex, BlottoParams, build_equilibrium as build_blotto
@@ -86,20 +86,26 @@ class TestBlottoDeviations:
         with pytest.raises(ValueError):
             blotto_deviation_gaps(build_lotto(params), BLOTTO)
 
-    def test_scan_pays_each_interim_payoff_once(self, monkeypatch):
-        calls = []
-        for module in (games, oracle):
-            for name in ("interim_payoff", "ex_ante_payoff"):
-                if hasattr(module, name):
-                    original = getattr(module, name)
+    def test_each_marginal_pair_priced_once(self, monkeypatch):
+        # the Blotto scan at q = 3 takes its interim payoffs from one call,
+        # which prices its 4 (informed, uninformed) pairs; a built Lotto
+        # profile holds 3 distinct pairs in its 9 slots
+        calls = {"interim_payoffs": 0, "battlefield_payoff": 0}
+        for name in calls:
+            original = getattr(games, name)
 
-                    def counted(*args, _name=name, _original=original):
-                        calls.append(_name)
-                        return _original(*args)
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
 
-                    monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(games, name, counted)
+        assert BlottoIndex.from_params(BLOTTO).q == 3
         blotto_deviation_gaps(build_blotto(BLOTTO), BLOTTO)
-        assert calls == ["interim_payoff"] * BLOTTO.prior.m
+        assert calls == {"interim_payoffs": 1, "battlefield_payoff": 4}
+        params = LottoParams(0.6, 0.3, 0.8)
+        calls.update(interim_payoffs=0, battlefield_payoff=0)
+        ex_ante_payoff(build_lotto(params), params.valuation_matrix, params.prior)
+        assert calls == {"interim_payoffs": 1, "battlefield_payoff": 3}
 
     def test_large_q_profile(self):
         # q = 1999: the profile payoffs and the scan take O(q log q)
@@ -898,9 +904,8 @@ def dense_blotto_gaps(profile, params):
     gap_u = pay_u.max() + ex_ante_payoff(profile, values, prior)
     xs = dense_grid(x_i)
     gaps_i = [
-        pay(xs, x_i, vals[i], *profile.uninformed).max()
-        - interim_payoff(profile, values, prior, i)
-        for i in range(profile.m)
+        pay(xs, x_i, vals[i], *profile.uninformed).max() - interim
+        for i, interim in enumerate(interim_payoffs(profile, values, prior))
     ]
     return gap_u, gaps_i
 
