@@ -3,9 +3,10 @@
 Subcommands: payoff, sweep, strategy, verify, simulate.  Exit codes: 0 on
 success (and a passing certificate for ``verify``), 1 on a failing
 certificate, 2 on invalid parameters or malformed input.  ``main`` prints
-each record once every value is computed and every file written, so exit
-2 leaves stdout empty.  Numbers are printed with 12 significant digits and
-sweeps are byte-identical across runs for identical flags.
+each record once every value is computed and every file written, and the
+help of a bare ``infoblotto`` on stderr, so exit 2 leaves stdout empty.
+Numbers are printed with 12 significant digits and sweeps are
+byte-identical across runs for identical flags.
 
 Each command imports only what it runs, inside the functions that run it:
 the module of its game, ``oracle`` for ``verify`` and ``simulate``, json
@@ -131,8 +132,7 @@ def _load_strategy(path):
             raise TypeError(f"params {sorted(record)}, expected {names}")
         params = params_class(**record)
         profile = StrategyProfile.from_dict(data["profile"])
-    # an integer literal too large for a float raises OverflowError
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed strategy file {path}: {exc}") from exc
     return game, params, profile
 
@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "func", None) is None:
-        parser.print_help()
+        parser.print_help(sys.stderr)
         return 2
     try:
         _refuse_unread_flags(args)

@@ -29,7 +29,8 @@ class InvalidDistributionError(ValueError):
 
 def _as_float_rows(rows, width=None, error=InvalidDistributionError):
     """``rows`` as a tuple of float tuples, each ``width`` long unless
-    ``width`` is None; ``error`` where a row or an entry is not one."""
+    ``width`` is None; ``error`` where a row or an entry is not one, or is
+    an integer too large for a float."""
     out = []
     try:
         for row in rows:
@@ -37,7 +38,7 @@ def _as_float_rows(rows, width=None, error=InvalidDistributionError):
             if width is not None and len(row) != width:
                 raise error(f"expected {width}-tuples, got {row!r}")
             out.append(row)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise error(f"expected numbers: {exc}") from exc
     return tuple(out)
 
@@ -228,7 +229,7 @@ class PiecewiseCdf(_Frozen):
 
     def ppf(self, u):
         """Quantile function: ``low + (u - mass below) * slope`` of each
-        uniform's ``component``, in place; ``low`` for an atoms-only table."""
+        uniform's ``component``, in place."""
         import numpy as np
         lows, slopes, cum_lo, bounds = self._inverse_table
         u = np.asarray(u, dtype=float)
@@ -239,10 +240,7 @@ class PiecewiseCdf(_Frozen):
             x = u * slopes[0]
             x += lows[0]
             return x
-        idx = self.component(u)
-        if not slopes.any():
-            return lows[idx]
-        idx = idx.astype(np.intp)
+        idx = self.component(u).astype(np.intp)
         x = cum_lo[idx]
         np.subtract(u, x, out=x)
         x *= slopes[idx]

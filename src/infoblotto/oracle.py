@@ -153,9 +153,7 @@ def _support_slack(own, terms):
 
 
 def lotto_support_optimality(
-    profile: StrategyProfile,
-    params: lotto3.LottoParams,
-    lambdas: tuple[float, float] | None = None,
+    profile: StrategyProfile, params: lotto3.LottoParams
 ) -> DeviationGaps:
     """All-pay-auction support optimality of every marginal in ``profile``.
 
@@ -175,13 +173,9 @@ def lotto_support_optimality(
     serve its 12 slots.  A scan reads nothing but its marginal and terms,
     so each slot's slack is the one scanning that slot gives.
     """
-    if lambdas is None:
-        lambdas = _game_of(params)[1].multipliers(
-            params.alpha, params.beta, params.gamma, params.budget_uninformed
-        )
-    lam_i, lam_u = lambdas
-    if lam_i <= 0.0 or lam_u <= 0.0:
-        raise ValueError("multipliers must be positive")
+    lam_i, lam_u = _game_of(params)[1].multipliers(
+        params.alpha, params.beta, params.gamma, params.budget_uninformed
+    )
     vals = params.valuation_matrix.values
     weights = params.prior.weights
     scanned = {}
@@ -258,45 +252,19 @@ def blotto_budget_residuals(profile: StrategyProfile, params: blotto2.BlottoPara
 _CHUNK = 1 << 15  # samples scored at a time; 2^15 ran fastest of 2^13 to 2^16
 
 
-def _positioned(state, k, rng):
-    """``rng``, a Philox Generator, moved to the k-th 64-bit word after the
-    Philox ``state`` dict by assigning its bit generator's state.
-    Counter c yields words 4c to 4c + 3 and the next word is number
-    4 * counter + buffer_pos, so a Philox one counter before word k's, with
-    its buffer spent and the words before k in its block discarded,
-    continues there."""
-    counter = sum(int(c) << 64 * i for i, c in enumerate(state["state"]["counter"]))
-    block, skip = divmod(4 * counter + state["buffer_pos"] + k, 4)
-    counter = [(block - 1) >> 64 * i & 2**64 - 1 for i in range(4)]
-    rng.bit_generator.state = dict(
-        state, state=dict(state["state"], counter=counter), buffer_pos=4, has_uint32=0, uinteger=0
-    )
-    rng.bit_generator.random_raw(skip)
-    return rng
-
-
-def _draws(f, state, k, rng, size):
-    # a one-atom marginal's quantile is its location: it reads no draws, and
-    # the uniform 0.0 stands for all of them
-    if f.segments or len(f.atoms) > 1:
-        return _positioned(state, k, rng).random(size)
-    return 0.0
-
-
 def monte_carlo_value(profile, values, prior, samples, seed):
     """Unbiased (mean, standard error) estimate of the informed player's
     ex-ante payoff.  Draws are exchangeable, so the state counts are drawn
-    first; state i's allocations then take the next 2 * n * count_i uniforms
-    as one ``(2, n, count_i)`` block holds them, each battlefield's range
-    read ``_CHUNK`` samples at a time (none for a one-atom marginal) from the
-    call's one Philox, positioned at the chunk's first word by assigning
-    its state, so only the payoff array grows with ``samples``.
-    Battlefield j is scored ``v * ([x > y] - [x < y])``, the floats
-    ``v * sign(x - y)`` gave; between atoms-only marginals y is never
+    first; then, state by state and battlefield by battlefield, each sample
+    takes one uniform for each of its two marginals that is not one atom,
+    informed first, read ``_CHUNK`` samples at a time as one ``(size, k)``
+    block from the call's one Philox.  The stream is read front to back, so
+    the chunk size changes no number, and only the payoff array grows with
+    ``samples``.  Battlefield j is scored ``v * ([x > y] - [x < y])``, the
+    floats ``v * sign(x - y)`` gave; between atoms-only marginals y is never
     sampled: its uniform is compared with the ``PiecewiseCdf.thresholds`` of
-    x's atom.  A seed's numbers differ from the first 0.1.0 release, which
-    drew a state per sample.  A sample count too large to allocate is
-    refused with ``ValueError``."""
+    x's atom.  A sample count too large to allocate is refused with
+    ``ValueError``."""
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
     games._check_dimensions(profile, values, prior)
@@ -309,22 +277,27 @@ def monte_carlo_value(profile, values, prior, samples, seed):
     except (MemoryError, ValueError):
         raise ValueError(f"{samples} Monte Carlo samples do not fit in memory") from None
     counts = rng.multinomial(samples, prior.weights).tolist()
-    state = rng.bit_generator.state
     buffer = np.empty(min(samples, _CHUNK))
-    n, word, end = values.n, 0, 0
+    end = 0
     for vals, row, count in zip(values.values, profile.informed, counts):
         start, end = end, end + count
         # battlefield by battlefield, so each sample still adds j = 0 first
-        for j, (v, f, g) in enumerate(zip(vals, row, profile.uninformed)):
+        for v, f, g in zip(vals, row, profile.uninformed):
+            # a one-atom marginal's quantile is its location: it reads no
+            # uniforms, and the uniform 0.0 stands for them
+            reads_f, reads_g = (bool(h.segments) or len(h.atoms) > 1 for h in (f, g))
             atoms_only = not (f.segments or g.segments)
             if atoms_only:
                 t_plus, t_minus = g.thresholds([loc for loc, _ in f.atoms])
             for lo in range(start, end, _CHUNK):
                 block = payoff[lo : min(lo + _CHUNK, end)]
-                a = _draws(f, state, word + j * count + lo - start, rng, len(block))
-                b = _draws(g, state, word + (n + j) * count + lo - start, rng, len(block))
+                drawn = iter(rng.random((len(block), reads_f + reads_g)).T)
+                # the first column made contiguous: component passes over it
+                # once per component
+                a = np.ascontiguousarray(next(drawn)) if reads_f else 0.0
+                b = next(drawn) if reads_g else 0.0
                 if atoms_only:
-                    i = f.component(a) if len(f.atoms) > 1 else 0
+                    i = f.component(a) if reads_f else 0
                     above, below = np.less(b, t_plus[i]), np.greater_equal(b, t_minus[i])
                 else:
                     x, y = f.ppf(a), g.ppf(b)
@@ -335,7 +308,6 @@ def monte_carlo_value(profile, values, prior, samples, seed):
                 np.copyto(out, score)
                 out *= v
                 block += out
-        word += 2 * n * count
     mean = float(payoff.mean())
     std_error = float(payoff.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, std_error

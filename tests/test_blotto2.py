@@ -60,6 +60,9 @@ class TestIndex:
     def test_equal_budgets_rejected(self):
         with pytest.raises(ValueError, match="0 < X_I <= X_U"):
             BlottoParams(1.0, 0.5, 2.0, 1.0)
+        # equal budgets are valid params, but have no gap d = X_U - X_I
+        with pytest.raises(OutOfRegimeError, match="requires X_I < X_U"):
+            BlottoIndex.from_params(BlottoParams(1.0, 0.5, 1.0, 1.0))
 
     def test_fields_are_the_file_record(self):
         p = params(gamma=0.7, x_u=10.0)

@@ -148,6 +148,9 @@ class TestSweep:
             ["--game", "blotto2", "--vbar", "1e200", "--vlow", "1", "--axis", "gamma=0.6:0.76:2"],
             # vbar/vlow overflows to inf: the scalar path's refusal, with no numpy warning
             ["--game", "blotto2", "--vbar", "1e308", "--vlow", "0.5", "--axis", "gamma=0.6:0.9:4"],
+            # three axes
+            ["--game", "lotto3", "--axis", "alpha=0.5:0.9:2", "--axis", "beta=0.1:0.4:2",
+             "--axis", "gamma=0.1:0.9:2"],
         ],
     )
     def test_grid_refused(self, capsys, tmp_path, argv):
@@ -782,8 +785,19 @@ def test_strategy_file_integer_too_large_for_a_float_exits_two(capsys, blotto_st
         json.dump(data, handle)
     code, out, err = run(capsys, "verify", "--strategy", blotto_strategy_file)
     assert code == 2
-    assert err.startswith("error: malformed strategy file") and "too large" in err
+    assert err.startswith("error: expected numbers:") and "too large" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [[], ["verify"], ["simulate"]],
+                         ids=["no-command", "verify", "simulate"])
+def test_nothing_to_run_exits_two(capsys, argv):
+    # with no subcommand the help went to stdout; verify and simulate need a
+    # strategy file or a game
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: either --strategy" if argv else "usage: infoblotto")
 
 
 _POINT_FLAGS = {
@@ -966,13 +980,20 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "samples,seed", [("1", "20240801"), ("2", "9" * 41)]
     )
-    def test_zero_std_error_miss_is_infinite(self, capsys, samples, seed):
-        # certify judges |mean - claimed| <= 4 se: with se = 0 a miss fails
+    def test_zero_std_error_miss_is_infinite(self, capsys, tmp_path, samples, seed):
+        # certify judges |mean - claimed| <= 4 se: with se = 0 a miss fails.
+        # Every marginal is one atom at 0, so every battlefield ties and
+        # every sample scores 0 whatever the seed, against a closed form of -0.7
+        zero = {"atoms": [[0.0, 1.0]], "segments": []}
+        record = {"game": "lotto3", "params": lotto3.LottoParams(0.5, 0.5, 0.2)._asdict(),
+                  "profile": {"informed": [[zero] * 3] * 3, "uninformed": [zero] * 3}}
+        path = tmp_path / "ties.json"
+        path.write_text(json.dumps(record))
         code, out, _ = run(
-            capsys, "simulate", "--game", "lotto3", "--alpha", "0.5", "--gamma", "0.2",
-            "--samples", samples, "--seed", seed,
+            capsys, "simulate", "--strategy", str(path), "--samples", samples, "--seed", seed
         )
         assert code == 0
+        assert "mc_mean = 0\n" in out
         assert "mc_std_error = 0\n" in out
         assert "closed_form = -0.7\n" in out
         assert "z_score = inf\n" in out

@@ -103,6 +103,32 @@ class TestTypes:
         with pytest.raises(error, match="expected numbers"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: ValuationMatrix([[10**400]]),
+        lambda: Prior([10**400]),
+        lambda: PiecewiseCdf(atoms=[(10**400, 1.0)]),
+        lambda: BlottoParams(10**400, 0.5, 0.7, 1.0),
+        lambda: LottoParams(10**400, 0.3, 0.5),
+    ], ids=["matrix", "prior", "atom", "blotto", "lotto"])
+    def test_integer_too_large_for_a_float_refused(self, build):
+        # each raised a bare OverflowError from its float conversion
+        with pytest.raises(ValueError, match="expected numbers: int too large"):
+            build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ValuationMatrix([]), "nonempty"),
+        (lambda: ValuationMatrix([[]]), "nonempty"),
+        (lambda: ValuationMatrix([[1.0, 2.0], [1.0]]), "unequal lengths"),
+        (lambda: StrategyProfile(informed=(), uninformed=(PiecewiseCdf.point(1.0),)),
+         "both players"),
+        (lambda: StrategyProfile(informed=((PiecewiseCdf.point(1.0),),), uninformed=()),
+         "both players"),
+    ], ids=["matrix-no-rows", "matrix-empty-row", "matrix-ragged", "profile-no-informed",
+            "profile-no-uninformed"])
+    def test_empty_or_ragged_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_profile_shape_checked(self):
         f = PiecewiseCdf.point(1.0)
         with pytest.raises(ValueError):

@@ -168,70 +168,71 @@ def blotto_params_accept_informed_above(monkeypatch):
     monkeypatch.setattr(BlottoParams, "__init__", mutant)
 
 
-# mutant -> (what catches it, the check itself)
+TIE_FILE_TEST = "tests/test_oracle.py::test_tie_heavy_blotto_certificate"
+
+# mutant -> (its patch, {what catches it: the check itself}); every check
+# must catch it
 MUTANTS = {
     "blotto2.build_equilibrium types swapped": (
         blotto_types_swapped,
-        "oracle.certify: deviation",
-        lambda: certificate_check(BLOTTO, "deviation"),
+        {"oracle.certify: deviation": lambda: certificate_check(BLOTTO, "deviation")},
     ),
     "lotto3.build_equilibrium types rotated": (
         lotto_types_rotated,
-        "oracle.certify: deviation",
-        lambda: certificate_check(LOTTO, "deviation"),
+        {"oracle.certify: deviation": lambda: certificate_check(LOTTO, "deviation")},
     ),
-    # every certificate of the package's equilibria passes under this one
+    # every certificate of the package's equilibria passes under this one;
+    # the tie-heavy file's certificate moves
     "PiecewiseCdf.masses tie below": (
         masses_tie_below,
-        "tests/test_games.py::test_payoffs_match_exact_reference",
-        exact_reference_check,
+        {"tests/test_games.py::test_payoffs_match_exact_reference": exact_reference_check,
+         TIE_FILE_TEST: test_oracle.tie_heavy_certificate_check},
     ),
     "PiecewiseCdf.masses tie above": (
         masses_tie_above,
-        "oracle.certify: deviation",
-        lambda: certificate_check(LOTTO, "deviation"),
+        {"oracle.certify: deviation": lambda: certificate_check(LOTTO, "deviation")},
     ),
     "PiecewiseCdf.ppf at u squared": (
         ppf_squared,
-        "tests/test_oracle.py::test_monte_carlo_agrees_with_exact_payoff",
-        monte_carlo_check,
+        {"tests/test_oracle.py::test_monte_carlo_agrees_with_exact_payoff": monte_carlo_check},
     ),
     "games.battlefield_payoff negated": (
         payoff_negated,
-        "oracle.certify: value",
-        lambda: certificate_check(BLOTTO, "value"),
+        {"oracle.certify: value": lambda: certificate_check(BLOTTO, "value")},
     ),
-    # passes every certificate: the exact reference, and Monte Carlo, which
+    # passes every certificate of the package's equilibria: the exact
+    # reference, the tie-heavy file's certificate, and Monte Carlo, which
     # scores its sampled ties without battlefield_payoff, see it
     "games.battlefield_payoff tie as win": (
         payoff_tie_as_win,
-        "tests/test_games.py::test_payoffs_match_exact_reference",
-        exact_reference_check,
+        {"tests/test_games.py::test_payoffs_match_exact_reference": exact_reference_check,
+         TIE_FILE_TEST: test_oracle.tie_heavy_certificate_check},
     ),
     # equivalent on every built profile, whose marginals each face one
     # opponent marginal
     "games.interim_payoffs memo keyed by informed marginal": (
         memo_keyed_by_informed,
-        "tests/test_oracle.py::test_shared_marginal_priced_against_each_opponent",
-        test_oracle.test_shared_marginal_priced_against_each_opponent,
+        {"tests/test_oracle.py::test_shared_marginal_priced_against_each_opponent":
+         test_oracle.test_shared_marginal_priced_against_each_opponent},
     ),
     "oracle.lotto_budget_residuals X_I read as X_U": (
         lotto_residual_reads_xu,
-        "oracle.certify: budget",
-        lambda: certificate_check(LOTTO, "budget"),
+        {"oracle.certify: budget": lambda: certificate_check(LOTTO, "budget")},
     ),
     "BlottoParams accepts X_I > X_U": (
         blotto_params_accept_informed_above,
-        "tests/test_games.py::TestTypes::test_budgets",
-        lambda: test_games.TestTypes().test_budgets(),
+        {"tests/test_games.py::TestTypes::test_budgets":
+         lambda: test_games.TestTypes().test_budgets()},
     ),
 }
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_mutant_is_caught(mutant, monkeypatch):
-    patch, _, check = MUTANTS[mutant]
-    check()
-    patch(monkeypatch)
-    with pytest.raises((AssertionError, pytest.fail.Exception)):
+    patch, checks = MUTANTS[mutant]
+    for check in checks.values():
         check()
+    patch(monkeypatch)
+    for check in checks.values():
+        with pytest.raises((AssertionError, pytest.fail.Exception)):
+            check()

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from infoblotto import (
     ex_ante_payoff,
     interim_payoffs,
 )
-from infoblotto import distributions, games, oracle
+from infoblotto import cli, distributions, games, lotto3, oracle
 from infoblotto.blotto2 import BlottoIndex, BlottoParams, build_equilibrium as build_blotto
 from infoblotto.blotto2 import informed_payoff as informed_payoff_blotto
 from infoblotto.lotto3 import LottoParams, build_equilibrium as build_lotto, multipliers
@@ -32,6 +34,7 @@ from infoblotto.oracle import (
     pure_deviation_payoff,
 )
 from tests.test_distributions import cdf_of
+from tests.test_games import exact_battlefield_payoff
 
 BLOTTO = BlottoParams.from_ratio(1.0, 0.5, 0.7, 10.0)
 
@@ -173,11 +176,13 @@ class TestLottoSupportOptimality:
         assert priced.max() <= 1e-12
         assert priced[0] == 0.0
 
-    def test_perturbed_multipliers_detected(self):
+    def test_perturbed_multipliers_detected(self, monkeypatch):
         params = LottoParams(0.5, 0.5, 0.5)
         profile = build_lotto(params)
         lam_i, lam_u = multipliers(0.5, 0.5, 0.5, 1.0)
-        slacks = lotto_support_optimality(profile, params, lambdas=(lam_i * 1.2, lam_u))
+        # the scan reads lotto3.multipliers at call time
+        monkeypatch.setattr(lotto3, "multipliers", lambda *args: (lam_i * 1.2, lam_u))
+        slacks = lotto_support_optimality(profile, params)
         assert slacks.worst() > 1e-3
 
     def test_budget_residuals(self):
@@ -209,12 +214,14 @@ class TestMonteCarlo:
         different = monte_carlo_value(profile, v, p, 50_000, 100)
         assert different != first
 
-    # float.hex of (mean, se) at 50k samples, the first four recorded before
-    # PiecewiseCdf.ppf counted components instead of bisecting, the next two
-    # before battlefields were scored by comparison instead of np.sign: a
-    # change that moves the Monte Carlo stream, or one bit of an estimate,
-    # fails here.  A (params, samples) pair pins another count; the last
-    # three, recorded before the draws were read in chunks, span several
+    # float.hex of (mean, se) at 50k samples unless a (params, samples) pair
+    # pins another count: a change that moves the Monte Carlo stream, or one
+    # bit of an estimate, fails here.  Every value was re-pinned, with no
+    # seed, count or params changed, when the draws came to be read in
+    # stream order (each battlefield's samples in turn, one uniform per
+    # marginal that is not one atom) instead of positioned in a
+    # (2, n, count_i) block per state; every estimate stayed within
+    # 1.5 standard errors of the closed form.  The last three span several
     # chunks in every state, and 3 * 2**16 + 1 samples split into counts
     # that end mid-chunk
     @pytest.mark.parametrize(
@@ -222,39 +229,39 @@ class TestMonteCarlo:
         [
             (  # blotto2 q = 3
                 BlottoParams.from_ratio(1.0, 0.5, 0.7), 11,
-                "-0x1.9f6a93f290abbp-3", "0x1.9f1b2a104766bp-9",
+                "-0x1.9c9a8e448a2c0p-3", "0x1.a013f20f48005p-9",
             ),
             (  # blotto2 q = 33
                 BlottoParams.from_ratio(1.0, 0.8, 1.0 - 1.0 / 33.5), 12,
-                "-0x1.aff47eaaa1586p-8", "0x1.9eaa20e5766d3p-9",
+                "-0x1.84d8d09f788f1p-8", "0x1.a0b9a8ad39199p-9",
             ),
             (  # lotto3 low regime
                 LottoParams(0.5, 0.5, 0.2), 13,
-                "-0x1.64da9003eea21p-1", "0x1.0d62d2f1ffbf0p-9",
+                "-0x1.6540cc78e9f6bp-1", "0x1.0d30896b64feap-9",
             ),
             (  # lotto3 high regime
                 LottoParams(0.6, 0.3, 0.8), 14,
-                "0x1.4f7545486318dp-4", "0x1.33cac88d2c2a0p-9",
+                "0x1.5809c2ec13816p-4", "0x1.35146e4ac45aep-9",
             ),
             (  # lotto3 mid regime
                 LottoParams(0.6, 0.3, 0.5), 15,
-                "-0x1.fbb910df0783dp-3", "0x1.33a2f3133fd18p-9",
+                "-0x1.f1af80b8e168cp-3", "0x1.33fb652dbec0ep-9",
             ),
             (  # blotto2 q = 33 with geometric masses down to 20^-16
                 BlottoParams.from_ratio(1.0, 0.05, 1.0 - 1.0 / 33.5), 16,
-                "-0x1.3d91986205ecdp-12", "0x1.1779af3026a37p-8",
+                "0x1.f1531a1bec4b1p-11", "0x1.1777a77607b46p-8",
             ),
             (  # lotto3 low regime: one-atom informed marginals draw nothing
                 (LottoParams(0.5, 0.5, 0.2), 200_000), 21,
-                "-0x1.6669057d1782dp-1", "0x1.0c9cfc0ad97c4p-10",
+                "-0x1.65e3fbbd7b203p-1", "0x1.0cdf4412f1a4fp-10",
             ),
             (  # blotto2 q = 33: atoms only, scored by thresholds
                 (BlottoParams.from_ratio(1.0, 0.8, 1.0 - 1.0 / 33.5), 200_000), 22,
-                "-0x1.bfd44f3078260p-9", "0x1.9fce77b046bacp-10",
+                "-0x1.c32dcfbd71cdap-10", "0x1.a004a725120dcp-10",
             ),
             (  # lotto3 high regime, state counts 65775, 65223 and 65611
                 (LottoParams(0.6, 0.3, 0.8), 3 * 2**16 + 1), 23,
-                "0x1.49f0b175620a3p-4", "0x1.38cd27743011dp-10",
+                "0x1.4dad51e5aa508p-4", "0x1.38a034ac86bd9p-10",
             ),
         ],
     )
@@ -316,16 +323,20 @@ class TestMonteCarlo:
 
 def sign_scored_monte_carlo(profile, values, prior, samples, seed):
     # the x - y, np.sign, * v scoring that monte_carlo_value must reproduce
-    # bit for bit, on the same draws in the same order
+    # bit for bit, on the same uniforms in the same order, each battlefield's
+    # drawn in one piece: a (count, k) block, k the marginals of the pair
+    # that are not one atom (a one-atom marginal's quantile is its location)
     rng = np.random.Generator(np.random.Philox(seed))
     vals = np.asarray(values.values)
     payoff = np.zeros(samples)
     start = 0
     for i, count in enumerate(rng.multinomial(samples, prior.weights)):
-        draws = rng.random((2, values.n, count))
         block = payoff[start : start + count]
         start += count
-        for v, f, g, a, b in zip(vals[i], profile.informed[i], profile.uninformed, *draws):
+        for v, f, g in zip(vals[i], profile.informed[i], profile.uninformed):
+            reads = [bool(h.segments) or len(h.atoms) > 1 for h in (f, g)]
+            drawn = iter(rng.random((count, sum(reads))).T)
+            a, b = (next(drawn) if r else np.zeros(count) for r in reads)
             x = f.ppf(a)
             x -= g.ppf(b)
             np.sign(x, out=x)
@@ -461,52 +472,6 @@ def test_chunk_boundaries_equal_block_draws(params, extra):
     assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex())
 
 
-def _raw_after(state, skip, size):
-    bit_generator = np.random.Philox()
-    bit_generator.state = state
-    bit_generator.random_raw(skip)
-    return bit_generator.random_raw(size)
-
-
-# skips 0-9, and skips that cross one or more 4-word blocks
-_SKIPS = (*range(10), 11, 12, 13, 17, 31, 100, 1001)
-
-
-@pytest.mark.parametrize("buffer_pos", range(5))
-def test_positioned_stream_at_every_buffer_position(buffer_pos):
-    bit_generator = np.random.Philox(7)
-    bit_generator.random_raw(9)  # counter 3, its block in the buffer
-    state = bit_generator.state
-    state["buffer_pos"] = buffer_pos
-    rng = np.random.Generator(np.random.Philox())
-    for skip in _SKIPS:
-        got = oracle._positioned(state, skip, rng).bit_generator.random_raw(9)
-        assert np.array_equal(got, _raw_after(state, skip, 9)), skip
-
-
-def test_positioned_stream_across_counter_carry():
-    # the next words come from counter 2**64 - 1, so a skip of 4 or more
-    # carries the counter into its second 64-bit limb
-    state = np.random.Philox(counter=2**64 - 2, key=5).state
-    rng = np.random.Generator(np.random.Philox())
-    for skip in _SKIPS:
-        got = oracle._positioned(state, skip, rng).bit_generator.random_raw(9)
-        assert np.array_equal(got, _raw_after(state, skip, 9)), skip
-
-
-@pytest.mark.parametrize("seed", [0, 11, 20240801])
-def test_positioned_stream_after_multinomial(seed):
-    # the state monte_carlo_value positions from, and the doubles it reads
-    rng = np.random.Generator(np.random.Philox(seed))
-    rng.multinomial(200_000, [0.2, 0.3, 0.5])
-    state = rng.bit_generator.state
-    block = rng.random(1200)
-    positioned = np.random.Generator(np.random.Philox())
-    for skip in _SKIPS:
-        got = oracle._positioned(state, skip, positioned).random(100)
-        assert np.array_equal(got, block[skip : skip + 100]), skip
-
-
 class TestCertify:
     def test_blotto_equilibrium_passes(self):
         cert = certify(build_blotto(BLOTTO), BLOTTO)
@@ -634,6 +599,71 @@ def test_perturbation_fails_named_check(case):
     cert = certify(make_profile(), params)
     assert not cert.passed
     assert failed_checks(cert) == failing
+
+
+# blotto2_q3.json with its uninformed lattice moved onto the informed atoms
+# (offset e = 0, which the builder refuses), written by hand: on 7 of the
+# profile's informed-uninformed pairs of atoms the two sit at one location,
+# so the certificate prices ties, and it fails by its deviation gaps and its
+# value residual
+TIES = os.path.join(os.path.dirname(__file__), "data", "blotto2_q3_ties.json")
+
+
+def read_strategy_file(path):
+    with open(path) as handle:
+        data = json.load(handle)
+    return BlottoParams(**data["params"]), StrategyProfile.from_dict(data["profile"])
+
+
+def tie_heavy_certificate_check():
+    """The certificate of ``TIES``, as ``verify --out`` writes it, is the
+    pinned one byte for byte."""
+    text = json.dumps(certify(*read_strategy_file(TIES)[::-1])._asdict(), indent=2) + "\n"
+    with open(TIES.replace(".json", "_certificate.json")) as handle:
+        assert text == handle.read()
+
+
+def test_tie_heavy_blotto_certificate(capsys):
+    tie_heavy_certificate_check()
+    assert cli.main(["verify", "--strategy", TIES]) == 1
+    capsys.readouterr()
+    params, profile = read_strategy_file(TIES)
+    g1, g2 = profile.uninformed
+    shared = [x for row in profile.informed for f, g in zip(row, profile.uninformed)
+              for x, _ in f.atoms if x in dict(g.atoms)]
+    assert len(shared) == 7
+    # every pinned number against the exact reference, in rationals of the
+    # file's floats.  Every location is a whole number, so the half-integers
+    # of [0, X] meet every value of a pure deviation's step-function payoff
+    pay = exact_battlefield_payoff
+    values = [[Fraction(v) for v in row] for row in params.valuation_matrix.values]
+    weights = [Fraction(w) for w in params.prior.weights]
+    interim = [v1 * pay(f1, g1) + v2 * pay(f2, g2)
+               for (v1, v2), (f1, f2) in zip(values, profile.informed)]
+    value = sum(w * pay_i for w, pay_i in zip(weights, interim))
+
+    def best(budget, payoff):
+        point = PiecewiseCdf.point
+        return max(payoff(point(k / 2), point(budget - k / 2)) for k in range(int(2 * budget) + 1))
+
+    x_i, x_u = params.budget_informed, params.budget_uninformed
+    gap_u = value + best(x_u, lambda x1, x2: sum(
+        w * (v1 * pay(x1, f1) + v2 * pay(x2, f2))
+        for w, (v1, v2), (f1, f2) in zip(weights, values, profile.informed)))
+    gaps_i = [best(x_i, lambda x1, x2: v1 * pay(x1, g1) + v2 * pay(x2, g2)) - pay_i
+              for (v1, v2), pay_i in zip(values, interim)]
+    with open(TIES.replace(".json", "_certificate.json")) as handle:
+        pinned = json.load(handle)
+    exact = [gap_u, *gaps_i, abs(value - Fraction(pinned["claimed_value"]))]
+    got = [pinned["deviation_gap_uninformed"], *pinned["deviation_gaps_informed"],
+           pinned["value_residual"]]
+    assert all(abs(Fraction(g) - e) <= 1e-15 for g, e in zip(got, exact)), (got, exact)
+    # battlefield 2 is battlefield 1 reflected exactly about each budget
+    for (f1, f2), budget in [(profile.uninformed, x_u), *((row, x_i) for row in profile.informed)]:
+        assert [(budget - x, m) for x, m in reversed(f1.atoms)] == list(f2.atoms)
+    assert pinned["budget_residual_uninformed"] == 0.0
+    assert pinned["budget_residuals_informed"] == [0.0, 0.0]
+    assert (pinned["claimed_value"], pinned["passed"]) == (informed_payoff_blotto(params), False)
 
 
 # ---------------------------------------------------------------------------
@@ -977,15 +1007,16 @@ class TestExactScanCoversDenseGrid:
 
     @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("case", ["equilibrium", "perturbed", "centered-atom"])
-    def test_lotto(self, case, gamma):
+    def test_lotto(self, case, gamma, monkeypatch):
         params = LottoParams(0.6, 0.3, gamma, 2.0)
         lambdas = multipliers(0.6, 0.3, gamma, 2.0)
         profile = build_lotto(params)
         if case == "perturbed":
             lambdas = (lambdas[0] * 1.2, lambdas[1])
+            monkeypatch.setattr(lotto3, "multipliers", lambda *args: lambdas)
         elif case == "centered-atom":
             profile = centered_lotto_profile(params)
-        exact = lotto_support_optimality(profile, params, lambdas=lambdas)
+        exact = lotto_support_optimality(profile, params)
         ref_u, ref_i = dense_lotto_slacks(profile, params, lambdas)
         assert exact.uninformed >= ref_u - 1e-12
         for slack, ref in zip(exact.informed, ref_i):
