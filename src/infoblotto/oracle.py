@@ -291,11 +291,11 @@ def monte_carlo_value(profile, values, prior, samples, seed):
                 t_plus, t_minus = g.thresholds([loc for loc, _ in f.atoms])
             for lo in range(start, end, _CHUNK):
                 block = payoff[lo : min(lo + _CHUNK, end)]
-                drawn = iter(rng.random((len(block), reads_f + reads_g)).T)
+                u = rng.random((len(block), reads_f + reads_g))
                 # the first column made contiguous: component passes over it
                 # once per component
-                a = np.ascontiguousarray(next(drawn)) if reads_f else 0.0
-                b = next(drawn) if reads_g else 0.0
+                a = np.ascontiguousarray(u[:, 0]) if reads_f else 0.0
+                b = u[:, -1] if reads_g else 0.0
                 if atoms_only:
                     i = f.component(a) if reads_f else 0
                     above, below = np.less(b, t_plus[i]), np.greater_equal(b, t_minus[i])
