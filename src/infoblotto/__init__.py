@@ -14,9 +14,8 @@ __version__ = "0.1.0"
 _HOME = {
     **dict.fromkeys(("InvalidDistributionError", "PiecewiseCdf"), "distributions"),
     **dict.fromkeys(
-        ("OutOfRegimeError", "Prior", "StrategyProfile", "UnsupportedCaseError",
-         "ValuationMatrix", "battlefield_payoff", "ex_ante_payoff", "expected_budget",
-         "interim_payoffs"),
+        ("OutOfRegimeError", "Prior", "StrategyProfile", "ValuationMatrix",
+         "battlefield_payoff", "ex_ante_payoff", "expected_budget", "interim_payoffs"),
         "games",
     ),
     **{name: name for name in ("blotto2", "lotto3", "oracle")},

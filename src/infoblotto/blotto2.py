@@ -11,9 +11,9 @@ driven by q = floor(X_U / (X_U - X_I)) and the value ratio c = vbar/vlow:
 
 For odd q the equilibrium mixed strategies are explicit lattices of atoms
 spaced d = X_U - X_I apart with geometrically weighted masses; this module
-constructs them for q up to 10^5.  Below gamma = 1/2 the stronger player
-secures both battlefields and the game is trivial; the even-q strategy
-construction is not provided (the payoff formula still is).  The step count q, the
+builds them for q up to 10^5 and refuses any other q with ``OutOfRegimeError``
+(the payoff formula covers every q).  Below gamma = 1/2 the stronger player
+secures both battlefields and the game is trivial.  The step count q, the
 normalised values and the payoff with its gain over -1/q at a point each have
 one private function, shared by the public forms, the sweep grid and the builder.
 """
@@ -30,7 +30,6 @@ from .games import (
     OutOfRegimeError,
     Prior,
     StrategyProfile,
-    UnsupportedCaseError,
     ValuationMatrix,
     _require_finite,
 )
@@ -125,10 +124,6 @@ class BlottoIndex(namedtuple("BlottoIndex", "d q r")):
         q = _step_count(x_u / d)
         r = max(x_u - q * d, 0.0)
         return BlottoIndex(d=d, q=q, r=r)
-
-    @property
-    def is_odd(self):
-        return self.q % 2 == 1
 
 
 def _require_payoff_regime(gamma):
@@ -228,40 +223,38 @@ def value_of_information(params: BlottoParams) -> float:
 
 
 def build_equilibrium(params: BlottoParams, e: float | None = None) -> StrategyProfile:
-    """Equilibrium mixed strategies for odd q.
+    """Equilibrium mixed strategies for odd q up to ``_MAX_LATTICE``.
 
     Battlefield-1 marginals are atomic lattices of spacing d; battlefield-2
     allocations are the budget complements X - x, so each battlefield-2
     marginal is the battlefield-1 marginal reflected about the budget.  The
     free offset ``e`` of the uninformed lattice may be anything in (r, d)
     and defaults to the midpoint; the game value does not depend on it.
-    Within ``MASS_TOL * X_U`` of r or d, where rounding can put the lattice
-    on the informed atoms, ``e`` is refused.  Before that, once its closed
-    form is known to be finite, an even q is refused with
-    ``UnsupportedCaseError`` and a q past ``_MAX_LATTICE`` with
-    ``OutOfRegimeError``.
+    Every other lattice is refused with ``OutOfRegimeError`` before any
+    atom: an even q or a q past ``_MAX_LATTICE``, once the closed form is
+    known to be finite, and an ``e`` within ``MASS_TOL * X_U`` of r or d,
+    where rounding can put the lattice on the informed atoms (the midpoint
+    is, where X_U/d is within rounding of an integer).
     """
     _require_payoff_regime(params.gamma)
     idx = BlottoIndex.from_params(params)
     c = params.value_ratio
     q, d = idx.q, idx.d
     s_a = _denominator(c, q)
-    if not idx.is_odd:
-        raise UnsupportedCaseError(
-            f"q = {q} is even: no strategy construction is provided for "
-            "even q (the equilibrium payoff is still available)"
-        )
-    if q > _MAX_LATTICE:
-        raise OutOfRegimeError(
-            f"q = {q}: the strategy construction builds lattices of at most "
-            f"q = {_MAX_LATTICE} atoms (the equilibrium payoff is still available)"
-        )
-    if e is None:
-        e = (idx.r + idx.d) / 2.0
+    if q % 2 == 0 or q > _MAX_LATTICE:
+        raise OutOfRegimeError(f"q = {q}: strategies are built only for odd q up to "
+                               f"{_MAX_LATTICE} (the equilibrium payoff is still available)")
+    default = e is None
+    e = (idx.r + idx.d) / 2.0 if default else e
     x_i, x_u = params.budget_informed, params.budget_uninformed
     tol = MASS_TOL * x_u
     if not (e - idx.r > tol and idx.d - e > tol):
-        raise ValueError(f"offset e = {e} not inside ({idx.r}, {idx.d}) by more than {tol:.3g}")
+        where = f"({idx.r}, {idx.d}) by more than {tol:.3g}"
+        raise OutOfRegimeError(
+            f"q = {q}: the default offset, the midpoint e = {e}, is not inside {where}: "
+            "X_U/d is within rounding of an integer" if default
+            else f"offset e = {e} not inside {where}"
+        )
 
     half = (q - 1) // 2
     # s_a normalizes the uninformed lattice and s_b the informed ones: the
@@ -271,23 +264,18 @@ def build_equilibrium(params: BlottoParams, e: float | None = None) -> StrategyP
     s_b = boundary_w + _geometric_sum(c, half)
 
     # uninformed lattice: q atoms at e, e+d, ..., weights c^|k - half| (0-based)
-    f_u1 = PiecewiseCdf(
-        atoms=tuple([(e + k * d, c ** abs(k - half) / s_a) for k in range(q)])
-    )
+    f_u1 = PiecewiseCdf(atoms=[(e + k * d, c ** abs(k - half) / s_a) for k in range(q)])
 
     # informed atoms sit at k*d, capped at X_I: when X_U/d is an integer up
     # to rounding (r = 0), (q-1)*d can exceed X_I by an ulp, and its budget
     # complement would be negative
     loc = [min(k * d, x_i) for k in range(q)]
 
-    # informed type 1 concentrates high, type 2 low, sharing the boundary atom
-    t1_atoms = [(loc[half], boundary_w / s_b)]
-    t1_atoms += [(loc[k], c ** (q - 1 - k) / s_b) for k in range(half + 1, q)]
-    f_i1 = PiecewiseCdf(atoms=tuple(t1_atoms))
-
-    t2_atoms = [(loc[k], c**k / s_b) for k in range(half)]
-    t2_atoms += [(loc[half], boundary_w / s_b)]
-    f_i2 = PiecewiseCdf(atoms=tuple(t2_atoms))
+    # informed type 2 concentrates low and type 1 high, sharing the boundary
+    # atom at loc[half]: type 1's masses are type 2's in reverse
+    low = [c**k / s_b for k in range(half)] + [boundary_w / s_b]
+    f_i1 = PiecewiseCdf(atoms=zip(loc[half:], reversed(low)))
+    f_i2 = PiecewiseCdf(atoms=zip(loc, low))
 
     return StrategyProfile(
         informed=((f_i1, f_i1.reflect(x_i)), (f_i2, f_i2.reflect(x_i))),

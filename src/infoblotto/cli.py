@@ -239,9 +239,13 @@ def sweep_table(spec: SweepSpec):
     for axis in spec.axes:
         if axis.name not in allowed_axes:
             raise ValueError(f"unknown axis {axis.name!r} for game {spec.game}")
+    if not spec.columns:
+        raise ValueError("a sweep needs at least one column")
     for col in spec.columns:
         if col not in allowed_cols:
             raise ValueError(f"unknown column {col!r} for game {spec.game}")
+        if spec.columns.count(col) > 1:
+            raise ValueError(f"column {col} is given more than once")
     if len(spec.axes) > 2:
         raise ValueError("at most two sweep axes are supported")
 
@@ -271,8 +275,6 @@ def sweep_table(spec: SweepSpec):
     )
     cells = [point[n] for n in names] + [columns[c] for c in spec.columns]
     template = ",".join(["%.12g"] * len(cells))
-    if not cells:
-        return header, [template] * size
     values = zip(*(np.broadcast_to(v, size).tolist() for v in cells))
     return header, [template % row for row in values]
 

@@ -19,10 +19,6 @@ class OutOfRegimeError(ValueError):
     """Parameters outside the regime where a result applies."""
 
 
-class UnsupportedCaseError(ValueError):
-    """A case the closed-form constructions deliberately do not cover."""
-
-
 def _require_finite(what, *values):
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"{what} must be finite, got {values}")

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from infoblotto import OutOfRegimeError, UnsupportedCaseError, ex_ante_payoff
+from infoblotto import OutOfRegimeError, ex_ante_payoff
 from infoblotto.blotto2 import (
+    _MAX_LATTICE,
     BlottoIndex,
     BlottoParams,
     _denominator,
@@ -35,12 +38,10 @@ class TestIndex:
         assert idx.d == pytest.approx(3.0)
         assert idx.q == 3
         assert idx.r == pytest.approx(1.0)
-        assert idx.is_odd
 
     def test_even_q(self):
         idx = BlottoIndex.from_params(params(gamma=0.6, x_u=1.0))
         assert idx.q == 2
-        assert not idx.is_odd
 
     def test_exact_integer_ratio(self):
         # gamma = 0.8 makes X_U / d exactly 5
@@ -157,7 +158,7 @@ class TestInformedPayoff:
     def test_series_overflow_refused(self, vbar, vlow, gamma):
         p = params(vbar=vbar, vlow=vlow, gamma=gamma, x_u=1.0)
         calls = [informed_payoff]
-        if BlottoIndex.from_params(p).is_odd:
+        if BlottoIndex.from_params(p).q % 2:
             calls += [build_equilibrium]
         for call in calls:
             with pytest.raises(OutOfRegimeError, match="not a finite float"):
@@ -216,7 +217,7 @@ class TestSeries:
             for gamma in (0.7, 0.8, 0.81, 0.86, 0.91, 0.9901):
                 p = params(vlow=vlow, gamma=gamma, x_u=1.0)
                 idx = BlottoIndex.from_params(p)
-                assert idx.is_odd
+                assert idx.q % 2
                 atoms = build_equilibrium(p).uninformed[0].atoms
                 assert atoms[idx.q // 2][1].hex() == (-informed_payoff(p)).hex()
 
@@ -391,7 +392,7 @@ class TestConstruction:
             for gamma in (0.68, 0.7, 0.72, 0.85):
                 p = params(vlow=vlow, gamma=gamma, x_u=1.0)
                 idx = BlottoIndex.from_params(p)
-                if not idx.is_odd:
+                if idx.q % 2 == 0:
                     continue
                 profile = build_equilibrium(p)
                 _, central = profile.uninformed[0].atoms[(idx.q - 1) // 2]
@@ -408,7 +409,9 @@ class TestConstruction:
         assert value == pytest.approx(informed_payoff(p), abs=1e-9)
 
     def test_even_q_unsupported(self):
-        with pytest.raises(UnsupportedCaseError, match="even"):
+        # gamma = 0.6 at X_U = 10: d = 4, q = 2; refused before any atom,
+        # with the step count named
+        with pytest.raises(OutOfRegimeError, match=r"^q = 2: .* only for odd q up to 100000 "):
             build_equilibrium(params(gamma=0.6))
 
     def test_lattice_limit(self):
@@ -417,7 +420,7 @@ class TestConstruction:
         # any atom, with the step count and the limit named
         p = params(vlow=0.9999, gamma=0.99998999995, x_u=1.0)
         assert len(build_equilibrium(p).uninformed[0].atoms) == 99999
-        with pytest.raises(OutOfRegimeError, match=r"q = 100001: .* at most q = 100000 "):
+        with pytest.raises(OutOfRegimeError, match=r"^q = 100001: .* only for odd q up to 100000 "):
             build_equilibrium(params(vlow=0.9999, gamma=0.99999000015, x_u=1.0))
 
     def test_offset_domain_checked(self):
@@ -441,3 +444,58 @@ class TestConstruction:
                 build_equilibrium(p, e=e)
         for e in (idx.r + 2.0 * tol, idx.d - 2.0 * tol):
             assert certify(build_equilibrium(p, e=e), p).passed
+
+
+# the largest float below 1; every value ratio in (0, 1) is drawn up to it
+_BELOW_ONE = 1.0 - 2.0**-53
+
+
+def unit_log_uniform():
+    """Floats from 1e-300 to the largest float below 1, log-uniform, with
+    both ends and the floats just below 1 drawn as themselves."""
+    return (st.sampled_from([1e-300, _BELOW_ONE, 1.0 - 2.0**-52, 1.0 - 2.0**-40])
+            | st.floats(-300.0, 0.0).map(lambda t: min(10.0**t, _BELOW_ONE)))
+
+
+def near(*anchors):
+    """Floats at a relative distance of 0, or of 1e-17 to 1e-6 log-uniform,
+    from one of the anchors: within rounding of it, and past rounding."""
+    rel = st.sampled_from([0.0]) | st.builds(
+        lambda sign, t: sign * 10.0**t, st.sampled_from([-1.0, 1.0]), st.floats(-17.0, -6.0)
+    )
+    return st.builds(lambda anchor, r: anchor * (1.0 + r), st.sampled_from(anchors), rel)
+
+
+def budgets():
+    return st.sampled_from([1e-300, 1e300]) | st.floats(-300.0, 300.0).map(lambda t: 10.0**t)
+
+
+@st.composite
+def blotto_params(draw):
+    """BlottoParams that ``from_ratio`` accepts, at a q of at most 400 or
+    past ``_MAX_LATTICE``, so that a build and its certificate take
+    milliseconds: gammas near 1/3, 1/2, 2/3, 3/4 (X_U/d near 4) and 1 (q in
+    the millions and past), and over (1/2, 1 - 1/400)."""
+    vlow = draw(unit_log_uniform())
+    gamma = draw(near(1 / 3, 1 / 2, 2 / 3, 3 / 4, 1.0 - 1e-6, _BELOW_ONE)
+                 | st.floats(0.5, 1.0 - 1.0 / 400.0))
+    p = BlottoParams.from_ratio(1.0, vlow, min(gamma, _BELOW_ONE), draw(budgets()))
+    if p.gamma < 1.0:
+        assume(not 400 < BlottoIndex.from_params(p).q <= _MAX_LATTICE)
+    return p
+
+
+# every lattice the builder does not build is refused with OutOfRegimeError,
+# and every one it builds certifies: no InvalidDistributionError, no bare
+# ValueError, no other exception
+@settings(max_examples=200, deadline=None)
+@given(blotto_params())
+@example(params(gamma=0.78))  # q = 4
+@example(params(vlow=0.9999, gamma=0.99999000015, x_u=1.0))  # q = 100001
+@example(params(gamma=0.7499999999999, x_u=1.0))  # q = 3, d - r = 4e-13
+def test_builder_refusals_are_out_of_regime(p):
+    try:
+        profile = build_equilibrium(p)
+    except OutOfRegimeError:
+        return
+    assert certify(profile, p).passed

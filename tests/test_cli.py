@@ -230,6 +230,10 @@ def test_other_game_flag_refused(capsys, tmp_path, command, game, flag):
          "--gamma", "0.7"],
         ["--game", "lotto3", "--axis", "gamma=0.1:0.9:3", "--gamma", "0.5", "--alpha", "0.5"],
         ["--game", "blotto2", "--axis", "alpha=0.1:0.9:3", "--vlow", "0.5", "--gamma", "0.7"],
+        # a column, as a parameter, is given once
+        ["--game", "lotto3", "--alpha", "0.5", "--gamma", "0.5", "--columns", "payoff,payoff"],
+        ["--game", "blotto2", "--vlow", "0.5", "--axis", "gamma=0.6:0.9:3",
+         "--columns", "voi,baseline,voi"],
     ],
 )
 def test_sweep_parameter_given_twice_refused(capsys, tmp_path, argv):
@@ -287,7 +291,7 @@ def sweep_specs(draw):
         fixed["cost"] = draw(st.floats(0.0, 0.99))
         # voi and max_cost need beta == alpha
         columns = ["payoff", "baseline", "info_gain"] + ["voi", "max_cost"] * (not has_beta)
-    columns = draw(st.lists(st.sampled_from(columns), min_size=1, max_size=4))
+    columns = draw(st.lists(st.sampled_from(columns), min_size=1, max_size=4, unique=True))
     return SweepSpec(game, tuple(axes), fixed, tuple(columns))
 
 
@@ -381,6 +385,10 @@ def test_sweep_near_largest_float(capsys, tmp_path):
         (["--vbar", "1", "--vlow", "1.5", "--axis", "gamma=0.6:0.9:4"], "1.5"),
         (["--vlow", "0.5", "--axis", "gamma=0.3:0.9:5"], "gamma = 0.3 "),
         (["--vbar", "1e200", "--vlow", "1", "--axis", "gamma=0.6:0.76:2"], "q = 4 "),
+        # a sweep with no column to print: "" and " , " name none
+        (["--vlow", "0.5", "--gamma", "0.7", "--columns", ""], "at least one column"),
+        (["--vlow", "0.5", "--axis", "gamma=0.6:0.9:3", "--columns", " , "],
+         "at least one column"),
     ],
 )
 def test_refused_blotto_sweep_names_the_value(capsys, tmp_path, argv, named):
@@ -402,7 +410,7 @@ def test_step_count_not_raised_far_from_an_integer(capsys):
     # an even q has no strategy construction: refused, not a failed certificate
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
-    assert err.startswith("error:") and "even" in err
+    assert err.startswith("error: q = 2: ") and "only for odd q up to 100000" in err
     assert out == ""
 
 
@@ -562,6 +570,20 @@ def test_offset_at_rounded_gap_exits_two(capsys, tmp_path, command):
     assert out == "" and err.startswith("error:") and "offset e = 0.3" in err
 
 
+@pytest.mark.parametrize("command", ["strategy", "verify", "simulate"])
+def test_default_offset_in_rounded_gap_exits_two(capsys, tmp_path, command):
+    # X_U/d = 3.9999999999984 is within rounding of 4, so (r, d) is 4e-13
+    # wide at q = 3: the midpoint, not an --e, is refused, and named so
+    path = tmp_path / "s.json"
+    extra = ["--out", str(path)] if command == "strategy" else []
+    code, out, err = run(
+        capsys, command, "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
+        "--gamma", "0.7499999999999", *extra,
+    )
+    assert code == 2 and out == "" and not path.exists()
+    assert err.startswith("error: q = 3: the default offset, the midpoint e = ")
+
+
 def perturbed_strategy_file(capsys, tmp_path):
     path = tmp_path / "strat.json"
     run(
@@ -639,12 +661,13 @@ class TestStrategyAndVerify:
         assert err.startswith("error: malformed strategy file") and out == ""
 
     def test_strategy_even_q_rejected(self, capsys, tmp_path):
-        code, _, err = run(
+        path = tmp_path / "x.json"
+        code, out, err = run(
             capsys, "strategy", "--game", "blotto2", "--vbar", "1", "--vlow", "0.5",
-            "--gamma", "0.6", "--out", str(tmp_path / "x.json"),
+            "--gamma", "0.6", "--out", str(path),
         )
-        assert code == 2
-        assert "even" in err
+        assert code == 2 and out == "" and not path.exists()
+        assert err.startswith("error: q = 2: ") and "only for odd q up to 100000" in err
 
     def test_verify_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--strategy", str(tmp_path / "none.json"))
@@ -1242,7 +1265,7 @@ def test_lattice_past_limit_exits_two(tmp_path, command):
     report = _fresh_interpreter(_LATTICE_PROBE, calls)
     for (code, out, err), (_, _, q) in zip(report, _PAST_LATTICE_LIMIT):
         assert code == 2 and out == "", (q, out, err)
-        assert err.startswith(f"error: q = {q}: ") and "at most q = 100000 atoms" in err
+        assert err.startswith(f"error: q = {q}: ") and "only for odd q up to 100000 " in err
     assert not out_path.exists()
 
 

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infoblotto import (
@@ -28,6 +28,8 @@ from infoblotto.lotto3 import (
     voi,
     zero_crossing_alpha,
 )
+from infoblotto.oracle import certify
+from tests.test_blotto2 import budgets, near, unit_log_uniform
 
 
 def interim_equivalence_check(alpha, beta, gamma, budget_uninformed=1.0, tol=1e-9):
@@ -379,6 +381,31 @@ def test_stacked_rule_matches_per_regime_tables(params):
         for j in range(3):
             assert_same_marginal(profile.informed[i][j], by_value[(j - i) % 3])
         assert_same_marginal(profile.uninformed[i], f_u)
+
+
+@st.composite
+def wide_lotto_params(draw):
+    """LottoParams over the whole accepted domain: alpha >= beta from 1e-300
+    to the largest float below 1, gammas near 1/3, 1/2, 2/3 and 1 and over
+    (0, 1], and budgets from 1e-300 to 1e300."""
+    alpha, beta = sorted((draw(unit_log_uniform()), draw(unit_log_uniform())), reverse=True)
+    gamma = draw(near(1 / 3, 1 / 2, 2 / 3, 1.0) | unit_log_uniform())
+    return LottoParams(alpha, beta, min(gamma, 1.0), draw(budgets()))
+
+
+# every profile the builder refuses is refused with OutOfRegimeError, and
+# every one it builds certifies: no InvalidDistributionError, no bare
+# ValueError, no other exception
+@settings(max_examples=200, deadline=None)
+@given(wide_lotto_params())
+@example(LottoParams(1e-300, 1e-300, 1.0))  # a density overflows
+@example(LottoParams(1.0 - 2.0**-53, 1.0 - 2.0**-53, 0.9, 1e300))
+def test_builder_refusals_are_out_of_regime(params):
+    try:
+        profile = build_equilibrium(params)
+    except OutOfRegimeError:
+        return
+    assert certify(profile, params).passed
 
 
 class TestZeroCrossing:

@@ -12,6 +12,7 @@ without the subtraction.
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,21 @@ def exact_info_gain(alpha, beta, gamma):
 def exact_lotto_voi(alpha, gamma, cost):
     reduced = (1 - Fraction(cost)) * Fraction(gamma)
     return exact_lotto_payoff(alpha, alpha, reduced) - (Fraction(gamma) - 1)
+
+
+def exact_max_cost(alpha, gamma):
+    """``lotto3.max_cost`` of the float inputs in 50 digits, as a Fraction:
+    (gamma - gamma_e)/gamma, with gamma_e the root of the quadratic, or the
+    linear equation's below 1/3.  The root has a square root, so no Fraction
+    gives it exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, g = Decimal(alpha), Decimal(gamma)
+        c_a = 1 / (1 + 2 * a)
+        a_term = 2 * (1 - a) * c_a - g
+        root = ((a_term**2 + 4 * c_a**2 * a * (1 - a)).sqrt() - a_term) / (6 * a * c_a)
+        reduced = root if 3 * root >= 1 else g * (1 + 2 * a) / 3
+        return Fraction((g - reduced) / g)
 
 
 def correctly_rounded(x):
@@ -105,16 +121,20 @@ def test_blotto_voi_within_four_ulp_of_one():
 
 def test_lotto_gains_within_four_ulp_of_one():
     regimes = set()
-    worst_gain = worst_voi = Fraction(0)
+    worst_gain = worst_voi = worst_cost = Fraction(0)
     for alpha, beta, gamma, cost in lotto_points(3000, seed=2):
         regimes.add(lotto3.regime_of(gamma))
         gain = lotto3.info_gain(alpha, beta, gamma)
         worst_gain = max(worst_gain, abs(Fraction(gain) - exact_info_gain(alpha, beta, gamma)))
         value = lotto3.voi(alpha, gamma, cost)
         worst_voi = max(worst_voi, abs(Fraction(value) - exact_lotto_voi(alpha, gamma, cost)))
+        # gamma times the largest cost is gamma minus the reduced ratio
+        miss = Fraction(lotto3.max_cost(alpha, gamma)) - exact_max_cost(alpha, gamma)
+        worst_cost = max(worst_cost, abs(miss) * Fraction(gamma))
     assert regimes == {"low", "mid", "high"}
     assert worst_gain <= TOLERANCE, float(worst_gain / TOLERANCE)
     assert worst_voi <= TOLERANCE, float(worst_voi / TOLERANCE)
+    assert worst_cost <= TOLERANCE, float(worst_cost / TOLERANCE)
 
 
 @pytest.mark.parametrize("xu", ["1", "10"])
@@ -131,8 +151,10 @@ def test_blotto_voi_just_below_a_midpoint(capsys, xu):
     assert format(math.nextafter(value, 1.0), ".12g") == "0.0399999999996"
 
 
-# the value of information cancels to 0 where it is far below ulp(1)
-@pytest.mark.xfail(strict=True, reason="a payoff minus a baseline cancels")
+# a gain cancels where it is far below ulp(1): the value of information to
+# 0, and at alpha = beta = 1 - 2**-53 the information gain to 0 and the
+# largest cost, gamma minus the reduced ratio, to a negative number
+@pytest.mark.xfail(strict=True, reason="a difference of two rounded near-equal terms cancels")
 @pytest.mark.parametrize(
     "argv,key,exact",
     [
@@ -142,8 +164,13 @@ def test_blotto_voi_just_below_a_midpoint(capsys, xu):
          "info_gain", exact_info_gain(0.5, 0.5, 1e-20)),
         (["--game", "lotto3", "--alpha", "0.5", "--gamma", "1e-20", "--cost", "0.1"],
          "voi", exact_lotto_voi(0.5, 1e-20, 0.1)),
+        (["--game", "lotto3", "--alpha", "0.9999999999999999", "--gamma", "0.9"],
+         "info_gain", exact_info_gain(1.0 - 2.0**-53, 1.0 - 2.0**-53, 0.9)),
+        (["--game", "lotto3", "--alpha", "0.9999999999999999", "--gamma", "0.9"],
+         "max_cost", exact_max_cost(1.0 - 2.0**-53, 0.9)),
     ],
-    ids=["blotto2-voi", "lotto3-info_gain", "lotto3-voi"],
+    ids=["blotto2-voi", "lotto3-info_gain", "lotto3-voi", "lotto3-info_gain-alpha-near-1",
+         "lotto3-max_cost-alpha-near-1"],
 )
 def test_gain_far_below_ulp_of_one_is_printed(capsys, argv, key, exact):
     assert exact > 0
