@@ -15,7 +15,8 @@ builds them for q up to 10^5 and refuses any other q with ``OutOfRegimeError``
 (the payoff formula covers every q).  Below gamma = 1/2 the stronger player
 secures both battlefields and the game is trivial.  The step count q, the
 normalised values and the payoff with its gain over -1/q at a point each have
-one private function, shared by the public forms, the sweep grid and the builder.
+one private function, shared by the public forms, ``closed_forms`` (what
+``payoff`` and ``sweep`` print) and the builder.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ class BlottoParams(_Frozen):
     writes it and ``BlottoParams(**record)`` reads it.  The budgets are
     checked first: finite, with 0 < X_I <= X_U."""
 
+    game = "blotto2"
     _fields = ("vbar", "vlow", "budget_informed", "budget_uninformed")
     prior = Prior.uniform(2)
 
@@ -93,6 +95,15 @@ class BlottoParams(_Frozen):
         if not 0.0 < gamma < 1.0:
             raise OutOfRegimeError(f"budget ratio {gamma} outside (0, 1)")
         return BlottoParams(vbar, vlow, gamma * x_uninformed, x_uninformed)
+
+    @staticmethod
+    def from_point(point):
+        """The params at a point of flags: vbar, vlow, gamma, xu (default 1)."""
+        return BlottoParams.from_ratio(point["vbar"], point["vlow"], point["gamma"],
+                                       point.get("xu", 1.0))
+
+    def claimed_value(self):
+        return informed_payoff(self)
 
     @property
     def gamma(self):
@@ -188,23 +199,36 @@ def informed_payoff(params: BlottoParams) -> float:
     return _point(params.vbar, params.vlow, BlottoIndex.from_params(params).q)[0]
 
 
-def informed_payoff_grid(vbar, vlow, gamma):
-    """(informed_payoff, q, gross_wagner_payoff, value_of_information) at
-    every point of broadcast arrays, for budgets (gamma, 1): the scalar
-    forms per point, so each value, and each refusal, is the scalar path's."""
-    import numpy as np
-
-    vbar, vlow, gamma = np.broadcast_arrays(vbar, vlow, gamma)
-    shape = vbar.shape
-    vbar, vlow, gamma = vbar.ravel().tolist(), vlow.ravel().tolist(), gamma.ravel().tolist()
-    # every point's domain first, as BlottoParams and informed_payoff check it
+def closed_forms(point, names=None):
+    """Payoff, q, d, r, baseline (``gross_wagner_payoff``) and voi, or the
+    ``names`` among them, at ``point``: vbar, vlow and gamma, floats or
+    broadcast arrays (then each value is flat, row-major), and xu (default 1).
+    Every point's domain is checked first, as ``BlottoParams`` does; then
+    each goes through ``_point``, so each value and refusal is the scalar's."""
+    values = [point[key] for key in ("vbar", "vlow", "gamma")]
+    arrays = any(getattr(value, "ndim", 0) for value in values)
+    if arrays:
+        import numpy as np
+        values = [a.ravel().tolist() for a in np.broadcast_arrays(*values)]
+    vbar, vlow, gamma = values if arrays else ([value] for value in values)
+    xu = point.get("xu", 1.0)
     for high, low in zip(vbar, vlow):
         _require_values(high, low)
-    for g in gamma:
-        _require_payoff_regime(g)
-    q = [_step_count(1.0 / (1.0 - g)) for g in gamma]
-    points = np.fromiter(chain.from_iterable(map(_point, vbar, vlow, q)), float).reshape(*shape, 3)
-    return points[..., 0], np.reshape(q, shape), points[..., 1], points[..., 2]
+    x_i = [g * xu for g in gamma]  # as BlottoParams.from_ratio forms it
+    for budget in x_i:
+        _require_payoff_regime(budget / xu)
+    # BlottoIndex.from_params at every point, r only where it is asked for
+    d = [xu - budget for budget in x_i]
+    q = [_step_count(xu / gap) for gap in d]
+    points = map(_point, vbar, vlow, q)
+    if arrays:  # one float array, as three columns
+        points = np.fromiter(chain.from_iterable(points), float).reshape(-1, 3).T
+    payoff, baseline, voi = points if arrays else zip(*points)
+    columns = dict(payoff=payoff, q=q, d=d, baseline=baseline, voi=voi)
+    names = names or ("payoff", "q", "d", "r", "baseline", "voi")
+    if "r" in names:
+        columns["r"] = [max(xu - k * gap, 0.0) for k, gap in zip(q, d)]
+    return {name: columns[name] if arrays else columns[name][0] for name in names}
 
 
 def gross_wagner_payoff(q: int) -> float:

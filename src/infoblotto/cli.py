@@ -16,6 +16,7 @@ parser or of a malformed ``--axis`` loads no game module.
 """
 
 import argparse
+import importlib
 import math
 import sys
 from collections import namedtuple
@@ -49,22 +50,33 @@ def _write(path, text):
 # Parameter assembly
 # ---------------------------------------------------------------------------
 
-# the flags each game reads; the other game's flags are refused, and so are
-# those a subcommand does not read (sweep reads --cost for its voi column)
-_GAME_FLAGS = {
-    "blotto2": ("vbar", "vlow", "gamma", "xu", "e"),
-    "lotto3": ("alpha", "beta", "gamma", "xu", "cost"),
+# Each game's facts, as plain data, so that a refusal from the parser or of a
+# malformed --axis loads no game module: its params class; the flags it
+# reads, which key its points (the other game's flags are refused, and so
+# are those a subcommand does not read: sweep reads --cost for its voi
+# column); the flags a point needs and those its builder reads; its sweep
+# axes, each naming the parameter it sweeps; its sweep columns; and the
+# values a sweep starts from
+_GAMES = {
+    "blotto2": dict(params="BlottoParams", flags=("vbar", "vlow", "gamma", "xu", "e"),
+                    needs=("vbar", "vlow", "gamma"), build=("e",),
+                    axes={"vlow": "vlow", "alpha": "vlow", "gamma": "gamma"},
+                    columns=("payoff", "baseline", "voi"), start={"vbar": 1.0}),
+    "lotto3": dict(params="LottoParams", flags=("alpha", "beta", "gamma", "xu", "cost"),
+                   needs=("alpha", "gamma"), build=(),
+                   axes={"alpha": "alpha", "beta": "beta", "gamma": "gamma"},
+                   columns=("payoff", "baseline", "info_gain", "voi", "max_cost"), start={}),
 }
 _UNREAD_FLAGS = dict(sweep=("xu",), strategy=("cost",), verify=("cost",), simulate=("cost",))
 
 
 def _refuse_unread_flags(args):
-    every = set().union(*_GAME_FLAGS.values())
+    every = {name for facts in _GAMES.values() for name in facts["flags"]}
     if getattr(args, "strategy", None) is not None:
         # the file fixes every game parameter; only --game may be repeated
         checks = [(every, "cannot be given with --strategy")]
     else:
-        other = every - set(_GAME_FLAGS.get(args.game, every))
+        other = every - set(_GAMES[args.game]["flags"] if args.game else every)
         checks = [
             (other, f"does not apply to game {args.game}"),
             (_UNREAD_FLAGS.get(args.command, ()), f"does not apply to {args.command}"),
@@ -75,36 +87,30 @@ def _refuse_unread_flags(args):
             raise ValueError(f"{', '.join(given)} {reason}")
 
 
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n) is None]
+def _point(args):
+    """The game flags given in ``args``, by name."""
+    flags = _GAMES[args.game]["flags"]
+    return {name: getattr(args, name) for name in flags if getattr(args, name, None) is not None}
+
+
+def _game(name):
+    return importlib.import_module(f"{__package__}.{name}")
+
+
+def _params(args):
+    """(game module, params, point) of the game flags in ``args``."""
+    point = _point(args)
+    missing = ", ".join("--" + n for n in _GAMES[args.game]["needs"] if n not in point)
     if missing:
-        flags = ", ".join("--" + n for n in missing)
-        raise ValueError(f"game {args.game} requires {flags}")
-
-
-def _blotto_params(args):
-    from . import blotto2
-    _require(args, ["vbar", "vlow", "gamma"])
-    xu = args.xu if args.xu is not None else 1.0
-    return blotto2.BlottoParams.from_ratio(args.vbar, args.vlow, args.gamma, xu)
-
-
-def _lotto_params(args):
-    from . import lotto3
-    _require(args, ["alpha", "gamma"])
-    beta = args.beta if args.beta is not None else args.alpha
-    xu = args.xu if args.xu is not None else 1.0
-    return lotto3.LottoParams(args.alpha, beta, args.gamma, xu)
+        raise ValueError(f"game {args.game} requires {missing}")
+    game = _game(args.game)
+    return game, getattr(game, _GAMES[args.game]["params"]).from_point(point), point
 
 
 def _build_profile(args):
-    if args.game == "blotto2":
-        from . import blotto2
-        params = _blotto_params(args)
-        return params, blotto2.build_equilibrium(params, e=args.e)
-    from . import lotto3
-    params = _lotto_params(args)
-    return params, lotto3.build_equilibrium(params)
+    game, params, point = _params(args)
+    build = {name: point[name] for name in _GAMES[args.game]["build"] if name in point}
+    return params, game.build_equilibrium(params, **build)
 
 
 def _load_strategy(path):
@@ -121,12 +127,9 @@ def _load_strategy(path):
         raise ValueError(f"malformed strategy file {path}: {exc}") from exc
     try:
         game = data["game"]
-        if game not in _GAME_FLAGS:
+        if game not in _GAMES:
             raise ValueError(f"unknown game {game!r}")
-        if game == "blotto2":
-            from .blotto2 import BlottoParams as params_class
-        else:
-            from .lotto3 import LottoParams as params_class
+        params_class = getattr(_game(game), _GAMES[game]["params"])
         record, names = data["params"], list(params_class._fields)
         if set(record) != set(names):
             raise TypeError(f"params {sorted(record)}, expected {names}")
@@ -138,51 +141,21 @@ def _load_strategy(path):
 
 
 # ---------------------------------------------------------------------------
-# payoff
+# payoff and sweep: each reads its game's closed_forms
 # ---------------------------------------------------------------------------
 
 
 def cmd_payoff(args):
-    if args.game == "blotto2":
-        from . import blotto2
-        params = _blotto_params(args)
-        idx = blotto2.BlottoIndex.from_params(params)
-        record = {"game": "blotto2", "pi_informed": blotto2.informed_payoff(params), "q": idx.q,
-                  "d": idx.d, "r": idx.r, "baseline": blotto2.gross_wagner_payoff(idx.q),
-                  "voi": blotto2.value_of_information(params)}
-    else:
-        from . import lotto3
-        params = _lotto_params(args)
-        a, b, g = params.alpha, params.beta, params.gamma
-        lam_i, lam_u = lotto3.multipliers(a, b, g, params.budget_uninformed)
-        record = {"game": "lotto3", "pi_informed": lotto3.informed_payoff(a, b, g),
-                  "regime": lotto3.regime_of(g), "lambda_informed": lam_i,
-                  "lambda_uninformed": lam_u, "baseline": lotto3.complete_info_baseline(g),
-                  "info_gain": lotto3.info_gain(a, b, g)}
-        if a == b:
-            record["max_cost"] = lotto3.max_cost(a, g)
-            if args.cost is not None:
-                record["voi"] = lotto3.voi(a, g, args.cost)
-        elif args.cost is not None:
-            raise ValueError("--cost applies only to the symmetric case beta == alpha")
-    return record, 0
-
-
-# ---------------------------------------------------------------------------
-# sweep
-# ---------------------------------------------------------------------------
+    game, _, point = _params(args)  # the params check the point
+    record = game.closed_forms(point)
+    return {"game": args.game, "pi_informed": record.pop("payoff"), **record}, 0
 
 
 # an axis: its parameter name, lo and hi (floats) and steps (an int); a spec:
-# the game, a tuple of axes, a dict of fixed values and a tuple of columns
+# the game, a tuple of axes, a dict of fixed values (over the game's starting
+# values) and a tuple of columns
 SweepAxis = namedtuple("SweepAxis", "name lo hi steps")
 SweepSpec = namedtuple("SweepSpec", "game axes fixed columns")
-
-
-_BLOTTO_AXES = {"vlow", "alpha", "gamma"}
-_LOTTO_AXES = {"alpha", "beta", "gamma"}
-_BLOTTO_COLUMNS = ("payoff", "baseline", "voi")
-_LOTTO_COLUMNS = ("payoff", "baseline", "info_gain", "voi", "max_cost")
 
 
 def _parse_axis(text):
@@ -201,62 +174,39 @@ def _parse_axis(text):
     return axis
 
 
-def _blotto_columns(point, columns):
-    from . import blotto2
-    grid = blotto2.informed_payoff_grid(point["vbar"], point["vlow"], point["gamma"])
-    return dict(zip(("payoff", "q", "baseline", "voi"), grid))
-
-
-def _lotto_columns(point, columns):
-    import numpy as np
-    from . import lotto3
-    alpha, gamma = point["alpha"], point["gamma"]
-    beta = point.get("beta", alpha)
-    out = {"payoff": lotto3.informed_payoff(alpha, beta, gamma)}
-    for col in ("voi", "max_cost"):
-        if col in columns and np.any(beta != alpha):
-            raise ValueError(f"column {col} requires beta == alpha")
-    forms = {"baseline": lambda: lotto3.complete_info_baseline(gamma),
-             "info_gain": lambda: lotto3.info_gain(alpha, beta, gamma),
-             "voi": lambda: lotto3.voi(alpha, gamma, point.get("cost", 0.0)),
-             "max_cost": lambda: lotto3.max_cost(alpha, gamma)}
-    return dict(out, **{col: form() for col, form in forms.items() if col in columns})
-
-
 def sweep_table(spec: SweepSpec):
     """(header, rows) of the grid sweep, row-major over the axes in order.
 
-    The grid is built once, and each column is evaluated over all of it:
-    by the ``lotto3`` closed forms over arrays, and by the scalar Blotto
-    closed form point by point.  Fixed values are checked at every point, and
-    every cell is the value of the closed form at its point, bit for bit.  Each
-    row is one ``%.12g`` template, which prints every cell as ``_fmt`` does.
+    The grid is built once, and the game's ``closed_forms`` evaluates each
+    column over all of it: the ``lotto3`` forms over arrays, the Blotto form
+    point by point.  Fixed values, over the game's starting values, are
+    checked at every point, and every cell is the value of the closed form
+    at its point, bit for bit.  Each row is one ``%.12g`` template, which
+    prints every cell as ``_fmt`` does.
     """
     import numpy as np
 
-    allowed_axes = _BLOTTO_AXES if spec.game == "blotto2" else _LOTTO_AXES
-    allowed_cols = _BLOTTO_COLUMNS if spec.game == "blotto2" else _LOTTO_COLUMNS
+    facts = _GAMES[spec.game]
     for axis in spec.axes:
-        if axis.name not in allowed_axes:
+        if axis.name not in facts["axes"]:
             raise ValueError(f"unknown axis {axis.name!r} for game {spec.game}")
     if not spec.columns:
         raise ValueError("a sweep needs at least one column")
     for col in spec.columns:
-        if col not in allowed_cols:
+        if col not in facts["columns"]:
             raise ValueError(f"unknown column {col!r} for game {spec.game}")
         if spec.columns.count(col) > 1:
             raise ValueError(f"column {col} is given more than once")
     if len(spec.axes) > 2:
         raise ValueError("at most two sweep axes are supported")
 
-    names = [ax.name for ax in spec.axes]
-    if spec.game == "blotto2":
-        names = ["vlow" if n == "alpha" else n for n in names]
-    given = names + list(spec.fixed)
+    names = [facts["axes"][ax.name] for ax in spec.axes]
+    fixed = dict(facts["start"], **spec.fixed)
+    given = names + list(fixed)
     for name in names:
         if given.count(name) > 1:
             raise ValueError(f"parameter {name} is given more than once")
-    for name in ("vlow", "gamma") if spec.game == "blotto2" else ("alpha", "gamma"):
+    for name in facts["needs"]:
         if name not in given:
             raise ValueError(f"parameter {name} needs either an axis or a fixed value")
     header = ",".join(names + list(spec.columns))
@@ -269,10 +219,8 @@ def sweep_table(spec: SweepSpec):
     except (MemoryError, ValueError):
         axes = " x ".join(f"{ax.name} ({ax.steps} steps)" for ax in spec.axes)
         raise ValueError(f"sweep axes {axes}: {size} points do not fit in memory") from None
-    point = dict(spec.fixed, **{n: g.ravel() for n, g in zip(names, grids)})
-    columns = (_blotto_columns if spec.game == "blotto2" else _lotto_columns)(
-        point, spec.columns
-    )
+    point = dict(fixed, **{n: g.ravel() for n, g in zip(names, grids)})
+    columns = _game(spec.game).closed_forms(point, spec.columns)
     cells = [point[n] for n in names] + [columns[c] for c in spec.columns]
     template = ",".join(["%.12g"] * len(cells))
     values = zip(*(np.broadcast_to(v, size).tolist() for v in cells))
@@ -284,11 +232,7 @@ def cmd_sweep(args):
     if args.cost is not None and "voi" not in columns:
         raise ValueError("--cost applies only to the voi column")
     axes = tuple(_parse_axis(a) for a in args.axis or ())
-    fixed = {"vbar": 1.0} if args.game == "blotto2" else {}
-    for name in _GAME_FLAGS[args.game]:
-        if getattr(args, name, None) is not None:
-            fixed[name] = getattr(args, name)
-    spec = SweepSpec(game=args.game, axes=axes, fixed=fixed, columns=columns)
+    spec = SweepSpec(game=args.game, axes=axes, fixed=_point(args), columns=columns)
     header, rows = sweep_table(spec)
     _write(args.out, "\n".join([header] + rows) + "\n")
     return f"wrote {len(rows)} rows to {args.out}", 0
@@ -334,7 +278,7 @@ def cmd_simulate(args):
     mean, std_error = oracle.monte_carlo_value(
         profile, params.valuation_matrix, params.prior, args.samples, args.seed
     )
-    claimed = oracle.claimed_value(params)
+    claimed = params.claimed_value()
     # with no spread, any miss is infinite
     miss = abs(mean - claimed)
     z = miss / std_error if std_error > 0.0 else (math.inf if miss else 0.0)
@@ -348,9 +292,7 @@ def cmd_simulate(args):
 
 
 def _add_game_options(sub, require_game=True):
-    sub.add_argument(
-        "--game", choices=("blotto2", "lotto3"), required=require_game
-    )
+    sub.add_argument("--game", choices=tuple(_GAMES), required=require_game)
     sub.add_argument("--vbar", type=float, default=None, help="major battlefield value")
     sub.add_argument("--vlow", type=float, default=None, help="minor battlefield value")
     sub.add_argument("--alpha", type=float, default=None)

@@ -19,7 +19,8 @@ auctions, which is what the oracle module certifies; the payoff branches
 above are exactly the values those marginals realize, agree at the regime
 boundaries, and the mid and high branches coincide when beta = alpha.
 The payoff, gain and value-of-information forms evaluate at a point or at
-every point of broadcast arrays, by the same IEEE operations.
+every point of broadcast arrays, by the same IEEE operations; ``closed_forms``
+gives them by name, as ``payoff`` and ``sweep`` print them.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ from .games import (
     ValuationMatrix,
     _require_finite,
 )
-
-# atoms whose closed-form mass vanishes at a regime boundary are dropped
-_ATOM_DROP_TOL = 5e-13
 
 
 def _square(x):
@@ -96,6 +94,7 @@ class LottoParams(_Frozen):
     """Instance of the cyclic three-battlefield game.  The fields are a
     strategy file's ``params`` record, in order."""
 
+    game = "lotto3"
     _fields = ("alpha", "beta", "gamma", "budget_uninformed")
     prior = Prior.uniform(3)
 
@@ -108,6 +107,16 @@ class LottoParams(_Frozen):
         _validate_gamma(self.gamma)
         if self.budget_uninformed <= 0.0:
             raise ValueError(f"budget must be positive, got {self.budget_uninformed}")
+
+    @staticmethod
+    def from_point(point):
+        """The params at a point of flags: alpha, beta (default alpha), gamma,
+        xu (default 1)."""
+        alpha = point["alpha"]
+        return LottoParams(alpha, point.get("beta", alpha), point["gamma"], point.get("xu", 1.0))
+
+    def claimed_value(self):
+        return informed_payoff(self.alpha, self.beta, self.gamma)
 
     @property
     def scale(self):
@@ -137,19 +146,19 @@ def regime_of(gamma) -> str:
 # ---------------------------------------------------------------------------
 
 
-def payoff_low_branch(alpha, beta, gamma):
+def _payoff_low_branch(alpha, beta, gamma):
     """Closed form valid on gamma in (0, 1/3]."""
     return 3.0 * gamma / (1.0 + alpha + beta) - 1.0
 
 
-def payoff_mid_branch(alpha, beta, gamma):
+def _payoff_mid_branch(alpha, beta, gamma):
     """Closed form valid on gamma in (1/3, 2/3]."""
     c = 1.0 / (1.0 + alpha + beta)
     bracket = (1.0 - 1.0 / (3.0 * gamma)) * (3.0 * gamma * alpha + 1.0 - alpha) + 1.0
     return c * bracket - 1.0
 
 
-def payoff_high_branch(alpha, beta, gamma):
+def _payoff_high_branch(alpha, beta, gamma):
     """Closed form valid on gamma in (2/3, 1]."""
     c = 1.0 / (1.0 + alpha + beta)
     bracket = (
@@ -168,7 +177,7 @@ def informed_payoff(alpha, beta, gamma):
     _validate_gamma(gamma)
     low, mid, high = (
         partial(branch, alpha, beta, gamma)
-        for branch in (payoff_low_branch, payoff_mid_branch, payoff_high_branch)
+        for branch in (_payoff_low_branch, _payoff_mid_branch, _payoff_high_branch)
     )
     return _pick(gamma <= 1.0 / 3.0, low, lambda: _pick(gamma <= 2.0 / 3.0, mid, high))
 
@@ -218,8 +227,8 @@ def multipliers(alpha, beta, gamma, budget_uninformed=1.0) -> tuple[float, float
 
 def _marginal(mass, segments):
     """An atom of ``mass`` at zero and the ``segments``, less an atom or a
-    piece that vanishes, up to rounding, at a regime edge."""
-    atoms = ((0.0, mass),) if mass > _ATOM_DROP_TOL else ()
+    piece that vanishes at a regime edge."""
+    atoms = ((0.0, mass),) if mass > 0.0 else ()
     return PiecewiseCdf(atoms=atoms, segments=[s for s in segments if s[1] > s[0]])
 
 
@@ -233,8 +242,9 @@ def build_equilibrium(params: LottoParams) -> StrategyProfile:
     others in increasing value, of length L*v/lambda_U.  The informed
     marginal of v is uniform on the same piece with density
     3*lambda_U/(2*v*c); the least valued one keeps mass k - lambda_U/lambda_I
-    at zero, and an uncontested battlefield is an atom at zero.  In state i
-    battlefield j has value index (j - i) mod 3.
+    = k - 3*gamma at zero, formed as the latter so that no rounding of the
+    multipliers moves it at a regime edge, and an uncontested battlefield is
+    an atom at zero.  In state i battlefield j has value index (j - i) mod 3.
     """
     a, b, g = params.alpha, params.beta, params.gamma
     c = params.scale
@@ -247,20 +257,21 @@ def build_equilibrium(params: LottoParams) -> StrategyProfile:
     lengths += [v / lam_u for v in values[-2::-1]]
     ends = [2.0 * c / 3.0 * end for end in accumulate(lengths)]
     pieces = list(zip([0.0, *ends], ends))[::-1]  # pieces[j] carries values[j]
-    s_u = [(lo, hi, 3.0 * lam_i / (2.0 * v * c)) for (lo, hi), v in zip(pieces, values)]
-    s_i = [(lo, hi, 3.0 * lam_u / (2.0 * v * c)) for (lo, hi), v in zip(pieces, values)]
+    # each density divides by v last: 2*v*c would round a subnormal v
+    s_u = [(lo, hi, 3.0 * lam_i / (2.0 * c) / v) for (lo, hi), v in zip(pieces, values)]
+    s_i = [(lo, hi, 3.0 * lam_u / (2.0 * c) / v) for (lo, hi), v in zip(pieces, values)]
     if not all(math.isfinite(x) for seg in s_u + s_i for x in seg):
         # a density is 3 lambda/(2 v c), and lambda X_U does not depend on
         # X_U: a valuation is at fault where its density overflows at X_U = 1
         x_u = params.budget_uninformed
         lam = max(lam_i, lam_u) * x_u
         fault = next((f"valuation {name} = {v!r}" for name, v in zip(("alpha", "beta"), values[1:])
-                      if 3.0 * lam / (2.0 * v * c) == math.inf), f"uninformed budget {x_u!r}")
+                      if 3.0 * lam / (2.0 * c) / v == math.inf), f"uninformed budget {x_u!r}")
         raise OutOfRegimeError(
             f"{fault} is out of range: a density or a location of the equilibrium "
             "marginals is not finite"
         )
-    zero_mass = [0.0] * (k - 1) + [k - lam_u / lam_i]
+    zero_mass = [0.0] * (k - 1) + [k - 3.0 * g]
     by_value = [_marginal(m, [seg]) for m, seg in zip(zero_mass, s_i)]
     by_value += [_marginal(1.0, [])] * (3 - k)
     return StrategyProfile(
@@ -334,3 +345,30 @@ def voi(alpha, gamma, cost):
     reduced = (1.0 - cost) * gamma
     _check(reduced > 0.0, ValueError, "reduced budget ratio must be positive")
     return informed_payoff(alpha, alpha, reduced) - baseline
+
+
+def closed_forms(point, names=None):
+    """The payoff, which checks the domain, and the ``names`` among
+    baseline, info_gain, max_cost and voi (at cost, default 0; both need
+    beta == alpha) at ``point``: alpha, gamma, beta (default alpha), cost,
+    floats or broadcast arrays.  With no ``names``, at one point, what
+    ``payoff`` prints: the regime and multipliers (at xu, default 1), then
+    max_cost where beta == alpha and voi where a cost is given."""
+    alpha, gamma = point["alpha"], point["gamma"]
+    beta, cost = point.get("beta", alpha), point.get("cost")
+    out = {"payoff": informed_payoff(alpha, beta, gamma)}
+    if names is None:
+        lam_i, lam_u = multipliers(alpha, beta, gamma, point.get("xu", 1.0))
+        out.update(regime=regime_of(gamma), lambda_informed=lam_i, lambda_uninformed=lam_u)
+        if cost is not None and beta != alpha:
+            raise ValueError("--cost applies only to the symmetric case beta == alpha")
+        names = ["baseline", "info_gain"] + ["max_cost"] * (beta == alpha)
+        names += ["voi"] * (cost is not None)
+    for name in ("voi", "max_cost"):
+        if name in names:
+            _check(beta == alpha, ValueError, f"column {name} requires beta == alpha")
+    forms = {"baseline": lambda: complete_info_baseline(gamma),
+             "info_gain": lambda: info_gain(alpha, beta, gamma),
+             "voi": lambda: voi(alpha, gamma, 0.0 if cost is None else cost),
+             "max_cost": lambda: max_cost(alpha, gamma)}
+    return dict(out, **{name: forms[name]() for name in names if name != "payoff"})

@@ -29,7 +29,6 @@ an atom past the budget is a budget residual.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 
 from . import games
@@ -173,7 +172,9 @@ def lotto_support_optimality(
     serve its 12 slots.  A scan reads nothing but its marginal and terms,
     so each slot's slack is the one scanning that slot gives.
     """
-    lam_i, lam_u = _game_of(params)[1].multipliers(
+    from . import lotto3  # loaded with the params; read at each call
+
+    lam_i, lam_u = lotto3.multipliers(
         params.alpha, params.beta, params.gamma, params.budget_uninformed
     )
     vals = params.valuation_matrix.values
@@ -221,7 +222,7 @@ def _reflection_mismatch(f_first, f_second, budget, unit):
     # budget - x of each atom of f_first, read from the right, against the
     # atoms of f_second; locations in units of ``unit``, masses as they are
     if f_first.segments or f_second.segments or len(f_first.atoms) != len(f_second.atoms):
-        return math.inf
+        return 1.0  # the whole mass is unmatched
     return max(
         max(abs((budget - la) - lb) / unit, abs(ma - mb))
         for (la, ma), (lb, mb) in zip(reversed(f_first.atoms), f_second.atoms)
@@ -235,7 +236,7 @@ def blotto_budget_residuals(profile: StrategyProfile, params: blotto2.BlottoPara
     atom is compared with X - x of its battlefield-1 atom directly, so no
     reflected marginal is built: a battlefield-1 atom past the budget X is a
     residual like any other, not a malformed marginal.  A segment, or atom
-    counts that differ, is an infinite residual."""
+    counts that differ, is no complement: a residual of 1, the whole mass."""
     x_i, x_u = params.budget_informed, params.budget_uninformed
     res_u = _reflection_mismatch(profile.uninformed[0], profile.uninformed[1], x_u, x_u)
     res_i = tuple(
@@ -339,31 +340,17 @@ class Certificate(namedtuple("Certificate", [
     __slots__ = ()
 
 
-def _game_of(params):
-    """(name, module) of the game of ``params``.  The module of its class is
-    loaded, so only loaded games are asked, and no game is imported here."""
-    for game, params_class in (("blotto2", "BlottoParams"), ("lotto3", "LottoParams")):
-        module = sys.modules.get(f"{__package__}.{game}")
-        if isinstance(params, getattr(module, params_class, ())):
-            return game, module
-    raise TypeError(f"unsupported params type: {type(params).__name__}")
-
-
-def claimed_value(params):
-    """The informed player's closed-form ex-ante payoff for ``params``."""
-    game, module = _game_of(params)
-    if game == "blotto2":
-        return module.informed_payoff(params)
-    return module.informed_payoff(params.alpha, params.beta, params.gamma)
+# each game's scan and budget check, read by name from the module at each call
+_CHECKS = {"blotto2": ("blotto_deviation_gaps", "blotto_budget_residuals"),
+           "lotto3": ("lotto_support_optimality", "lotto_budget_residuals")}
 
 
 def certify(profile: StrategyProfile, params) -> Certificate:
     """Run every exact check for ``profile`` against the closed-form value
-    implied by ``params`` and assemble a Certificate."""
-    claimed = claimed_value(params)
-    game = _game_of(params)[0]
-    scan, residuals = {"blotto2": (blotto_deviation_gaps, blotto_budget_residuals),
-                       "lotto3": (lotto_support_optimality, lotto_budget_residuals)}[game]
+    implied by ``params`` (``params.claimed_value()``) and assemble a
+    Certificate; ``params.game`` picks the checks."""
+    claimed = params.claimed_value()
+    scan, residuals = (globals()[name] for name in _CHECKS[params.game])
     gaps = scan(profile, params)
     res_u, res_i = residuals(profile, params)
     value = games.ex_ante_payoff(profile, params.valuation_matrix, params.prior)
@@ -374,7 +361,7 @@ def certify(profile: StrategyProfile, params) -> Certificate:
         and value_residual <= EPS_DEVIATION
     )
     return Certificate(
-        game=game,
+        game=params.game,
         claimed_value=claimed,
         eps_deviation=EPS_DEVIATION,
         eps_budget=EPS_BUDGET,

@@ -17,15 +17,15 @@ from infoblotto.blotto2 import (
 )
 from infoblotto.cli import main
 from infoblotto.lotto3 import (
+    _payoff_high_branch,
+    _payoff_low_branch,
+    _payoff_mid_branch,
     LottoParams,
     build_equilibrium as build_lotto,
     complete_info_baseline,
     gamma_e,
     informed_payoff as lotto_payoff,
     max_cost,
-    payoff_high_branch,
-    payoff_low_branch,
-    payoff_mid_branch,
     zero_crossing_alpha,
 )
 from infoblotto.oracle import (
@@ -94,8 +94,8 @@ def test_criterion_3_lotto_regime_continuity():
                 continue
             worst = max(
                 worst,
-                abs(payoff_low_branch(a, b, 1 / 3) - payoff_mid_branch(a, b, 1 / 3)),
-                abs(payoff_mid_branch(a, b, 2 / 3) - payoff_high_branch(a, b, 2 / 3)),
+                abs(_payoff_low_branch(a, b, 1 / 3) - _payoff_mid_branch(a, b, 1 / 3)),
+                abs(_payoff_mid_branch(a, b, 2 / 3) - _payoff_high_branch(a, b, 2 / 3)),
             )
     report(3, f"branch mismatch at gamma=1/3, 2/3 is {worst:.2e} <= 1e-12", worst <= 1e-12)
 

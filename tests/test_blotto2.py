@@ -19,9 +19,9 @@ from infoblotto.blotto2 import (
     _step_count,
     _weights,
     build_equilibrium,
+    closed_forms,
     gross_wagner_payoff,
     informed_payoff,
-    informed_payoff_grid,
     value_of_information,
 )
 from infoblotto.distributions import MASS_TOL
@@ -30,6 +30,11 @@ from infoblotto.oracle import certify
 
 def params(vlow=0.5, gamma=0.7, x_u=10.0, vbar=1.0):
     return BlottoParams.from_ratio(vbar, vlow, gamma, x_u)
+
+
+def grid(vbar, vlow, gamma):
+    """The closed forms of a sweep, X_U = 1, by name."""
+    return closed_forms({"vbar": vbar, "vlow": vlow, "gamma": gamma})
 
 
 class TestIndex:
@@ -55,8 +60,8 @@ class TestIndex:
         # moves it; the float 2/3 is 4e-16 short and 0.96 lands just below 25
         for gamma, q in ((0.6666666666, 2), (2 / 3, 3), (0.96, 25)):
             assert BlottoIndex.from_params(params(gamma=gamma, x_u=x_u)).q == q
-        steps = informed_payoff_grid(2.0, 1.0, np.array([0.6666666666, 2 / 3, 0.96]))[1]
-        assert steps.tolist() == [2, 3, 25]
+        steps = grid(2.0, 1.0, np.array([0.6666666666, 2 / 3, 0.96]))["q"]
+        assert list(steps) == [2, 3, 25]
 
     def test_equal_budgets_rejected(self):
         with pytest.raises(ValueError, match="0 < X_I <= X_U"):
@@ -228,7 +233,7 @@ class TestLargestFloatValuations:
         p = params(vbar=1.7e308, vlow=1.5e308, gamma=0.6)
         assert p.valuation_matrix.values == ((0.53125, 0.46875), (0.46875, 0.53125))
         assert informed_payoff(p) == -0.46875
-        assert informed_payoff_grid(1.7e308, 1.5e308, 0.6)[0] == -0.46875
+        assert grid(1.7e308, 1.5e308, 0.6)["payoff"] == -0.46875
 
     @pytest.mark.parametrize(
         # q = 3, 33; and q = 5, where the sum is finite but vlow * c**2 is not
@@ -245,14 +250,18 @@ class TestGrid:
         vlow, gamma = np.meshgrid(
             np.linspace(0.3, 1.9, 17), np.linspace(0.51, 0.99, 40), indexing="ij"
         )
-        grid = informed_payoff_grid(2.0, vlow, gamma)
-        assert all(column.shape == vlow.shape for column in grid)
-        for v, g, value, steps, baseline, voi in zip(vlow.flat, gamma.flat, *(c.flat for c in grid)):
+        forms = grid(2.0, vlow, gamma)
+        assert list(forms) == ["payoff", "q", "d", "r", "baseline", "voi"]
+        assert all(len(column) == vlow.size for column in forms.values())
+        for v, g, *values in zip(vlow.flat, gamma.flat, *forms.values()):
             p = params(vbar=2.0, vlow=float(v), gamma=float(g), x_u=1.0)
+            value, steps, d, r, baseline, voi = values
             assert value.hex() == informed_payoff(p).hex()
-            assert steps == BlottoIndex.from_params(p).q
+            assert (d, steps, r) == BlottoIndex.from_params(p)
             assert baseline.hex() == gross_wagner_payoff(steps).hex()
             assert voi.hex() == value_of_information(p).hex()
+            assert closed_forms({"vbar": 2.0, "vlow": float(v), "gamma": float(g)}) == dict(
+                zip(forms, values))
 
     @pytest.mark.parametrize(
         "vbar,vlow,gamma",
@@ -262,14 +271,14 @@ class TestGrid:
     def test_series_overflow_refused(self, vbar, vlow, gamma):
         # one point that overflows among points that do not
         with pytest.raises(OutOfRegimeError, match="not a finite float"):
-            informed_payoff_grid(vbar, vlow, np.array([0.6, gamma, 0.7]))
+            grid(vbar, vlow, np.array([0.6, gamma, 0.7]))
 
     def test_underflow_refused(self):
         # one even-q point whose payoff underflows among points that do not
         gamma = np.array([0.6, 0.7, 0.76])
-        assert (informed_payoff_grid(1e200, 1.0, gamma[:2])[0] < 0.0).all()
+        assert max(grid(1e200, 1.0, gamma[:2])["payoff"]) < 0.0
         with pytest.raises(OutOfRegimeError, match="underflows to 0"):
-            informed_payoff_grid(1e200, 1.0, gamma)
+            grid(1e200, 1.0, gamma)
 
     @pytest.mark.parametrize(
         "vbar,vlow,gamma,error",
@@ -284,7 +293,7 @@ class TestGrid:
     )
     def test_domain_refused(self, vbar, vlow, gamma, error):
         with pytest.raises(error):
-            informed_payoff_grid(vbar, vlow, gamma)
+            grid(vbar, vlow, gamma)
 
 
 class TestGrossWagner:

@@ -17,9 +17,7 @@ from infoblotto.blotto2 import BlottoParams, build_equilibrium
 from infoblotto.cli import (
     SweepAxis,
     SweepSpec,
-    _blotto_columns,
     _fmt,
-    _lotto_columns,
     main,
     sweep_table,
 )
@@ -324,9 +322,9 @@ def test_sweep_cells_equal_scalar_closed_forms(spec):
     grids = [np.linspace(ax.lo, ax.hi, ax.steps).tolist() for ax in spec.axes]
     points = list(itertools.product(*grids))  # row-major
     assert len(rows) == len(points)
-    # the column values the kernels give, before formatting
+    # the column values the game's kernel gives, before formatting
     grid = dict(spec.fixed, **{n: np.array(v) for n, v in zip(names, zip(*points))})
-    kernels = (_blotto_columns if spec.game == "blotto2" else _lotto_columns)(grid, spec.columns)
+    kernels = getattr(infoblotto, spec.game).closed_forms(grid, spec.columns)
     kernels = {c: np.broadcast_to(kernels[c], len(points)).tolist() for c in spec.columns}
     for i, (row, coords) in enumerate(zip(rows, points)):
         point = dict(spec.fixed, **dict(zip(names, coords)))

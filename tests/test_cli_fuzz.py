@@ -4,7 +4,9 @@ drawn flags, and ``verify``/``simulate`` on mutated strategy files.
 Whatever the input, ``main`` returns 0, 1 or 2 without raising, exit 1
 comes only from ``verify`` (a failing certificate), exit 2 leaves stdout
 empty, and every printed number is finite (the documented ``z_score = inf``
-excepted) and never -0.  A sweep's CSV cells are held to the same.
+excepted) and never -0.  A sweep's CSV cells are held to the same.  Where
+``payoff`` gives a value, ``verify`` on the same flags certifies it or
+refuses the build for one of a closed list of reasons.
 """
 
 import contextlib
@@ -13,10 +15,11 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infoblotto.cli import main
@@ -57,7 +60,7 @@ def _checked_run(argv, csv_path=None):
             for row in handle:
                 for cell in row.strip().split(","):
                     _check_number(cell, False, (argv, row))
-    return code
+    return code, text, err.getvalue()
 
 
 def _check_number(text, may_be_inf, context):
@@ -185,3 +188,103 @@ def test_mutated_strategy_file_exits_cleanly(data):
         if command == "simulate":
             argv.append(f"--samples={data.draw(st.integers(0, 1000))}")
         _checked_run(argv)
+
+
+def test_non_complement_residual_is_finite():
+    # the q = 3 file with informed type 2 given one atom on battlefield 1:
+    # no complement of its two-atom battlefield 2, once printed as inf
+    document = copy.deepcopy(_FILES["blotto2_q3.json"])
+    document["profile"]["informed"][1][0]["atoms"] = [[0.0, 1.0]]
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "strategy.json")
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        code, text, _ = _checked_run(["verify", "--strategy", path])
+    assert code == 1
+    assert "budget_residuals_informed[1] = 1\n" in text
+    assert "passed = false" in text
+
+
+# Where payoff gives a value, verify on the same flags either certifies the
+# built profile or refuses to build it for one listed reason.  A Blotto
+# refusal names the q that payoff printed: a lattice it does not build (even
+# q, or q past 10^5), a series that is not finite, or a default offset within
+# rounding of the lattice.  A Lotto refusal names the parameter at fault
+# with its value: a valuation or the budget whose density, location or
+# multiplier is not finite.  The Blotto step count q is drawn up to 100, or
+# from 10^6 (refused before any atom), so that a drawn build takes
+# milliseconds.
+_BLOTTO_REFUSALS = {
+    "lattice": r"q = \d+: strategies are built only for odd q up to 100000 \(the "
+               r"equilibrium payoff is still available\)",
+    "series": r"the equilibrium series of value-ratio powers \S+ k < \d+, is not a finite float",
+    "offset": r"q = \d+: the default offset, the midpoint e = \S+, is not inside \(\S+, \S+\) "
+              r"by more than \S+: X_U/d is within rounding of an integer",
+}
+_LOTTO_REFUSAL = (r"(valuation (?P<name>alpha|beta) = |uninformed budget )(?P<value>\S+) is "
+                  r"(out of range: a density or a location of the equilibrium marginals is "
+                  r"not finite|too (small|large) at budget ratio \S+: the multiplier "
+                  r"lambda_uninformed is \S+)")
+
+
+@st.composite
+def payoff_flags(draw):
+    game = draw(st.sampled_from(["blotto2", "lotto3"]))
+    if game == "blotto2":
+        # X_U/d inside (q, q + 1), or short of q + 1 by more than rounding,
+        # so that the default offset falls within 1e-12 of d; or q >= 10^6,
+        # whose series is finite only for a value ratio within 1e-6 of 1
+        q = draw(st.integers(2, 100))
+        kind = draw(st.sampled_from(["inside", "inside", "short", "large"]))
+        ratio = draw(st.floats(0.01, 0.999))
+        if kind == "inside":
+            gamma = 1.0 - 1.0 / (q + draw(st.floats(0.05, 0.95)))
+        elif kind == "short":
+            gamma = 1.0 - 1.0 / (q + 1) - draw(st.floats(1e-15, 1e-14))
+        else:
+            gamma = draw(st.floats(1.0 - 1e-6, 1.0 - 1e-9))
+            ratio = draw(st.floats(1.0 - 1e-6, 1.0 - 1e-12))
+        vbar = draw(st.floats(0.001, 1000.0))
+        flags = {"vbar": vbar, "vlow": vbar * ratio, "gamma": gamma}
+    else:
+        # subnormal valuations too, whose densities may overflow
+        unit = st.floats(1e-300, 1.0, exclude_max=True) | st.sampled_from([5e-324, 1e-310])
+        alpha, beta = sorted((draw(unit), draw(unit)), reverse=True)
+        gamma = draw(st.floats(0.001, 1.0) | st.sampled_from([1 / 3, 2 / 3, 1.0]))
+        flags = {"alpha": alpha, "beta": beta, "gamma": gamma}
+    flags["xu"] = draw(st.floats(1e-300, 1e300) | st.sampled_from([1e-300, 1.0, 1e300]))
+    return ["--game", game, *(f"--{name}={value!r}" for name, value in flags.items())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(payoff_flags())
+@example(["--game", "blotto2", "--vbar=1.0", "--vlow=0.5", "--gamma=0.78", "--xu=1.0"])
+@example(["--game", "blotto2", "--vbar=1.0", "--vlow=0.5", "--gamma=0.7499999999999",
+          "--xu=1.0"])
+@example(["--game", "lotto3", "--alpha=1e-300", "--beta=1e-300", "--gamma=1.0", "--xu=1.0"])
+# a subnormal valuation: 2*v*c once rounded its density, and the built
+# marginal held a total mass of 1.099
+@example(["--game", "lotto3", "--alpha=0.819969498062331", "--beta=5e-324", "--gamma=1.0",
+          "--xu=1e+300"])
+def test_verify_certifies_or_names_its_refusal(argv):
+    code, text, _ = _checked_run(["payoff", *argv])
+    if code != 0:
+        return
+    payoff = dict(line.split(" = ") for line in text.splitlines())
+    code, text, err = _checked_run(["verify", *argv])
+    if code == 0:
+        assert "passed = true" in text.splitlines()
+        return
+    assert code == 2, (argv, text)
+    reason = err.removeprefix("error: ").rstrip("\n")
+    if payoff["game"] == "blotto2":
+        kinds = [kind for kind, rule in _BLOTTO_REFUSALS.items() if re.fullmatch(rule, reason)]
+        assert kinds, (argv, reason)
+        q = int(payoff["q"])
+        assert kinds == ["series"] or reason.startswith(f"q = {q}: "), (argv, reason)
+        assert kinds != ["lattice"] or q % 2 == 0 or q > 10**5, (argv, reason)
+    else:
+        match = re.fullmatch(_LOTTO_REFUSAL, reason)
+        assert match, (argv, reason)
+        flags = dict(arg[2:].split("=") for arg in argv[2:])
+        assert float(match["value"]) == float(flags[match["name"] or "xu"]), (argv, reason)

@@ -13,6 +13,9 @@ from infoblotto import (
     interim_payoffs,
 )
 from infoblotto.lotto3 import (
+    _payoff_high_branch,
+    _payoff_low_branch,
+    _payoff_mid_branch,
     LottoParams,
     build_equilibrium,
     complete_info_baseline,
@@ -21,9 +24,6 @@ from infoblotto.lotto3 import (
     informed_payoff,
     max_cost,
     multipliers,
-    payoff_high_branch,
-    payoff_low_branch,
-    payoff_mid_branch,
     regime_of,
     voi,
     zero_crossing_alpha,
@@ -80,8 +80,8 @@ class TestPayoff:
 
     def test_boundary_third_from_both_branches(self):
         g = 1.0 / 3.0
-        assert payoff_low_branch(0.5, 0.5, g) == pytest.approx(-0.5, abs=1e-15)
-        assert payoff_mid_branch(0.5, 0.5, g) == pytest.approx(-0.5, abs=1e-15)
+        assert _payoff_low_branch(0.5, 0.5, g) == pytest.approx(-0.5, abs=1e-15)
+        assert _payoff_mid_branch(0.5, 0.5, g) == pytest.approx(-0.5, abs=1e-15)
 
     def test_mid_regime_value(self):
         # c=1/2, bracket (1 - 2/3)(0.75 + 0.5) + 1 = 17/12; payoff -7/24
@@ -96,10 +96,10 @@ class TestPayoff:
     def test_regime_continuity_on_grid(self):
         for a, b in ordered_pairs(20):
             third = abs(
-                payoff_low_branch(a, b, 1 / 3) - payoff_mid_branch(a, b, 1 / 3)
+                _payoff_low_branch(a, b, 1 / 3) - _payoff_mid_branch(a, b, 1 / 3)
             )
             two_thirds = abs(
-                payoff_mid_branch(a, b, 2 / 3) - payoff_high_branch(a, b, 2 / 3)
+                _payoff_mid_branch(a, b, 2 / 3) - _payoff_high_branch(a, b, 2 / 3)
             )
             assert third <= 1e-12
             assert two_thirds <= 1e-12
@@ -107,8 +107,8 @@ class TestPayoff:
     def test_mid_equals_high_when_symmetric(self):
         for a in np.linspace(0.05, 0.95, 19):
             for g in np.linspace(0.35, 1.0, 14):
-                assert payoff_mid_branch(a, a, g) == pytest.approx(
-                    payoff_high_branch(a, a, g), abs=1e-12
+                assert _payoff_mid_branch(a, a, g) == pytest.approx(
+                    _payoff_high_branch(a, a, g), abs=1e-12
                 )
 
     def test_beats_uninformed_baseline(self):
@@ -317,7 +317,9 @@ class TestConstruction:
 def per_regime_marginals(params):
     """(uninformed, diagonal, alpha, beta) marginals from one hand-written
     segment table per regime, as the package built them before one stacked
-    rule replaced the tables; the reference for ``build_equilibrium``."""
+    rule replaced the tables; the reference for ``build_equilibrium``.  The
+    informed mass at zero is k - lambda_U/lambda_I, formed as k - 3*gamma,
+    and an atom is dropped only where that mass is not positive."""
     a, b, g = params.alpha, params.beta, params.gamma
     c = params.scale
     lam_i, lam_u = multipliers(a, b, g, params.budget_uninformed)
@@ -327,7 +329,7 @@ def per_regime_marginals(params):
         s_u = [(0.0, top, 3.0 * lam_i / (2.0 * c))]
         s_d = [(0.0, top, 3.0 * lam_u / (2.0 * c))]
         s_a = s_b = []
-        zero_mass = (0.0, 1.0 - lam_u / lam_i, 1.0, 1.0)
+        zero_mass = (0.0, 1.0 - 3.0 * g, 1.0, 1.0)
     elif regime == "mid":
         lo = (2.0 * c / 3.0) * (a / lam_i - a / lam_u)
         hi = (2.0 * c / 3.0) * (a / lam_i + (1.0 - a) / lam_u)
@@ -335,7 +337,7 @@ def per_regime_marginals(params):
         s_d = [(lo, hi, 3.0 * lam_u / (2.0 * c))]
         s_a = [(0.0, lo, 3.0 * lam_u / (2.0 * a * c))]
         s_b = []
-        zero_mass = (0.0, 0.0, 2.0 - lam_u / lam_i, 1.0)
+        zero_mass = (0.0, 0.0, 2.0 - 3.0 * g, 1.0)
     else:
         t1 = (2.0 * c / 3.0) * (b / lam_i - 2.0 * b / lam_u)
         t2 = (2.0 * c / 3.0) * (b / lam_i + (a - 2.0 * b) / lam_u)
@@ -348,9 +350,9 @@ def per_regime_marginals(params):
         s_d = [(t2, t3, 3.0 * lam_u / (2.0 * c))]
         s_a = [(t1, t2, 3.0 * lam_u / (2.0 * a * c))]
         s_b = [(0.0, t1, 3.0 * lam_u / (2.0 * b * c))]
-        zero_mass = (0.0, 0.0, 0.0, 3.0 - lam_u / lam_i)
+        zero_mass = (0.0, 0.0, 0.0, 3.0 - 3.0 * g)
     return [
-        PiecewiseCdf(atoms=((0.0, m),) if m > 5e-13 else (), segments=segs)
+        PiecewiseCdf(atoms=((0.0, m),) if m > 0.0 else (), segments=segs)
         for m, segs in zip(zero_mass, (s_u, s_d, s_a, s_b))
     ]
 
@@ -406,6 +408,24 @@ def test_builder_refusals_are_out_of_regime(params):
     except OutOfRegimeError:
         return
     assert certify(profile, params).passed
+
+
+# just below gamma = 2/3 and 1/3 the informed atom at zero keeps a true mass
+# k - 3*gamma near 1e-13; a drop tolerance of 5e-13 removed it, and these
+# profiles then missed their value by 5e-14 to 1.9e-13
+_BELOW_EDGES = [(0.9999999767386354, 4.31e-133, 0.6666666666665376)] + [
+    (alpha, beta, edge * (1.0 - 1e-13))
+    for edge in (2 / 3, 1 / 3)
+    for alpha, beta in ((0.5, 0.5), (0.9, 0.1), (0.6, 0.3), (0.99, 0.01))
+]
+
+
+@pytest.mark.parametrize("alpha,beta,gamma", _BELOW_EDGES)
+def test_mass_just_below_a_regime_edge_is_kept(alpha, beta, gamma):
+    params = LottoParams(alpha, beta, gamma)
+    cert = certify(build_equilibrium(params), params)
+    assert cert.passed
+    assert cert.value_residual <= 1e-15
 
 
 class TestZeroCrossing:

@@ -28,7 +28,6 @@ from infoblotto.oracle import (
     blotto_deviation_gaps,
     blotto_budget_residuals,
     certify,
-    claimed_value,
     lotto_budget_residuals,
     lotto_support_optimality,
     monte_carlo_value,
@@ -137,9 +136,10 @@ class TestBlottoDeviations:
         res_u, _ = blotto_budget_residuals(broken, BLOTTO)
         assert res_u > 1e-3
 
-    def test_budget_residuals_of_other_shapes_are_infinite(self):
+    def test_budget_residuals_of_other_shapes_are_no_complement(self):
         # atoms are paired from the two ends, so another atom count (zip
-        # would pair a prefix) or a segment on either side is no complement
+        # would pair a prefix) or a segment on either side is no complement:
+        # a finite residual of 1, the whole mass, far above the threshold
         profile = build_blotto(BLOTTO)
         g1, g2 = profile.uninformed
         fewer = PiecewiseCdf(atoms=tuple((loc, mass / (1.0 - g2.atoms[-1][1]))
@@ -152,7 +152,7 @@ class TestBlottoDeviations:
         for pair in [(g1, fewer), (fewer.reflect(x_u), g2),
                      (ramp, ramp), (g1, ramp), (ramp, g2), (half_ramp, g2)]:
             broken = StrategyProfile(informed=profile.informed, uninformed=pair)
-            assert blotto_budget_residuals(broken, BLOTTO)[0] == math.inf
+            assert blotto_budget_residuals(broken, BLOTTO)[0] == 1.0 > oracle.EPS_BUDGET
 
 
 class TestLottoSupportOptimality:
@@ -513,11 +513,11 @@ class TestCertify:
 
     def test_claimed_value_is_the_closed_form(self):
         lotto = LottoParams(0.55, 0.35, 0.5)
-        assert claimed_value(BLOTTO) == informed_payoff_blotto(BLOTTO)
-        assert claimed_value(lotto) == informed_payoff_lotto(0.55, 0.35, 0.5)
-        with pytest.raises(TypeError, match="unsupported params type"):
-            claimed_value(BLOTTO.valuation_matrix)
-        with pytest.raises(TypeError, match="unsupported params type"):
+        assert BLOTTO.claimed_value() == informed_payoff_blotto(BLOTTO)
+        assert lotto.claimed_value() == informed_payoff_lotto(0.55, 0.35, 0.5)
+        assert certify(build_lotto(lotto), lotto).game == lotto.game == "lotto3"
+        # only a params object names its game and claims a value
+        with pytest.raises(AttributeError, match="claimed_value"):
             certify(build_blotto(BLOTTO), BLOTTO.valuation_matrix)
 
     def test_pure_deviation_payoff_matches_sign_expectation(self):
@@ -1065,7 +1065,7 @@ def exact_checks(profile, params):
         gaps = lotto_support_optimality(profile, params)
         res_u, res_i = lotto_budget_residuals(profile, params)
     value = ex_ante_payoff(profile, params.valuation_matrix, params.prior)
-    return gaps.worst(), max(res_u, *res_i), abs(value - claimed_value(params))
+    return gaps.worst(), max(res_u, *res_i), abs(value - params.claimed_value())
 
 
 @pytest.mark.parametrize("case", list(SCALE_CASES))
