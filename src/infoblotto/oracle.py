@@ -11,8 +11,12 @@ grid, no tuning.  Every payoff reads the one point query
 ``PiecewiseCdf.masses`` in plain Python floats, each caller with its own
 tie rule; a Blotto scan takes every type's interim payoff from one
 ``games.interim_payoffs`` call, so it takes O(q log q) for O(q) lattice
-atoms.  The seeded Monte Carlo estimate ``monte_carlo_value`` (``infoblotto
-simulate``) is the only part that loads numpy, and no verdict reads it.
+atoms, and ``certify`` prices those payoffs once for the scan and the
+value.  The seeded Monte Carlo estimate ``monte_carlo_value`` (``infoblotto
+simulate``) is the only part that loads numpy, and no verdict reads it; it
+keeps a count per sampled payoff value, not a payoff per sample, so its
+memory does not grow with the sample count, and its mean and variance are
+exact sums rounded once.
 
 Each distinct quantity is evaluated once, and nothing is kept between
 calls.  The Lotto scan and ``games.interim_payoffs`` (which
@@ -77,17 +81,21 @@ def _split_payoffs(xs, budget, f1, f2):
 
 
 def blotto_deviation_gaps(
-    profile: StrategyProfile, params: blotto2.BlottoParams
+    profile: StrategyProfile, params: blotto2.BlottoParams, interim=None
 ) -> DeviationGaps:
     """Best pure-deviation improvement for each player/type against the
-    other side of ``profile``; nonnegative up to rounding, ~0 at equilibrium."""
+    other side of ``profile``; nonnegative up to rounding, ~0 at equilibrium.
+    ``interim`` is the profile's ``games.interim_payoffs``, priced here when
+    the caller has none (``certify`` prices them once for the scan and the
+    value)."""
     if any(f.segments for row in (*profile.informed, profile.uninformed) for f in row):
         raise ValueError("Blotto deviation scan requires atomic marginals")
 
     values = params.valuation_matrix
     prior = params.prior
-    # each type's payoff in profile, in one call that checks the dimensions
-    interim = games.interim_payoffs(profile, values, prior)
+    if interim is None:
+        # each type's payoff in profile, in one call that checks the dimensions
+        interim = games.interim_payoffs(profile, values, prior)
     value_u = -math.fsum(w * v for w, v in zip(prior.weights, interim))
     x_i, x_u = params.budget_informed, params.budget_uninformed
 
@@ -152,9 +160,11 @@ def _support_slack(own, terms):
 
 
 def lotto_support_optimality(
-    profile: StrategyProfile, params: lotto3.LottoParams
+    profile: StrategyProfile, params: lotto3.LottoParams, interim=None
 ) -> DeviationGaps:
     """All-pay-auction support optimality of every marginal in ``profile``.
+    ``interim``, the interim payoffs ``certify`` passes every scan, is not
+    read: no Lotto slack depends on them.
 
     For informed type i on battlefield j the priced payoff is
     ``(2 v_ij p_i / lambda_I) F_U(x) - x``; for the uninformed player it is
@@ -250,68 +260,89 @@ def blotto_budget_residuals(profile: StrategyProfile, params: blotto2.BlottoPara
 # ---------------------------------------------------------------------------
 
 
-_CHUNK = 1 << 15  # samples scored at a time; 2^15 ran fastest of 2^13 to 2^16
+# samples scored at a time: on a 2-vCPU host 2^14 ran about as fast as 2^13
+# and 2^15, and a simulate process peaked 3 MB lower than with 2^15
+_CHUNK = 1 << 14
 
 
 def monte_carlo_value(profile, values, prior, samples, seed):
     """Unbiased (mean, standard error) estimate of the informed player's
-    ex-ante payoff.  Draws are exchangeable, so the state counts are drawn
-    first; then, state by state and battlefield by battlefield, each sample
-    takes one uniform for each of its two marginals that is not one atom,
-    informed first, read ``_CHUNK`` samples at a time as one ``(size, k)``
-    block from the call's one Philox.  The stream is read front to back, so
-    the chunk size changes no number, and only the payoff array grows with
-    ``samples``.  Battlefield j is scored ``v * ([x > y] - [x < y])``, the
-    floats ``v * sign(x - y)`` gave; between atoms-only marginals y is never
-    sampled: its uniform is compared with the ``PiecewiseCdf.thresholds`` of
-    x's atom.  A sample count too large to allocate is refused with
-    ``ValueError``."""
+    ex-ante payoff, in memory that does not grow with ``samples``.  Draws
+    are exchangeable, so the state counts are drawn first; then, state by
+    state, each sample reads one row of uniforms: battlefield by
+    battlefield, one for each of its two marginals that is not one atom,
+    informed first, ``_CHUNK`` rows at a time as one ``(size, k)`` block
+    from the call's one Philox.  The stream is read front to back, a
+    sample to a row, so the chunk size changes no number.  Battlefield j
+    is scored ``v * ([x > y] - [x < y])``, the floats ``v * sign(x - y)``
+    gave, and a sample's payoff is their sum from 0.0; between atoms-only
+    marginals y is never sampled: its uniform is compared with the
+    ``PiecewiseCdf.thresholds`` of x's atom.  A payoff takes few values
+    (each battlefield scores -v, 0 or v), so each chunk is reduced to a
+    count per value, and the mean and variance are exact rational sums over
+    those counts, each rounded once.  A sample count numpy cannot draw,
+    2^63 or more, is refused with ``ValueError``."""
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
+    if samples >= 1 << 63:
+        # numpy draws the state counts as signed 64-bit integers
+        raise ValueError(f"{samples} Monte Carlo samples are more than numpy draws: "
+                         "the count must be below 2^63")
     games._check_dimensions(profile, values, prior)
     import numpy as np
     rng = np.random.Generator(np.random.Philox(seed))
-    # numpy refuses a size past its index range with ValueError and one the
-    # system will not give with MemoryError, both before touching memory
-    try:
-        payoff = np.zeros(samples)
-    except (MemoryError, ValueError):
-        raise ValueError(f"{samples} Monte Carlo samples do not fit in memory") from None
     counts = rng.multinomial(samples, prior.weights).tolist()
-    buffer = np.empty(min(samples, _CHUNK))
-    end = 0
+    tally = {}  # payoff value -> samples that scored it
     for vals, row, count in zip(values.values, profile.informed, counts):
-        start, end = end, end + count
-        # battlefield by battlefield, so each sample still adds j = 0 first
+        # each battlefield's columns of the row: a one-atom marginal's
+        # quantile is its location, so it reads no uniform (None)
+        plan, width = [], 0
         for v, f, g in zip(vals, row, profile.uninformed):
-            # a one-atom marginal's quantile is its location: it reads no
-            # uniforms, and the uniform 0.0 stands for them
-            reads_f, reads_g = (bool(h.segments) or len(h.atoms) > 1 for h in (f, g))
+            cols = []
+            for h in (f, g):
+                reads = bool(h.segments) or len(h.atoms) > 1
+                cols.append(width if reads else None)
+                width += reads
             atoms_only = not (f.segments or g.segments)
-            if atoms_only:
-                t_plus, t_minus = g.thresholds([loc for loc, _ in f.atoms])
-            for lo in range(start, end, _CHUNK):
-                block = payoff[lo : min(lo + _CHUNK, end)]
-                u = rng.random((len(block), reads_f + reads_g))
-                # the first column made contiguous: component passes over it
-                # once per component
-                a = np.ascontiguousarray(u[:, 0]) if reads_f else 0.0
-                b = u[:, -1] if reads_g else 0.0
-                if atoms_only:
-                    i = f.component(a) if reads_f else 0
-                    above, below = np.less(b, t_plus[i]), np.greater_equal(b, t_minus[i])
+            cuts = g.thresholds([loc for loc, _ in f.atoms]) if atoms_only else None
+            plan.append((v, f, g, *cols, cuts))
+        for lo in range(0, count, _CHUNK):
+            u = rng.random((min(_CHUNK, count - lo), width))
+            payoff = np.zeros(len(u))
+            for v, f, g, col_f, col_g, cuts in plan:
+                # the informed column made contiguous: component passes over
+                # it once per component; the uniform 0.0 stands for no read
+                a = 0.0 if col_f is None else np.ascontiguousarray(u[:, col_f])
+                b = 0.0 if col_g is None else u[:, col_g]
+                if cuts is not None:
+                    i = 0 if col_f is None else f.component(a)
+                    above, below = np.less(b, cuts[0][i]), np.greater_equal(b, cuts[1][i])
                 else:
                     x, y = f.ppf(a), g.ppf(b)
                     above, below = np.greater(x, y), np.less(x, y)
                 score = above.view(np.int8)
                 score -= below.view(np.int8)
-                out = buffer[: len(block)]
-                np.copyto(out, score)
-                out *= v
-                block += out
-    mean = float(payoff.mean())
-    std_error = float(payoff.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return mean, std_error
+                payoff += score * v
+            scored, times = np.unique(payoff, return_counts=True)
+            for value, n in zip(scored.tolist(), times.tolist()):
+                tally[value] = tally.get(value, 0) + n
+    return _mean_and_error(tally, samples)
+
+
+def _mean_and_error(tally, samples):
+    # mean and standard error of the payoffs counted in ``tally`` from exact
+    # rational sums; the variance of the mean is rounded once in units of
+    # 4^e, 2^e above every |payoff|, so that it neither overflows nor
+    # underflows where the error itself would not
+    from fractions import Fraction
+    total = sum(Fraction(value) * n for value, n in tally.items())
+    mean = float(total / samples)
+    if samples == 1:
+        return mean, 0.0
+    squares = sum(Fraction(value) ** 2 * n for value, n in tally.items())
+    var_of_mean = (samples * squares - total * total) / (samples * samples * (samples - 1))
+    e = math.frexp(max(map(abs, tally)))[1]
+    return mean, math.ldexp(math.sqrt(var_of_mean * Fraction(4) ** -e), e)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +382,11 @@ def certify(profile: StrategyProfile, params) -> Certificate:
     Certificate; ``params.game`` picks the checks."""
     claimed = params.claimed_value()
     scan, residuals = (globals()[name] for name in _CHECKS[params.game])
-    gaps = scan(profile, params)
+    # priced once for the scan and for the value, the sum ex_ante_payoff takes
+    interim = games.interim_payoffs(profile, params.valuation_matrix, params.prior)
+    value = math.fsum(w * v for w, v in zip(params.prior.weights, interim))
+    gaps = scan(profile, params, interim)
     res_u, res_i = residuals(profile, params)
-    value = games.ex_ante_payoff(profile, params.valuation_matrix, params.prior)
     value_residual = abs(value - claimed)
     passed = (
         gaps.worst() <= EPS_DEVIATION

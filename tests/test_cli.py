@@ -1021,15 +1021,47 @@ class TestSimulate:
 
 
 @pytest.mark.parametrize("command", ["simulate"])
-def test_unallocatable_samples_exit_two(capsys, command):
-    # 10^12 samples ask for terabytes at once, so the request fails before
-    # any memory is touched; a count that could be allocated is never tried
-    code, _, err = run(
-        capsys, command, "--game", "lotto3", "--alpha", "0.5", "--gamma", "0.2",
-        "--samples", "1000000000000",
-    )
-    assert code == 2
-    assert err.startswith("error:") and "1000000000000 Monte Carlo samples" in err
+def test_undrawable_samples_exit_two(capsys, command):
+    # numpy draws the state counts as signed 64-bit integers, and its
+    # multinomial raised OverflowError from 2**63 up; any count below is
+    # drawn, in memory that does not grow with it
+    for count in (str(2**63), "1" + "0" * 30):
+        code, out, err = run(
+            capsys, command, "--game", "lotto3", "--alpha", "0.5", "--gamma", "0.2",
+            "--samples", count,
+        )
+        assert code == 2 and out == ""
+        assert err == (f"error: {count} Monte Carlo samples are more than numpy draws: "
+                       "the count must be below 2^63\n")
+
+
+# exit code and ru_maxrss (kB) of the CLI run on argv in a child.  A
+# child's ru_maxrss counts the memory of the process it was started from,
+# so the child is started from this small interpreter, not from pytest's
+_PEAK_RSS_PROBE = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "infoblotto.cli", *sys.argv[1:]],
+                         stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_kb(argv):
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_PROBE, *argv], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0, argv
+    return peak
+
+
+def test_simulate_memory_flat_in_samples():
+    # a payoff was kept per sample: 10^7 samples peaked about 155 MB above
+    # 10^3; a chunk's payoffs are now reduced to counts as it is scored
+    argv = ["simulate", "--game", "lotto3", "--alpha", "0.6", "--beta", "0.3",
+            "--gamma", "0.8", "--samples"]
+    small, large = (_peak_rss_kb(argv + [count]) for count in ("1000", "10000000"))
+    assert large - small <= 8 * 1024, (small, large)
 
 
 @pytest.mark.parametrize(

@@ -91,8 +91,9 @@ class TestBlottoDeviations:
 
     def test_each_marginal_pair_priced_once(self, monkeypatch):
         # the Blotto scan at q = 3 takes its interim payoffs from one call,
-        # which prices its 4 (informed, uninformed) pairs; a built Lotto
-        # profile holds 3 distinct pairs in its 9 slots
+        # which prices its 4 (informed, uninformed) pairs, and certify prices
+        # them once for its scan and its value; a built Lotto profile holds
+        # 3 distinct pairs in its 9 slots
         calls = {"interim_payoffs": 0, "battlefield_payoff": 0}
         for name in calls:
             original = getattr(games, name)
@@ -104,6 +105,9 @@ class TestBlottoDeviations:
             monkeypatch.setattr(games, name, counted)
         assert BlottoIndex.from_params(BLOTTO).q == 3
         blotto_deviation_gaps(build_blotto(BLOTTO), BLOTTO)
+        assert calls == {"interim_payoffs": 1, "battlefield_payoff": 4}
+        calls.update(interim_payoffs=0, battlefield_payoff=0)
+        certify(build_blotto(BLOTTO), BLOTTO)
         assert calls == {"interim_payoffs": 1, "battlefield_payoff": 4}
         params = LottoParams(0.6, 0.3, 0.8)
         calls.update(interim_payoffs=0, battlefield_payoff=0)
@@ -218,11 +222,11 @@ class TestMonteCarlo:
     # float.hex of (mean, se) at 50k samples unless a (params, samples) pair
     # pins another count: a change that moves the Monte Carlo stream, or one
     # bit of an estimate, fails here.  Every value was re-pinned, with no
-    # seed, count or params changed, when the draws came to be read in
-    # stream order (each battlefield's samples in turn, one uniform per
-    # marginal that is not one atom) instead of positioned in a
-    # (2, n, count_i) block per state; every estimate stayed within
-    # 1.5 standard errors of the closed form.  The last three span several
+    # seed, count or params changed, when each sample came to read its row
+    # of uniforms whole (every battlefield's, in turn), so that a chunk's
+    # payoffs are final and only their counts are kept, and the mean and
+    # error became exact sums rounded once; every estimate stayed within
+    # 1.1 standard errors of the closed form.  The last three span several
     # chunks in every state, and 3 * 2**16 + 1 samples split into counts
     # that end mid-chunk
     @pytest.mark.parametrize(
@@ -230,39 +234,39 @@ class TestMonteCarlo:
         [
             (  # blotto2 q = 3
                 BlottoParams.from_ratio(1.0, 0.5, 0.7), 11,
-                "-0x1.9c9a8e448a2c0p-3", "0x1.a013f20f48005p-9",
+                "-0x1.9f2ba9d1f6018p-3", "0x1.9fef4dd842355p-9",
             ),
             (  # blotto2 q = 33
                 BlottoParams.from_ratio(1.0, 0.8, 1.0 - 1.0 / 33.5), 12,
-                "-0x1.84d8d09f788f1p-8", "0x1.a0b9a8ad39199p-9",
+                "-0x1.6a575cf603ce1p-8", "0x1.9f8d85ad3cedfp-9",
             ),
             (  # lotto3 low regime
                 LottoParams(0.5, 0.5, 0.2), 13,
-                "-0x1.6540cc78e9f6bp-1", "0x1.0d30896b64feap-9",
+                "-0x1.667381d7dbf48p-1", "0x1.0c9842505fbf9p-9",
             ),
             (  # lotto3 high regime
                 LottoParams(0.6, 0.3, 0.8), 14,
-                "0x1.5809c2ec13816p-4", "0x1.35146e4ac45aep-9",
+                "0x1.4f1ac310801afp-4", "0x1.35c796fdf655ep-9",
             ),
             (  # lotto3 mid regime
                 LottoParams(0.6, 0.3, 0.5), 15,
-                "-0x1.f1af80b8e168cp-3", "0x1.33fb652dbec0ep-9",
+                "-0x1.f1eb1b289c5aep-3", "0x1.3428163b486a8p-9",
             ),
             (  # blotto2 q = 33 with geometric masses down to 20^-16
                 BlottoParams.from_ratio(1.0, 0.05, 1.0 - 1.0 / 33.5), 16,
-                "0x1.f1531a1bec4b1p-11", "0x1.1777a77607b46p-8",
+                "-0x1.3813813813813p-9", "0x1.178805e1949afp-8",
             ),
             (  # lotto3 low regime: one-atom informed marginals draw nothing
                 (LottoParams(0.5, 0.5, 0.2), 200_000), 21,
-                "-0x1.65e3fbbd7b203p-1", "0x1.0cdf4412f1a4fp-10",
+                "-0x1.6641b328b6d87p-1", "0x1.0cb09dea23013p-10",
             ),
             (  # blotto2 q = 33: atoms only, scored by thresholds
                 (BlottoParams.from_ratio(1.0, 0.8, 1.0 - 1.0 / 33.5), 200_000), 22,
-                "-0x1.c32dcfbd71cdap-10", "0x1.a004a725120dcp-10",
+                "-0x1.b81c537c4f1dfp-10", "0x1.9ecc89b24166ep-10",
             ),
             (  # lotto3 high regime, state counts 65775, 65223 and 65611
                 (LottoParams(0.6, 0.3, 0.8), 3 * 2**16 + 1), 23,
-                "0x1.4dad51e5aa508p-4", "0x1.38a034ac86bd9p-10",
+                "0x1.4a72f02a8785fp-4", "0x1.38a08a15bbc42p-10",
             ),
         ],
         ids=[
@@ -325,32 +329,52 @@ class TestMonteCarlo:
         profile = build_lotto(params)
         with pytest.raises(ValueError):
             monte_carlo_value(profile, params.valuation_matrix, params.prior, 0, 1)
+        # numpy's multinomial raised OverflowError from 2**63 up
+        for samples in (2**63, 10**30):
+            with pytest.raises(ValueError, match=f"^{samples} Monte Carlo samples"):
+                monte_carlo_value(profile, params.valuation_matrix, params.prior, samples, 1)
+
+    @pytest.mark.parametrize("power", [600, -1000])
+    def test_estimate_scales_with_values(self, power):
+        # values scaled by 2**power scale every payoff, and so the mean and
+        # the error, exactly; at 2**600 the variance, at 2**-1000 the squares
+        # of the payoffs, are outside the float range
+        params = LottoParams(0.6, 0.3, 0.8)
+        profile = build_lotto(params)
+        values = params.valuation_matrix.values
+        scaled = ValuationMatrix([[math.ldexp(v, power) for v in row] for row in values])
+        unit = monte_carlo_value(profile, params.valuation_matrix, params.prior, 5000, 8)
+        got = monte_carlo_value(profile, scaled, params.prior, 5000, 8)
+        assert got == tuple(math.ldexp(x, power) for x in unit)
 
 
 def sign_scored_monte_carlo(profile, values, prior, samples, seed):
     # the x - y, np.sign, * v scoring that monte_carlo_value must reproduce
-    # bit for bit, on the same uniforms in the same order, each battlefield's
-    # drawn in one piece: a (count, k) block, k the marginals of the pair
-    # that are not one atom (a one-atom marginal's quantile is its location)
+    # bit for bit, on the same uniforms in the same order, each state's drawn
+    # in one piece: a (count, k) block, a sample to a row, k the marginals of
+    # its battlefields that are not one atom (a one-atom marginal's quantile
+    # is its location); the whole payoff array is summed exactly
     rng = np.random.Generator(np.random.Philox(seed))
-    vals = np.asarray(values.values)
-    payoff = np.zeros(samples)
-    start = 0
+    payoffs = []
     for i, count in enumerate(rng.multinomial(samples, prior.weights)):
-        block = payoff[start : start + count]
-        start += count
-        for v, f, g in zip(vals[i], profile.informed[i], profile.uninformed):
-            reads = [bool(h.segments) or len(h.atoms) > 1 for h in (f, g)]
-            u = rng.random((count, sum(reads)))
-            a = u[:, 0] if reads[0] else np.zeros(count)
-            b = u[:, -1] if reads[1] else np.zeros(count)
-            x = f.ppf(a)
-            x -= g.ppf(b)
+        pairs = list(zip(values.values[i], profile.informed[i], profile.uninformed))
+        reads = [bool(h.segments) or len(h.atoms) > 1 for _, f, g in pairs for h in (f, g)]
+        columns = iter(rng.random((count, sum(reads))).T)
+        draws = iter([next(columns) if r else np.zeros(count) for r in reads])
+        payoff = np.zeros(count)
+        for v, f, g in pairs:
+            x = f.ppf(next(draws))
+            x -= g.ppf(next(draws))
             np.sign(x, out=x)
             x *= v
-            block += x
-    std_error = float(payoff.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return float(payoff.mean()), std_error
+            payoff += x
+        payoffs += map(Fraction, payoff.tolist())
+    total = sum(payoffs)
+    if samples == 1:
+        return float(total), 0.0
+    squares = sum(x * x for x in payoffs)
+    var_of_mean = (samples * squares - total * total) / (samples * samples * (samples - 1))
+    return float(total / samples), math.sqrt(var_of_mean)
 
 
 # -0.0 and 0.0 compare equal, so a marginal holds at most one of them
